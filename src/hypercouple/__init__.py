@@ -28,10 +28,12 @@ from .oracle import (
     ExtensionFamily,
     OracleBudgetError,
     RatioIdentityReport,
+    StateLaw,
     SwitchingClassSizes,
     count_extensions,
     exact_next_edge_distribution,
     exact_simplicity_probability,
+    extension_family,
     switching_class_sizes,
     verify_ratio_identity,
 )
@@ -60,10 +62,8 @@ from .coupling import (
     CouplingConfig,
     CouplingStep,
     CouplingTrace,
-    ExactNextEdgeLaw,
     GnpCouplingTrace,
     NearUniformityCheck,
-    StateLaw,
     accepted_size_diagnostics,
     check_near_uniformity,
     choose_epsilon,

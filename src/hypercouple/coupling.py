@@ -30,7 +30,7 @@ from .core import (
     Params,
     complement_edges,
 )
-from . import oracle
+from .oracle import ExtensionFamily, extension_family
 from .samplers import RngStream, all_edges, as_generator, sample_gnm, sample_regular
 
 
@@ -137,110 +137,6 @@ class CouplingTrace:
     contained: bool
 
 
-@dataclass(frozen=True)
-class StateLaw:
-    """Exact conditional next-edge law at one prefix state.
-
-    support lists the absent edges lexicographically; weights are integer
-    completion counts (probability = weight / total); min_ratio is the
-    smallest probability divided by uniform, the near-uniformity statistic.
-    """
-
-    support: tuple[Edge, ...]
-    weights: tuple[int, ...]
-    cumulative: tuple[int, ...]
-    total: int
-    min_ratio: Fraction
-
-    def distribution(self) -> dict[Edge, Fraction]:
-        return {e: Fraction(w, self.total)
-                for e, w in zip(self.support, self.weights)}
-
-
-class ExactNextEdgeLaw:
-    """Exact conditional law provider with per-state caching."""
-
-    def __init__(self, params: Params, budget: int | None = None) -> None:
-        self.params = params
-        self.budget = budget
-        self._states: dict[frozenset[Edge], StateLaw] = {}
-        self._excess: dict[tuple[frozenset[Edge], Fraction],
-                           tuple[tuple[int, ...], int]] = {}
-
-    def state(self, edges: frozenset[Edge], t: int) -> StateLaw:
-        hit = self._states.get(edges)
-        if hit is not None:
-            return hit
-        params = self.params
-        u_base = oracle.cached_completion_count(edges, params, self.budget)
-        if u_base == 0:
-            raise DomainError("regular process reached an inadmissible state")
-        g = OrderedHypergraph(params.n, params.k, sorted(edges))
-        support: list[Edge] = []
-        weights: list[int] = []
-        for e in complement_edges(g):
-            support.append(e)
-            weights.append(oracle.cached_completion_count(edges | {e}, params,
-                                                          self.budget))
-        total = u_base * (params.M - t)
-        assert sum(weights) == total
-        cum: list[int] = []
-        acc = 0
-        for w in weights:
-            acc += w
-            cum.append(acc)
-        min_ratio = Fraction(min(weights) * (params.complete_count - t), total)
-        law = StateLaw(support=tuple(support), weights=tuple(weights),
-                       cumulative=tuple(cum), total=total, min_ratio=min_ratio)
-        self._states[edges] = law
-        return law
-
-    def excess(self, edges: frozenset[Edge], t: int,
-               eps: Fraction) -> tuple[tuple[Edge, ...], tuple[int, ...], int]:
-        """Integer weights of the excess law (p - (1-eps) * uniform) / eps.
-
-        Only defined at near-uniform states; weights are exact and sum to
-        eps times the common denominator.
-        """
-        key = (edges, eps)
-        hit = self._excess.get(key)
-        law = self.state(edges, t)
-        if hit is not None:
-            return law.support, hit[0], hit[1]
-        absent = self.params.complete_count - t
-        # common denominator: total * eps.denominator * absent
-        base = (eps.denominator - eps.numerator) * law.total
-        weights = [w * eps.denominator * absent - base for w in law.weights]
-        if any(w < 0 for w in weights):
-            raise DomainError("excess law undefined: state is not near-uniform")
-        cum: list[int] = []
-        acc = 0
-        for w in weights:
-            acc += w
-            cum.append(acc)
-        assert acc == eps.numerator * law.total * absent
-        self._excess[key] = (tuple(cum), acc)
-        return law.support, tuple(cum), acc
-
-
-_LAWS: dict[tuple[int, int, int], ExactNextEdgeLaw] = {}
-
-
-def get_exact_law(params: Params, budget: int | None = None) -> ExactNextEdgeLaw:
-    """Shared per-(n, k, d) law cache; coupling runs at the same parameters
-    reuse each other's enumerated states."""
-    key = (params.n, params.k, params.d)
-    law = _LAWS.get(key)
-    if law is None:
-        law = ExactNextEdgeLaw(params, budget)
-        _LAWS[key] = law
-    return law
-
-
-def clear_law_cache() -> None:
-    _LAWS.clear()
-
-
 def _draw_cumulative(cumulative: tuple[int, ...], total: int,
                      gen: np.random.Generator) -> int:
     """Index drawn with exact integer weights: the uniform variate becomes an
@@ -282,7 +178,8 @@ def check_near_uniformity(G: OrderedHypergraph, epsilon: float, params: Params,
         raise DomainError("state already complete; no next edge exists")
     scale = params.complete_count - t
     if p_mode == "exact":
-        law = get_exact_law(params, budget).state(frozenset(G.edge_set), t)
+        fam = extension_family(G, params, budget)
+        law = fam.state(fam.base, t)
         idx = min(range(len(law.support)), key=lambda i: law.weights[i])
         return NearUniformityCheck(
             holds=bool(law.min_ratio >= 1 - Fraction(epsilon)),
@@ -293,13 +190,9 @@ def check_near_uniformity(G: OrderedHypergraph, epsilon: float, params: Params,
         raise DomainError(f"p_mode must be 'exact' or 'mc', got {p_mode!r}")
     if rng is None:
         raise DomainError("mc mode needs an rng")
-    gen = as_generator(rng)
-    counts: dict[Edge, int] = {e: 0 for e in complement_edges(G)}
-    for _ in range(mc_trials):
-        ext = sample_regular(G, params, gen)
-        counts[ext[t]] += 1
-    worst_edge = min(sorted(counts), key=lambda e: counts[e])
-    min_ratio = counts[worst_edge] / mc_trials * scale
+    estimate = _estimate_law(G, params, mc_trials, as_generator(rng))
+    worst_edge = min(sorted(estimate), key=lambda e: estimate[e])
+    min_ratio = estimate[worst_edge] * scale
     return NearUniformityCheck(
         holds=min_ratio >= 1 - epsilon, min_ratio=min_ratio,
         certain=False, worst_edge=worst_edge,
@@ -326,7 +219,8 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
     keep_chance = 1.0 - float(eps)
     cut = config.coupled_steps
     exact = config.p_mode == "exact"
-    law = get_exact_law(params, config.oracle_budget) if exact else None
+    law = extension_family(OrderedHypergraph(params.n, params.k), params,
+                           config.oracle_budget) if exact else None
 
     pool = all_edges(params.n, params.k)
     uniform_graph = OrderedHypergraph(params.n, params.k)
@@ -424,7 +318,7 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
     )
 
 
-def _conditional_draw(law: ExactNextEdgeLaw | None, regular_graph: OrderedHypergraph,
+def _conditional_draw(law: ExtensionFamily | None, regular_graph: OrderedHypergraph,
                       regular_set: set[Edge], t: int, params: Params,
                       gen: np.random.Generator) -> Edge:
     """Draw the next regular edge from its conditional law: exactly via the
@@ -436,7 +330,7 @@ def _conditional_draw(law: ExactNextEdgeLaw | None, regular_graph: OrderedHyperg
     return sample_regular(regular_graph, params, gen)[t]
 
 
-def _excess_draw(law: ExactNextEdgeLaw | None, estimate: dict[Edge, float] | None,
+def _excess_draw(law: ExtensionFamily | None, estimate: dict[Edge, float] | None,
                  regular_set: set[Edge], t: int, eps: Fraction, params: Params,
                  gen: np.random.Generator) -> Edge:
     """Draw from the excess law (p - (1-eps) * uniform) / eps; exact when the

@@ -22,6 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .core import (
     DomainError,
     OrderedHypergraph,
     Params,
-    codegree_rel,
     format_edge_list,
 )
 from .coupling import (
@@ -43,11 +43,11 @@ from .hamilton import hamiltonicity_sweep
 from .oracle import (
     OracleBudgetError,
     count_extensions,
-    exact_next_edge_distribution,
     exact_simplicity_probability,
+    extension_family,
     switching_class_sizes,
 )
-from .process import residual_report
+from .process import residual_moments, residual_report
 from .samplers import (
     RejectionBudgetError,
     RngStream,
@@ -122,12 +122,15 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _parallel(worker, payloads: list, jobs: int) -> list:
+def _parallel(worker, payloads: list, jobs: int) -> Iterator:
+    """Worker results in payload order, yielded as they are consumed.  Forked
+    workers inherit what the parent has enumerated (the family cache)."""
     if jobs <= 1 or len(payloads) <= 1:
-        return [worker(p) for p in payloads]
+        yield from map(worker, payloads)
+        return
     chunk = max(1, len(payloads) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(worker, payloads, chunksize=chunk))
+        yield from ex.map(worker, payloads, chunksize=chunk)
 
 
 def _mean_var(values: list[float]) -> tuple[float, float]:
@@ -170,7 +173,7 @@ def _run_sample(cfg: ExperimentConfig) -> tuple[dict, list, list[tuple[str, byte
         raise DomainError(f"unknown sample model {model!r}")
     payloads = [(model, n, k, o.get("d"), o.get("m"), o.get("p"),
                  cfg.seed, i) for i in range(cfg.trials)]
-    texts = _parallel(_sample_worker, payloads, cfg.jobs)
+    texts = list(_parallel(_sample_worker, payloads, cfg.jobs))
     files = [(f"sample_{i:04d}.edges", t.encode("ascii"))
              for i, t in enumerate(texts)]
     counts = [t.count("\n") - 1 for t in texts]  # minus the header line
@@ -227,8 +230,11 @@ def _run_couple(cfg: ExperimentConfig, gnp: bool):
     o = dict(cfg.options)
     cc = _couple_config(o)  # validate in parent; workers rebuild it
     emit = bool(o.get("emit_traces"))
+    empty = OrderedHypergraph(cc.params.n, cc.params.k)
+    if cc.p_mode == "exact":
+        extension_family(empty, cc.params)  # built once, before the fork
     payloads = [(o, cfg.seed, i, gnp, emit) for i in range(cfg.trials)]
-    results = _parallel(_couple_worker, payloads, cfg.jobs)
+    results = list(_parallel(_couple_worker, payloads, cfg.jobs))
 
     contained = sum(r[0] for r in results)
     near_all = sum(r[1] for r in results)
@@ -241,17 +247,23 @@ def _run_couple(cfg: ExperimentConfig, gnp: bool):
     below = sum(1 for s in sizes if s < cc.m)
 
     tv_checks = None
-    fam = count_extensions(OrderedHypergraph(cc.params.n, cc.params.k),
-                           cc.params, list_completions=False)
-    if 0 < fam.unordered_count <= _TV_FAMILY_LIMIT:
+    try:
+        # mc runs never list the family, so they only count it: a listing
+        # cut off by the budget would hold all its rows until the error
+        size = (extension_family(empty, cc.params) if cc.p_mode == "exact"
+                else count_extensions(empty, cc.params)).unordered_count
+    except OracleBudgetError as exc:
+        # the finished trials stand; only the uniformity check is dropped
+        size = 0
+        tv_checks = {"skipped": str(exc)}
+    if 0 < size <= _TV_FAMILY_LIMIT:
         counts: dict = {}
         for r in results:
             counts[r[5]] = counts.get(r[5], 0) + 1
         tv_checks = {
-            "family_size": fam.unordered_count,
+            "family_size": size,
             "support_seen": len(counts),
-            "tv_final_regular": round(
-                tv_distance_uniform(counts, fam.unordered_count), 6),
+            "tv_final_regular": round(tv_distance_uniform(counts, size), 6),
         }
 
     summary = {
@@ -312,21 +324,15 @@ def _run_process_stats(cfg: ExperimentConfig):
     # one exposure per trial; aggregate in trial order
     payloads = [(params.n, params.k, params.d, cfg.seed, i, a)
                 for i in range(cfg.trials)]
-    results = _parallel(_process_worker, payloads, cfg.jobs)
-    total = np.zeros((params.M + 1, params.n))
-    exceed = np.zeros(params.M + 1)
-    for emp_mean, exc in results:
+    M = params.M
+    total = np.zeros((M + 1, params.n))
+    exceed = np.zeros(M + 1)
+    for emp_mean, exc in _parallel(_process_worker, payloads, cfg.jobs):
         total += emp_mean
         exceed += exc
     emp_mean = total / cfg.trials
     exceed /= cfg.trials
-    M = params.M
-    taus = (M - np.arange(M + 1)) / M
-    exact_mean = taus * params.d
-    with np.errstate(invalid="ignore"):
-        exact_var = (np.arange(M + 1) * (params.d / M) * (1 - params.d / M)
-                     * (M - np.arange(M + 1)) / (M - 1)) if M > 1 \
-            else np.zeros(M + 1)
+    _, exact_mean, exact_var = residual_moments(params)
     rows: list[tuple] = [("t", "exact_mean", "exact_var", "emp_mean_min",
                           "emp_mean_max", "max_abs_z", "envelope_exceed")]
     worst = 0.0
@@ -364,10 +370,8 @@ def _run_switching_verify(cfg: ExperimentConfig):
     u, v = o.get("u", 0), o.get("v", 0)
     edge = tuple(o["edge"]) if o.get("edge") else None
     pair = (u, v) if kind != "remove_edge" else None
-    sizes = switching_class_sizes(base, u, v, kind, params) \
-        if kind != "remove_edge" else None
-
-    fam = count_extensions(base, params, list_completions=True)
+    sizes = switching_class_sizes(base, u, v, kind, params) if pair else None
+    fam = extension_family(base, params)
     if not fam.admissible:
         raise DomainError("base prefix admits no completions")
     graphs = [OrderedHypergraph(params.n, params.k,
@@ -388,15 +392,7 @@ def _run_switching_verify(cfg: ExperimentConfig):
         balanced = fsum == bsum
         interval = None
     else:
-        base_set = base.edge_set
-        stat_of = {}
-        for H in graphs:
-            if kind == "pair_degree":
-                # statistic lives on the tail: copies of the pair outside G
-                stat_of[H] = sum(1 for e in H.edge_set - base_set
-                                 if u in e and v in e)
-            else:
-                stat_of[H] = codegree_rel(H, base, u, v)
+        stat_of = dict(zip(graphs, sizes.values))
         rows = [("class", "size", "forward_sum", "backward_sum")]
         balanced = True
         levels = sorted(set(stat_of.values()))
@@ -438,7 +434,7 @@ def _run_hamilton_sweep(cfg: ExperimentConfig):
     payloads = [(n, k, ell, d, cfg.trials, cfg.seed, budget)
                 for d in d_values]
     # parallel across d points; trials within a point share the worker
-    points = _parallel(_sweep_worker, payloads, cfg.jobs)
+    points = list(_parallel(_sweep_worker, payloads, cfg.jobs))
     rows = [("d", "trials", "ham", "none", "unknown", "p_hat", "ci_lo",
              "ci_hi")]
     for p in points:
@@ -461,14 +457,14 @@ def _run_oracle_dump(cfg: ExperimentConfig):
     o = cfg.options
     params = Params(o["n"], o["k"], o["d"])
     base = OrderedHypergraph(params.n, params.k, o.get("base_edges", []))
-    fam = count_extensions(base, params)
+    fam = extension_family(base, params)
     rows: list[tuple] = [("edge", "completions", "probability")]
-    law: dict = {}
+    law = None
     if fam.admissible and len(base) < params.M:
-        law = exact_next_edge_distribution(base, params)
-        for e, pr in sorted(law.items()):
-            rows.append(("-".join(map(str, e)),
-                         int(pr * fam.unordered_count * (params.M - len(base))),
+        law = fam.state(fam.base, len(base))
+        for e, w in zip(law.support, law.weights):
+            pr = Fraction(w, law.total)
+            rows.append(("-".join(map(str, e)), w,
                          f"{pr.numerator}/{pr.denominator}"))
     psimple = exact_simplicity_probability(base, params)
     summary = {
@@ -479,8 +475,7 @@ def _run_oracle_dump(cfg: ExperimentConfig):
         "unordered_completions": fam.unordered_count,
         "ordered_completions": fam.ordered_count,
         "simplicity_probability": f"{psimple.numerator}/{psimple.denominator}",
-        "min_next_edge_ratio": None if not law else str(
-            min(law.values()) * (params.complete_count - len(base))),
+        "min_next_edge_ratio": None if law is None else str(law.min_ratio),
     }
     return summary, rows, []
 

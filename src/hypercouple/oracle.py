@@ -19,9 +19,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import accumulate, combinations
+
+import numpy as np
 
 from .core import (
     DomainError,
@@ -29,7 +33,7 @@ from .core import (
     InadmissiblePrefixError,
     OrderedHypergraph,
     Params,
-    complement_edges,
+    make_edge,
     residual_state,
 )
 
@@ -59,26 +63,135 @@ def node_budget(override: int | None = None) -> int:
     return DEFAULT_NODE_BUDGET
 
 
-@dataclass
+@dataclass(frozen=True)
+class StateLaw:
+    """Exact conditional next-edge law at one prefix state.
+
+    support lists the absent edges lexicographically; weights are integer
+    completion counts (probability = weight / total); min_ratio is the
+    smallest probability divided by uniform, the near-uniformity statistic.
+    """
+
+    support: tuple[Edge, ...]
+    weights: tuple[int, ...]
+    cumulative: tuple[int, ...]
+    total: int
+    min_ratio: Fraction
+
+    def distribution(self) -> dict[Edge, Fraction]:
+        return {e: Fraction(w, self.total)
+                for e, w in zip(self.support, self.weights)}
+
+
+@dataclass(eq=False)
 class ExtensionFamily:
     """Completions of a prefix G to a d-regular k-graph.
 
     `unordered_count` is the number of completion edge-sets; the ordered
     family (all ways to expose the remaining edges one by one) is larger by
-    a factor (M-t)!.  `completions` lists tails as lexicographically sorted
-    edge tuples when requested.
+    a factor (M-t)!.  A listed family keeps one packed 0/1 row per
+    completion tail, in the order the enumeration found them: bit c of a
+    row (little-endian within each byte) is set iff the tail contains the
+    c-th edge of the lexicographic edge pool.  Every exact count below is
+    read off these rows: U(G+S) is the number of rows containing S, and the
+    next-edge weights are column sums over those rows.
     """
 
     params: Params
-    base_size: int
+    base: frozenset[Edge]
     unordered_count: int
     admissible: bool
-    completions: list[tuple[Edge, ...]] | None = None
+    rows: np.ndarray | None = None
     nodes_used: int = 0
+    _states: dict = field(default_factory=dict, init=False, repr=False)
+    _excess: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def base_size(self) -> int:
+        return len(self.base)
 
     @property
     def ordered_count(self) -> int:
         return self.unordered_count * math.factorial(self.params.M - self.base_size)
+
+    @cached_property
+    def _columns(self) -> dict[Edge, int]:
+        return {e: c for c, e in enumerate(
+            combinations(range(1, self.params.n + 1), self.params.k))}
+
+    @property
+    def completions(self) -> list[tuple[Edge, ...]] | None:
+        """Tails as lexicographically sorted edge tuples, decoded from the
+        rows in the order found; None when the family was only counted."""
+        if self.rows is None:
+            return None
+        pool = tuple(self._columns)
+        bits = np.unpackbits(self.rows, axis=1, count=len(pool),
+                             bitorder="little")
+        cols = np.nonzero(bits)[1].reshape(len(self.rows),
+                                           self.params.M - self.base_size)
+        return [tuple(pool[c] for c in row) for row in cols.tolist()]
+
+    def rows_with(self, edges) -> np.ndarray:
+        """Rows of the completions containing every edge of `edges` outside
+        the base; there are U(G + edges) of them."""
+        if self.rows is None:
+            raise DomainError("family was counted without listing completions")
+        rows = self.rows
+        for e in set(edges) - self.base:
+            c = self._columns[e]
+            rows = rows[(rows[:, c >> 3] & (1 << (c & 7))) != 0]
+        return rows
+
+    def state(self, edges: frozenset[Edge], t: int) -> StateLaw:
+        """Exact next-edge law at the prefix state `edges` (t edges, the
+        base among them), memoized per state."""
+        hit = self._states.get(edges)
+        if hit is not None:
+            return hit
+        params = self.params
+        if t >= params.M:
+            raise DomainError("prefix already has M edges; no next edge exists")
+        rows = self.rows_with(edges)
+        if len(rows) == 0:
+            raise DomainError("prefix is inadmissible; next-edge law undefined")
+        # column sums, one byte column at a time to keep the unpacking small
+        sums = np.concatenate([np.unpackbits(rows[:, j:j + 1], axis=1,
+                                             bitorder="little").sum(axis=0)
+                               for j in range(rows.shape[1])]).tolist()
+        support = tuple(e for e in self._columns if e not in edges)
+        weights = tuple(sums[self._columns[e]] for e in support)
+        total = len(rows) * (params.M - t)
+        assert sum(weights) == total
+        min_ratio = Fraction(min(weights) * (params.complete_count - t), total)
+        law = StateLaw(support=support, weights=weights,
+                       cumulative=tuple(accumulate(weights)), total=total,
+                       min_ratio=min_ratio)
+        self._states[edges] = law
+        return law
+
+    def excess(self, edges: frozenset[Edge], t: int,
+               eps: Fraction) -> tuple[tuple[Edge, ...], tuple[int, ...], int]:
+        """Integer weights of the excess law (p - (1-eps) * uniform) / eps.
+
+        Only defined at near-uniform states; weights are exact and sum to
+        eps times the common denominator.
+        """
+        key = (edges, eps)
+        hit = self._excess.get(key)
+        law = self.state(edges, t)
+        if hit is not None:
+            return law.support, hit[0], hit[1]
+        absent = self.params.complete_count - t
+        # common denominator: total * eps.denominator * absent
+        base = (eps.denominator - eps.numerator) * law.total
+        weights = [w * eps.denominator * absent - base for w in law.weights]
+        if any(w < 0 for w in weights):
+            raise DomainError("excess law undefined: state is not near-uniform")
+        cum = tuple(accumulate(weights))
+        assert cum[-1] == eps.numerator * law.total * absent
+        self._excess[key] = (cum, cum[-1])
+        return law.support, cum, cum[-1]
 
 
 class _FocusBacktracker:
@@ -86,18 +199,21 @@ class _FocusBacktracker:
     vertex next; within a stage, incident edges are chosen in increasing
     lexicographic order, so each completion is visited exactly once."""
 
-    def __init__(self, n: int, k: int, residual: list[int],
+    def __init__(self, n: int, k: int, residual: list[int] | None,
                  forbidden: set[Edge], budget: int, collect: bool) -> None:
         self.n = n
         self.k = k
         self.residual = residual  # index 0 unused
         self.forbidden = forbidden
         self.budget = budget
-        self.collect = collect
         self.count = 0
         self.nodes = 0
         self.chosen: list[Edge] = []
-        self.tails: list[tuple[Edge, ...]] = []
+        # listing writes each completion as a packed row of edge-pool bits
+        self.bits = {e: 1 << c for c, e in enumerate(
+            combinations(range(1, n + 1), k))} if collect else None
+        self.width = (math.comb(n, k) + 7) // 8
+        self.rows = bytearray()
 
     def run(self) -> None:
         self._fill()
@@ -111,8 +227,9 @@ class _FocusBacktracker:
                 break
         if focus == 0:
             self.count += 1
-            if self.collect:
-                self.tails.append(tuple(sorted(self.chosen)))
+            if self.bits is not None:
+                mask = sum(self.bits[e] for e in self.chosen)
+                self.rows += mask.to_bytes(self.width, "little")
             return
         available = [w for w in range(focus + 1, self.n + 1) if r[w] > 0]
         cands = [
@@ -174,45 +291,50 @@ def count_extensions(G: OrderedHypergraph, params: Params,
     t = len(G)
     if t > params.M:
         raise DomainError(f"prefix has {t} edges, more than M={params.M}")
+    base = frozenset(G.edge_set)
     residual = _residual_list(G, params)
-    if residual is None:
-        return ExtensionFamily(params, t, 0, False,
-                               [] if list_completions else None, 0)
-    bt = _FocusBacktracker(params.n, params.k, residual, set(G.edge_set),
+    bt = _FocusBacktracker(params.n, params.k, residual, set(base),
                            node_budget(budget), list_completions)
-    bt.run()
+    if residual is not None:  # else a vertex overflows: nothing to walk
+        bt.run()
+    # a read-only copy: cached families are shared by every caller
+    rows = np.frombuffer(bytes(bt.rows), dtype=np.uint8).reshape(
+        -1, bt.width) if list_completions else None
     return ExtensionFamily(
         params=params,
-        base_size=t,
+        base=base,
         unordered_count=bt.count,
         admissible=bt.count > 0,
-        completions=bt.tails if list_completions else None,
+        rows=rows,
         nodes_used=bt.nodes,
     )
 
 
-_COUNT_CACHE: dict[tuple[int, int, int, frozenset[Edge]], int] = {}
+@dataclass(frozen=True)
+class _FamilyKey:
+    params: Params
+    edges: frozenset[Edge]
+    # used only to build a missing family: a cache hit walks no nodes
+    budget: int | None = field(compare=False)
 
 
-def cached_completion_count(edges: frozenset[Edge], params: Params,
-                            budget: int | None = None) -> int:
-    """Unordered completion count keyed by edge set; memoized.
-
-    The coupling driver hits the same prefix states millions of times, so
-    counts are cached per (n, k, d, edge set).
-    """
-    key = (params.n, params.k, params.d, edges)
-    hit = _COUNT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    g = OrderedHypergraph(params.n, params.k, sorted(edges))
-    fam = count_extensions(g, params, budget=budget)
-    _COUNT_CACHE[key] = fam.unordered_count
-    return fam.unordered_count
+# a few prefixes at a time: the coupling needs one family per (n, k, d), the
+# oracles one per prefix under study
+@lru_cache(maxsize=8)
+def _cached_family(key: _FamilyKey) -> ExtensionFamily:
+    g = OrderedHypergraph(key.params.n, key.params.k, sorted(key.edges))
+    return count_extensions(g, key.params, list_completions=True,
+                            budget=key.budget)
 
 
-def clear_count_cache() -> None:
-    _COUNT_CACHE.clear()
+def extension_family(G: OrderedHypergraph, params: Params,
+                     budget: int | None = None) -> ExtensionFamily:
+    """The listed completion family of prefix G, enumerated once per
+    (n, k, d, edge set) and kept in a bounded least-recently-used cache;
+    `budget` is charged only when the family is built."""
+    if G.n != params.n or G.k != params.k:
+        raise DomainError("graph and params disagree on (n, k)")
+    return _cached_family(_FamilyKey(params, frozenset(G.edge_set), budget))
 
 
 def exact_next_edge_distribution(G: OrderedHypergraph, params: Params,
@@ -223,20 +345,8 @@ def exact_next_edge_distribution(G: OrderedHypergraph, params: Params,
     unordered completions; the M-t orderings of each completion tail put
     each tail edge first equally often.  The values sum to 1 exactly.
     """
-    t = len(G)
-    if t >= params.M:
-        raise DomainError("prefix already has M edges; no next edge exists")
-    base = frozenset(G.edge_set)
-    u_base = cached_completion_count(base, params, budget)
-    if u_base == 0:
-        raise DomainError("prefix is inadmissible; next-edge law undefined")
-    denominator = u_base * (params.M - t)
-    dist: dict[Edge, Fraction] = {}
-    for e in complement_edges(G):
-        u_ext = cached_completion_count(base | {e}, params, budget)
-        dist[e] = Fraction(u_ext, denominator)
-    assert sum(dist.values()) == 1
-    return dist
+    fam = extension_family(G, params, budget)
+    return fam.state(fam.base, len(G)).distribution()
 
 
 @dataclass
@@ -246,7 +356,8 @@ class SwitchingClassSizes:
     `sizes[value]` counts ordered extensions whose statistic equals `value`
     (unordered counts in `unordered_sizes`); `bottom` and `top` bound the
     occupied values.  `is_interval` records whether every level between them
-    is occupied; a nonempty prefix can force the bottom above 0.
+    is occupied; a nonempty prefix can force the bottom above 0.  `values`
+    holds each completion's statistic, in the family's listing order.
     """
 
     kind: str
@@ -258,6 +369,7 @@ class SwitchingClassSizes:
     top: int
     is_interval: bool
     total_ordered: int
+    values: tuple[int, ...]
 
 
 def switching_class_sizes(G: OrderedHypergraph, u: int, v: int, kind: str,
@@ -273,12 +385,12 @@ def switching_class_sizes(G: OrderedHypergraph, u: int, v: int, kind: str,
         raise DomainError(f"unknown switching statistic kind {kind!r}")
     if u == v:
         raise DomainError("statistic needs two distinct vertices")
-    fam = count_extensions(G, params, list_completions=True, budget=budget)
+    fam = extension_family(G, params, budget)
     t = len(G)
     orderings = math.factorial(params.M - t)
     base = G.edge_set
-    unordered: dict[int, int] = {}
-    for tail in fam.completions or []:
+    values: list[int] = []
+    for tail in fam.completions:
         tail_set = set(tail)
         if kind == "pair_degree":
             value = sum(1 for e in tail if u in e and v in e)
@@ -290,7 +402,8 @@ def switching_class_sizes(G: OrderedHypergraph, u: int, v: int, kind: str,
                 swapped = tuple(sorted(set(e) - {u} | {v}))
                 if swapped in tail_set:
                     value += 1
-        unordered[value] = unordered.get(value, 0) + 1
+        values.append(value)
+    unordered = dict(Counter(values))
     top = max(unordered) if unordered else 0
     bottom = min(unordered) if unordered else 0
     sizes = {val: cnt * orderings for val, cnt in unordered.items()}
@@ -299,7 +412,7 @@ def switching_class_sizes(G: OrderedHypergraph, u: int, v: int, kind: str,
     return SwitchingClassSizes(
         kind=kind, u=u, v=v, sizes=sizes, unordered_sizes=unordered,
         bottom=bottom, top=top, is_interval=is_interval,
-        total_ordered=fam.ordered_count,
+        total_ordered=fam.ordered_count, values=tuple(values),
     )
 
 
@@ -408,16 +521,14 @@ def verify_ratio_identity(G: OrderedHypergraph, e: Edge, f: Edge, params: Params
     Requires f to extend G admissibly (nonzero count); e may be inadmissible,
     in which case both sides are 0.
     """
-    e = tuple(sorted(e))
-    f = tuple(sorted(f))
+    e = make_edge(e, params.n, params.k)
+    f = make_edge(f, params.n, params.k)
     for name, edge in (("e", e), ("f", f)):
         if edge in G.edge_set:
             raise DomainError(f"edge {name}={edge} already present in G")
-        if len(edge) != params.k:
-            raise DomainError(f"edge {name}={edge} has wrong size")
-    base = frozenset(G.edge_set)
-    u_e = cached_completion_count(base | {e}, params, budget)
-    u_f = cached_completion_count(base | {f}, params, budget)
+    fam = extension_family(G, params, budget)
+    u_e = len(fam.rows_with({e}))
+    u_f = len(fam.rows_with({f}))
     if u_f == 0:
         raise DomainError("f does not extend G admissibly; ratio undefined")
     st = residual_state(G, params)

@@ -27,10 +27,9 @@ from .core import (
     OrderedHypergraph,
     Params,
     codegree_rel,
-    complement_edges,
     make_edge,
 )
-from .oracle import cached_completion_count
+from .oracle import extension_family
 from .samplers import as_generator, sample_multi_extension, sample_regular
 
 
@@ -112,6 +111,21 @@ class ResidualReport:
         return worst
 
 
+def residual_moments(params: Params) -> tuple[np.ndarray, np.ndarray,
+                                              np.ndarray]:
+    """tau = 1 - t/M and the exact mean tau*d and variance
+    t*(d/M)*(1-d/M)*(M-t)/(M-1) of X_t(v) = d - Hypergeometric(M, d, t),
+    each indexed by t = 0..M."""
+    M, d = params.M, params.d
+    t_axis = np.arange(M + 1, dtype=float)
+    tau = (M - t_axis) / M
+    exact_mean = tau * d
+    with np.errstate(invalid="ignore"):
+        exact_var = t_axis * (d / M) * (1 - d / M) * (M - t_axis) / (M - 1) \
+            if M > 1 else np.zeros(M + 1)
+    return tau, exact_mean, exact_var
+
+
 def residual_report(params: Params, trials: int, rng,
                     a: float | None = None) -> ResidualReport:
     """Run `trials` independent exposures and compare residual trajectories
@@ -128,12 +142,7 @@ def residual_report(params: Params, trials: int, rng,
         a = 3.0 * (params.k + 2)
     gen = as_generator(rng)
     M, n, d = params.M, params.n, params.d
-    t_axis = np.arange(M + 1, dtype=float)
-    tau = (M - t_axis) / M
-    exact_mean = tau * d
-    with np.errstate(invalid="ignore"):
-        exact_var = t_axis * (d / M) * (1 - d / M) * (M - t_axis) / (M - 1) \
-            if M > 1 else np.zeros(M + 1)
+    tau, exact_mean, exact_var = residual_moments(params)
     width = np.sqrt(a * tau * d * math.log(n))
     total = np.zeros((M + 1, n))
     total_sq = np.zeros((M + 1, n))
@@ -155,16 +164,11 @@ def best_average_edge(G: OrderedHypergraph, params: Params,
                       budget: int | None = None) -> Edge:
     """Lexicographically least absent edge maximizing the completion count,
     i.e. an f whose extension is at least as completable as average."""
-    best: Edge | None = None
-    best_count = -1
-    base = frozenset(G.edge_set)
-    for f in complement_edges(G):
-        c = cached_completion_count(base | {f}, params, budget)
-        if c > best_count:
-            best, best_count = f, c
-    if best is None or best_count == 0:
-        raise DomainError("no absent edge admits any completion")
-    return best
+    fam = extension_family(G, params, budget)
+    law = fam.state(fam.base, len(G))  # raises when nothing completes G
+    # max keeps the first, i.e. lexicographically least, maximizer
+    return law.support[max(range(len(law.support)),
+                           key=law.weights.__getitem__)]
 
 
 @dataclass

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
+from typing import Iterator
 
 import numpy as np
 
@@ -140,6 +141,28 @@ def _encode_rows(blocks: np.ndarray, n: int) -> list[int]:
     return (blocks @ powers).tolist()
 
 
+def _configuration_attempts(G: OrderedHypergraph, params: Params,
+                            gen: np.random.Generator) -> Iterator[np.ndarray | None]:
+    """Endless configuration-model attempts on the residual multiset of G.
+
+    Each attempt draws one permutation of the vertex copies and yields its
+    sorted k-blocks if they form a simple extension of G, else None.
+    """
+    vector = _residual_vector(residual_state(G, params))
+    slots = params.M - len(G)
+    forbidden = set(_encode_rows(
+        np.array(sorted(G.edge_set), dtype=np.int64).reshape(-1, params.k),
+        params.n)) if len(G) else set()
+    while True:
+        perm = gen.permutation(vector)
+        blocks = np.sort(perm.reshape(slots, params.k), axis=1)
+        if (blocks[:, 1:] == blocks[:, :-1]).any():
+            yield None
+            continue
+        codes = set(_encode_rows(blocks, params.n))
+        yield blocks if len(codes) == slots and not codes & forbidden else None
+
+
 def sample_regular(G: OrderedHypergraph, params: Params, rng,
                    max_attempts: int | None = None) -> OrderedHypergraph:
     """Uniform ordered d-regular extension of G by configuration rejection.
@@ -163,24 +186,10 @@ def sample_regular(G: OrderedHypergraph, params: Params, rng,
     if len(G) == 0 and params.d > params.max_degree // 2:
         return _sample_regular_complement(params, gen)
 
-    state = residual_state(G, params)
-    vector = _residual_vector(state)
-    slots = params.M - len(G)
-    forbidden = set(_encode_rows(
-        np.array(sorted(G.edge_set), dtype=np.int64).reshape(-1, params.k),
-        params.n)) if len(G) else set()
-    base_edges = list(G.edges)
-    for _ in range(max_attempts):
-        perm = gen.permutation(vector)
-        blocks = np.sort(perm.reshape(slots, params.k), axis=1)
-        if (blocks[:, 1:] == blocks[:, :-1]).any():
-            continue
-        codes = _encode_rows(blocks, params.n)
-        code_set = set(codes)
-        if len(code_set) != slots or code_set & forbidden:
-            continue
-        tail = [tuple(int(x) for x in row) for row in blocks]
-        return OrderedHypergraph(params.n, params.k, base_edges + tail)
+    for blocks in islice(_configuration_attempts(G, params, gen), max_attempts):
+        if blocks is not None:
+            tail = [tuple(int(x) for x in row) for row in blocks]
+            return OrderedHypergraph(params.n, params.k, list(G.edges) + tail)
     raise RejectionBudgetError(
         f"no simple extension in {max_attempts} attempts at n={params.n} "
         f"k={params.k} d={params.d} |G|={len(G)}; G may be inadmissible or "
@@ -228,7 +237,7 @@ def exact_simplicity_from_count(G: OrderedHypergraph, params: Params,
     independent direct enumeration.
     """
     t = len(G)
-    u = oracle.cached_completion_count(frozenset(G.edge_set), params, budget)
+    u = oracle.extension_family(G, params, budget).unordered_count
     ordered = u * math.factorial(params.M - t)
     state = residual_state(G, params)
     numerator = ordered * math.factorial(params.k) ** (params.M - t)
@@ -244,22 +253,8 @@ def simplicity_probability(G: OrderedHypergraph, params: Params, trials: int,
     instance is small enough to count (exact='auto'|'never'|'require')."""
     if trials < 1:
         raise DomainError("trials must be positive")
-    gen = as_generator(rng)
-    state = residual_state(G, params)
-    vector = _residual_vector(state)
-    slots = params.M - len(G)
-    forbidden = set(_encode_rows(
-        np.array(sorted(G.edge_set), dtype=np.int64).reshape(-1, params.k),
-        params.n)) if len(G) else set()
-    successes = 0
-    for _ in range(trials):
-        perm = gen.permutation(vector)
-        blocks = np.sort(perm.reshape(slots, params.k), axis=1)
-        if (blocks[:, 1:] == blocks[:, :-1]).any():
-            continue
-        codes = set(_encode_rows(blocks, params.n))
-        if len(codes) == slots and not codes & forbidden:
-            successes += 1
+    attempts = _configuration_attempts(G, params, as_generator(rng))
+    successes = sum(blocks is not None for blocks in islice(attempts, trials))
     p_hat = successes / trials
     low, high = wilson_interval(successes, trials)
     value: Fraction | None = None

@@ -34,6 +34,7 @@ from .core import (
     OrderedHypergraph,
     Params,
     codegree_rel,
+    make_edge,
     residual_state,
 )
 from . import oracle
@@ -401,7 +402,7 @@ def edge_probability(G: OrderedHypergraph, e: Edge, params: Params, trials: int,
                      exact_budget: int = 2_000_000) -> EdgeProbabilityEstimate:
     """Estimate the chance that edge e appears in a uniform regular extension
     of G; attaches the exact completion-count ratio when countable."""
-    e = tuple(sorted(e))
+    e = make_edge(e, params.n, params.k)
     if e in G.edge_set:
         raise DomainError(f"edge {e} already lies in G")
     if trials < 1:
@@ -417,12 +418,10 @@ def edge_probability(G: OrderedHypergraph, e: Edge, params: Params, trials: int,
     value: Fraction | None = None
     if exact != "never":
         try:
-            base = frozenset(G.edge_set)
-            u_base = oracle.cached_completion_count(base, params, exact_budget)
-            u_with = oracle.cached_completion_count(base | {e}, params, exact_budget)
-            if u_base == 0:
+            fam = oracle.extension_family(G, params, exact_budget)
+            if fam.unordered_count == 0:
                 raise DomainError("G is inadmissible")
-            value = Fraction(u_with, u_base)
+            value = Fraction(len(fam.rows_with({e})), fam.unordered_count)
         except oracle.OracleBudgetError:
             if exact == "require":
                 raise

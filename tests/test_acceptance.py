@@ -43,7 +43,7 @@ from hypercouple import (
     verify_cycle,
     verify_ratio_identity,
 )
-from hypercouple.coupling import get_exact_law
+from hypercouple.oracle import extension_family
 from hypercouple.stats import tv_distance_uniform
 
 from conftest import record_criterion
@@ -169,7 +169,7 @@ def test_criterion_03_ratio_identity():
 def test_criterion_04_coupling_marginal(coupling_pool):
     t0 = time.monotonic()
     tv = tv_distance_uniform(coupling_pool["final_counts"], 75)
-    law = get_exact_law(N6)
+    law = extension_family(OrderedHypergraph(6, 3), N6)
     ranked = sorted(coupling_pool["state_next"].items(),
                     key=lambda kv: -sum(kv[1].values()))[:10]
     pvals = []

@@ -20,7 +20,8 @@ from hypercouple import (
     run_coupling,
     run_coupling_gnp,
 )
-from hypercouple.coupling import BRANCHES, get_exact_law
+from hypercouple.coupling import BRANCHES
+from hypercouple.oracle import extension_family
 from hypercouple.stats import tv_distance_uniform
 
 N6 = Params(6, 3, 2)
@@ -59,7 +60,7 @@ class TestEpsilonChoice:
 
 class TestExactLaw:
     def test_state_law_matches_oracle_distribution(self):
-        law = get_exact_law(N6)
+        law = extension_family(OrderedHypergraph(6, 3), N6)
         g = OrderedHypergraph(6, 3, [(1, 2, 3)])
         state = law.state(frozenset(g.edge_set), 1)
         oracle_law = exact_next_edge_distribution(g, N6)
@@ -67,7 +68,7 @@ class TestExactLaw:
         assert state.total == sum(state.weights)
 
     def test_min_ratio_is_worst_edge_over_uniform(self):
-        law = get_exact_law(N6)
+        law = extension_family(OrderedHypergraph(6, 3), N6)
         state = law.state(frozenset({(1, 2, 3)}), 1)
         oracle_law = exact_next_edge_distribution(
             OrderedHypergraph(6, 3, [(1, 2, 3)]), N6)

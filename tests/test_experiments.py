@@ -210,5 +210,18 @@ class TestCliBoundary:
         assert rc == 2
         assert "budget exhausted" in capsys.readouterr().err
 
+    def test_tv_check_skipped_when_family_outruns_budget(self, tmp_path,
+                                                         capsys, monkeypatch):
+        monkeypatch.setenv("HYPERCOUPLE_NODE_BUDGET", "100000")
+        out = tmp_path / "c"
+        rc = main(["couple", "--n", "15", "--k", "3", "--d", "2",
+                   "--gamma", "0.5", "--p-mode", "mc:5", "--trials", "2",
+                   "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        s = read_json(out)
+        assert s["trials"] == 2
+        assert "100000 nodes" in s["tv_checks"]["skipped"]
+        assert len((out / "rows.csv").read_text().splitlines()) == 3
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -8,9 +8,11 @@ backtracking counter to independent combinatorics.
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from hypercouple import oracle
 from hypercouple import (
     DomainError,
     OrderedHypergraph,
@@ -19,6 +21,7 @@ from hypercouple import (
     count_extensions,
     exact_next_edge_distribution,
     exact_simplicity_probability,
+    extension_family,
     switching_class_sizes,
     verify_ratio_identity,
 )
@@ -176,3 +179,67 @@ class TestClassSizes:
         cs = switching_class_sizes(empty(6, 3), 1, 2, "codegree",
                                    Params(6, 3, 2))
         assert sum(cs.unordered_sizes.values()) == 75
+
+
+def with_edges(g, edges):
+    return OrderedHypergraph(g.n, g.k, list(g.edges) + list(edges))
+
+
+class TestFamilyAgainstCounter:
+    """The listed family's row filters and column sums against fresh walks of
+    the counting backtracker, which lists nothing."""
+
+    PREFIXES = [
+        ((6, 3, 2), []),
+        ((6, 3, 2), [(1, 2, 3)]),
+        ((6, 3, 2), [(1, 2, 3), (1, 4, 5)]),
+        ((6, 3, 2), [(1, 2, 3), (4, 5, 6), (1, 2, 4)]),
+        ((7, 3, 3), [(1, 2, 3)]),
+        ((7, 3, 3), [(1, 2, 3), (1, 4, 5), (2, 6, 7)]),
+        ((8, 2, 3), [(1, 2), (3, 4)]),
+    ]
+
+    @pytest.mark.parametrize("nkd,edges", PREFIXES)
+    def test_state_weights_are_completion_counts(self, nkd, edges):
+        p = Params(*nkd)
+        g = OrderedHypergraph(p.n, p.k, edges)
+        law = extension_family(empty(p.n, p.k), p).state(
+            frozenset(g.edge_set), len(g))
+        expected = [count_extensions(with_edges(g, [e]), p).unordered_count
+                    for e in law.support]
+        assert list(law.weights) == expected
+        assert law.total == (count_extensions(g, p).unordered_count
+                             * (p.M - len(g)))
+        # the prefix's own family gives the same law
+        own = extension_family(g, p)
+        assert own.state(own.base, len(g)) == law
+
+    def test_inadmissible_prefix_has_weight_zero(self):
+        p = Params(6, 3, 2)
+        g = OrderedHypergraph(6, 3, [(1, 2, 3), (1, 4, 5)])
+        law = extension_family(g, p).state(frozenset(g.edge_set), 2)
+        # vertex 1 is full, so every edge through it completes nothing
+        through_1 = [w for e, w in zip(law.support, law.weights) if 1 in e]
+        assert through_1 and not any(through_1)
+        bad = with_edges(g, [(1, 2, 6)])
+        fam = extension_family(empty(6, 3), p)
+        assert count_extensions(bad, p).unordered_count == 0
+        assert len(fam.rows_with(bad.edge_set)) == 0
+        with pytest.raises(DomainError):
+            fam.state(frozenset(bad.edge_set), len(bad))
+
+    def test_rows_with_matches_counter_on_every_pair(self):
+        p = Params(6, 3, 2)
+        fam = extension_family(empty(6, 3), p)
+        for pair in combinations(combinations(range(1, 7), 3), 2):
+            g = OrderedHypergraph(6, 3, pair)
+            assert len(fam.rows_with(pair)) == count_extensions(
+                g, p).unordered_count
+
+    def test_family_cache_is_bounded(self):
+        info = oracle._cached_family.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 16
+        p = Params(6, 3, 2)
+        for e in list(combinations(range(1, 7), 3))[:info.maxsize + 3]:
+            extension_family(OrderedHypergraph(6, 3, [e]), p)
+            assert oracle._cached_family.cache_info().currsize <= info.maxsize
