@@ -13,11 +13,15 @@ its conditional law.  Accepted proposals within the horizon form the
 embedded edge supply: whenever every coupled step was near-uniform and
 enough proposals were accepted, the first m of them all appear in the final
 regular graph.
+
+A trace draws from one generator: the proposals (a partial Fisher-Yates
+shuffle of the edge pool), then the coins, then every resolution draw.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +35,7 @@ from .core import (
     complement_edges,
 )
 from .oracle import ExtensionFamily, extension_family
-from .samplers import RngStream, all_edges, as_generator, sample_gnm, sample_regular
+from .samplers import as_generator, sample_gnm, sample_regular
 
 
 def choose_epsilon(params: Params, gamma: float) -> float:
@@ -139,17 +143,9 @@ class CouplingTrace:
 
 def _draw_cumulative(cumulative: tuple[int, ...], total: int,
                      gen: np.random.Generator) -> int:
-    """Index drawn with exact integer weights: the uniform variate becomes an
-    exact Fraction and is located in the integer cumulative sums."""
-    target = Fraction(float(gen.random())) * total
-    lo, hi = 0, len(cumulative) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if target < cumulative[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    """Index drawn with exact integer weights: a uniform integer below total
+    is located in the integer cumulative sums."""
+    return bisect_right(cumulative, int(gen.integers(total)))
 
 
 @dataclass
@@ -202,30 +198,28 @@ def check_near_uniformity(G: OrderedHypergraph, epsilon: float, params: Params,
 def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
     """One joint exposure of the uniform and regular processes.
 
-    The proposal stream, the coin stream, and the resolution stream (excess
-    draws, direct draws, completion sampling) are independent substreams of
-    the given RngStream or Generator, so the proposals and coins are
-    independent of each other as the construction requires.
+    All draws come from the one generator `as_generator(rng)` (a Generator
+    passed in is consumed directly, not spawned), in a fixed order: the
+    proposals as `sample_gnm` draws them, the coins as exact Bernoulli(1-eps)
+    draws `integers(M) < coupled_steps`, then every resolution draw; so the
+    proposals and coins are independent of the resolutions, as the
+    construction requires.
     """
     params = config.params
-    if isinstance(rng, RngStream):
-        edge_gen = rng.child(0).generator()
-        coin_gen = rng.child(1).generator()
-        resolve_gen = rng.child(2).generator()
-    else:
-        edge_gen, coin_gen, resolve_gen = as_generator(rng).spawn(3)
+    gen = as_generator(rng)
+    cut = config.coupled_steps
+    uniform_graph = sample_gnm(params.n, params.k, cut, gen)
+    proposals = uniform_graph.edges
+    coins = (gen.integers(params.M, size=cut) < cut).tolist()
 
     eps = config.epsilon_exact
-    keep_chance = 1.0 - float(eps)
-    cut = config.coupled_steps
+    keep = 1 - eps
     exact = config.p_mode == "exact"
     law = extension_family(OrderedHypergraph(params.n, params.k), params,
                            config.oracle_budget) if exact else None
 
-    pool = all_edges(params.n, params.k)
-    uniform_graph = OrderedHypergraph(params.n, params.k)
     regular_graph = OrderedHypergraph(params.n, params.k)
-    regular_set: set[Edge] = set()
+    regular_set = regular_graph.edge_set
     steps: list[CouplingStep] = []
     accepted: list[Edge] = []
     near_all = True
@@ -238,47 +232,46 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
         sure = exact
         estimate = None
         if t < cut:
-            absent = [e for e in pool if e not in uniform_graph.edge_set]
-            proposal = absent[int(edge_gen.integers(len(absent)))]
-            coin = 1 if coin_gen.random() < keep_chance else 0
+            proposal = proposals[t]
+            coin = int(coins[t])
             if exact:
                 near = bool(law.state(frozenset(regular_set), t).min_ratio
-                            >= 1 - eps)
+                            >= keep)
             else:
                 estimate = _estimate_law(regular_graph, params,
-                                         config.mc_trials, resolve_gen)
+                                         config.mc_trials, gen)
                 scale = params.complete_count - t
-                near = bool(min(estimate.values()) * scale >= keep_chance)
+                near = bool(min(estimate.values()) * scale >= keep)
 
         excess: Edge | None = None
         if t >= cut:
             branch = "tail"
             exposed = _conditional_draw(law, regular_graph, regular_set, t,
-                                        params, resolve_gen)
+                                        params, gen)
         elif not near:
             branch = "direct"
             exposed = _conditional_draw(law, regular_graph, regular_set, t,
-                                        params, resolve_gen)
+                                        params, gen)
         elif coin == 1 and proposal not in regular_set:
             branch = "fresh"
             exposed = proposal
         elif coin == 1:
             # proposal already exposed on the regular side: map it through the
             # order-preserving bijection between the symmetric differences
-            only_regular = sorted(regular_set - uniform_graph.edge_set)
-            only_uniform = sorted(uniform_graph.edge_set - regular_set)
+            uniform_set = set(proposals[:t])
+            only_regular = sorted(regular_set - uniform_set)
+            only_uniform = sorted(uniform_set - regular_set)
             exposed = only_uniform[only_regular.index(proposal)]
             branch = "mapped"
         else:
             branch = "excess"
             exposed = _excess_draw(law, estimate, regular_set, t, eps, params,
-                                   resolve_gen)
+                                   gen)
             excess = exposed
 
         if t < cut:
             near_all &= bool(near)
             certain_all &= sure
-            uniform_graph.append(proposal)
             if coin == 1:
                 accepted.append(proposal)
         if exposed in regular_set:
@@ -286,7 +279,6 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
                 f"step {t} tried to re-expose {exposed}; conditional law broke"
             )
         regular_graph.append(exposed)
-        regular_set.add(exposed)
         if t < cut and near and coin == 1:
             # the step-level guarantee: an accepted proposal under a
             # near-uniform verdict is on the regular side immediately after
@@ -303,7 +295,7 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
         embedded = tuple(accepted[:m])
         used_fallback = False
     else:
-        embedded = tuple(uniform_graph.edges[:m])
+        embedded = proposals[:m]
         used_fallback = True
     contained = all(e in regular_set for e in embedded)
     if near_all and certain_all and enough:
@@ -379,7 +371,9 @@ def run_coupling_gnp(config: CouplingConfig, rng,
                      p: float | None = None) -> GnpCouplingTrace:
     """Couple the binomial model through the accepted-proposal supply.
 
-    The binomial edge count B is drawn independently; when
+    The trace runs on the one generator `as_generator(rng)` (a Generator
+    passed in is consumed directly, not spawned); the binomial edge count B
+    and the fallback graph are drawn after it from the same generator.  When
     B <= m <= |accepted| the embedded graph is the first B accepted
     proposals, otherwise an independent uniform B-edge graph.
     """
@@ -392,20 +386,15 @@ def run_coupling_gnp(config: CouplingConfig, rng,
             )
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"binomial density p={p} outside [0, 1]")
-    if isinstance(rng, RngStream):
-        base_rng: object = rng.child(0)
-        binom_gen = rng.child(1).generator()
-        fallback_gen = rng.child(2).generator()
-    else:
-        base_rng, binom_gen, fallback_gen = as_generator(rng).spawn(3)
-    trace = run_coupling(config, base_rng)
+    gen = as_generator(rng)
+    trace = run_coupling(config, gen)
     params = config.params
-    b = int(binom_gen.binomial(params.complete_count, p))
+    b = int(gen.binomial(params.complete_count, p))
     if b <= config.m <= len(trace.accepted):
         embedded = tuple(trace.accepted[:b])
         fallback = False
     else:
-        embedded = tuple(sample_gnm(params.n, params.k, b, fallback_gen).edges)
+        embedded = tuple(sample_gnm(params.n, params.k, b, gen).edges)
         fallback = True
     contained = all(e in trace.regular_final.edge_set for e in embedded)
     return GnpCouplingTrace(

@@ -392,14 +392,15 @@ def _run_switching_verify(cfg: ExperimentConfig):
         balanced = fsum == bsum
         interval = None
     else:
-        stat_of = dict(zip(graphs, sizes.values))
+        by_level: dict[int, list] = {}
+        for H, s in zip(graphs, sizes.values):
+            by_level.setdefault(s, []).append(H)
         rows = [("class", "size", "forward_sum", "backward_sum")]
         balanced = True
-        levels = sorted(set(stat_of.values()))
-        for ell in levels:
-            cls = [H for H, s in stat_of.items() if s == ell]
+        for ell in sorted(by_level):
+            cls = by_level[ell]
             fsum = sum(forward_count(H, base, kind, pair=pair) for H in cls)
-            below = [H for H, s in stat_of.items() if s == ell - 1]
+            below = by_level.get(ell - 1, [])
             bsum = sum(backward_count(H, base, kind, pair=pair) for H in below)
             balanced &= fsum == bsum
             rows.append((ell, len(cls), fsum, bsum))

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypercouple import (
@@ -19,8 +20,9 @@ from hypercouple import (
     is_simple,
     run_coupling,
     run_coupling_gnp,
+    sample_gnm,
 )
-from hypercouple.coupling import BRANCHES
+from hypercouple.coupling import BRANCHES, _draw_cumulative
 from hypercouple.oracle import extension_family
 from hypercouple.stats import tv_distance_uniform
 
@@ -161,6 +163,35 @@ class TestTraces:
         assert not tr.certain
         assert len(tr.regular_final) == c.params.M
         assert all(tr.regular_final.degree(v) == 2 for v in range(1, 7))
+
+
+class TestRandomnessStream:
+    """A trace draws its proposals, then its coins, then its resolutions,
+    all from the one generator it is given."""
+
+    @pytest.mark.parametrize("params", [N6, Params(4, 2, 2)])
+    def test_proposals_then_coins_from_one_generator(self, params):
+        c = cfg(params)
+        n, k, M, cut = params.n, params.k, params.M, c.coupled_steps
+        for seed in range(5):
+            g = np.random.default_rng(seed)
+            g2 = np.random.default_rng(seed)
+            tr = run_coupling(c, g)
+            assert tr.uniform_final.edges == sample_gnm(n, k, cut, g2).edges
+            coins = (g2.integers(M, size=cut) < cut).tolist()
+            assert [s.coin for s in tr.steps[:cut]] == [int(x) for x in coins]
+
+    def test_draw_reaches_the_last_unit_weight(self):
+        # a float variate, even the largest double below 1, lands short of
+        # the last unit weight; an integer draw below the total reaches it
+        class Stub:
+            def random(self):
+                return np.nextafter(1.0, 0.0)
+
+            def integers(self, high):
+                return high - 1
+
+        assert _draw_cumulative((2**60 - 1, 2**60), 2**60, Stub()) == 1
 
 
 class TestAcceptedSize:
