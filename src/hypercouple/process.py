@@ -54,13 +54,11 @@ def expose_process(params: Params, rng) -> ProcessTrace:
     time, recording every prefix's residual degrees."""
     gen = as_generator(rng)
     graph = sample_regular(OrderedHypergraph(params.n, params.k), params, gen)
-    res = np.empty((params.M + 1, params.n), dtype=np.int64)
-    res[0] = params.d
-    row = np.full(params.n, params.d, dtype=np.int64)
-    for t, e in enumerate(graph.edges, start=1):
-        for v in e:
-            row[v - 1] -= 1
-        res[t] = row
+    # hits[t, v-1] = 1 when the t-th exposed edge contains v
+    hits = np.zeros((params.M + 1, params.n), dtype=np.int64)
+    steps = np.arange(1, params.M + 1)[:, None]
+    np.add.at(hits, (steps, np.array(graph.edges) - 1), 1)
+    res = params.d - np.cumsum(hits, axis=0)
     assert not res[params.M].any()
     return ProcessTrace(graph=graph, residuals=res)
 

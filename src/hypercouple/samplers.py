@@ -5,6 +5,12 @@ the edge list), binomial graphs as plain edge sets, and uniform d-regular
 extensions by rejection: permute the residual vertex-copy multiset, chop it
 into k-blocks, keep the result iff it is simple.  Conditioned on acceptance
 the result is uniform over ordered regular extensions of the base.
+
+A regular sample is the first simple row among successive
+`gen.permutation(vector)` draws.  The rows are drawn and checked in
+batches, each one `gen.permuted` call, and the generator is left exactly
+after the accepted row, where drawing the permutations one at a time would
+have left it.
 """
 
 from __future__ import annotations
@@ -12,8 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
-from typing import Iterator
+from itertools import combinations
 
 import numpy as np
 
@@ -134,43 +139,90 @@ def sample_multi_extension(G: OrderedHypergraph, params: Params,
     return MultiExtension(base=G, tail=tail)
 
 
-def _encode_rows(blocks: np.ndarray, n: int) -> list[int]:
-    # positional base-(n+1) code of each sorted row; injective on sorted rows
-    k = blocks.shape[1]
-    powers = (n + 1) ** np.arange(k, dtype=np.int64)
-    return (blocks @ powers).tolist()
+# cells of one batch of attempts: 128 KB of int64 vertex copies
+_BATCH_CELLS = 1 << 14
 
 
-def _configuration_attempts(G: OrderedHypergraph, params: Params,
-                            gen: np.random.Generator) -> Iterator[np.ndarray | None]:
-    """Endless configuration-model attempts on the residual multiset of G.
+def _configuration_rejection(G: OrderedHypergraph, params: Params,
+                             gen: np.random.Generator, limit: int,
+                             first: bool) -> tuple[np.ndarray | None, int, int]:
+    """Configuration-model attempts on the residual multiset of G.
 
-    Each attempt draws one permutation of the vertex copies and yields its
-    sorted k-blocks if they form a simple extension of G, else None.
+    Attempt i is the i-th of successive `gen.permutation(vector)` calls on
+    the vertex copies, chopped into k-blocks; it is simple when no block
+    repeats a vertex, a block or an edge of G.  Attempts are drawn in
+    batches, each batch one `gen.permuted` call whose rows are exactly those
+    successive permutations; the first batch is one row and each next one
+    doubles, up to _BATCH_CELLS cells.  Loops are found on the unsorted
+    rows; only loop-free rows are sorted and tested for repeated blocks.
+    With `first`, the run stops at the first simple attempt and the
+    generator is rewound to just after it (the batch is redrawn up to that
+    row from the state saved before it); otherwise exactly `limit` attempts
+    are drawn.
+
+    Returns (blocks, successes, attempts): the sorted k-blocks of the first
+    simple attempt when `first` found one (else None), the number of simple
+    attempts and the number of attempts drawn.
     """
+    k = params.k
     vector = _residual_vector(residual_state(G, params))
-    slots = params.M - len(G)
-    forbidden = set(_encode_rows(
-        np.array(sorted(G.edge_set), dtype=np.int64).reshape(-1, params.k),
-        params.n)) if len(G) else set()
-    while True:
-        perm = gen.permutation(vector)
-        blocks = np.sort(perm.reshape(slots, params.k), axis=1)
-        if (blocks[:, 1:] == blocks[:, :-1]).any():
-            yield None
-            continue
-        codes = set(_encode_rows(blocks, params.n))
-        yield blocks if len(codes) == slots and not codes & forbidden else None
+    width = len(vector)
+    slots = width // k
+    cap = max(1, _BATCH_CELLS // max(width, 1))
+    # a block is a loop when two of its k columns agree
+    left, right = np.array(list(combinations(range(k), 2))).T
+    # base-(n+1) code of a sorted block, injective on sorted blocks; a
+    # loop-free row is simple when its codes and G's edge codes are all
+    # distinct, i.e. their union has slots + |G| members
+    radix = [(params.n + 1) ** i for i in range(k)]
+    base_codes = frozenset(sum(v * r for v, r in zip(e, radix))
+                           for e in G.edges)
+    distinct = slots + len(G)
+    powers = np.array(radix, dtype=np.int64)
+
+    def draw(rows: int) -> np.ndarray:
+        tile = np.empty((rows, width), dtype=np.int64)
+        tile[...] = vector
+        return gen.permuted(tile, axis=1, out=tile).reshape(rows, slots, k)
+
+    successes = attempts = 0
+    size = 1
+    while attempts < limit:
+        b = min(size, limit - attempts)
+        saved = gen.bit_generator.state if first and b > 1 else None
+        blocks = draw(b)
+        loop_free = (blocks[:, :, left] != blocks[:, :, right]).all(axis=(1, 2))
+        kept = blocks[loop_free]
+        if len(kept):
+            # loop-free rows are few wherever rejection is costly, so they
+            # are tested one by one
+            kept.sort(axis=2)
+            hits = [j for j, codes in enumerate((kept @ powers).tolist())
+                    if len(base_codes.union(codes)) == distinct]
+            if first and hits:
+                i = int(loop_free.nonzero()[0][hits[0]])
+                if i < b - 1:
+                    gen.bit_generator.state = saved
+                    draw(i + 1)
+                return kept[hits[0]], 1, attempts + i + 1
+            successes += len(hits)
+        attempts += b
+        size = min(2 * size, cap)
+    return None, successes, attempts
 
 
 def sample_regular(G: OrderedHypergraph, params: Params, rng,
                    max_attempts: int | None = None) -> OrderedHypergraph:
     """Uniform ordered d-regular extension of G by configuration rejection.
 
-    For an empty base with d beyond half the complete degree the complement
-    family is sampled instead and complemented back (a bijection between the
-    two uniform families), with a fresh uniform edge order; rejection there
-    would practically never accept.  Raises RejectionBudgetError after
+    The sample is the first simple attempt among successive permutations of
+    the residual vertex copies; attempts are drawn and checked in batches,
+    and the generator is left exactly after the accepted attempt, as if the
+    permutations had been drawn one at a time.  For an empty base with d
+    beyond half the complete degree the complement family is sampled
+    instead and complemented back (a bijection between the two uniform
+    families), with a fresh uniform edge order; rejection there would
+    practically never accept.  Raises RejectionBudgetError after
     max_attempts failures, which may mean G is inadmissible.
     """
     gen = as_generator(rng)
@@ -186,10 +238,11 @@ def sample_regular(G: OrderedHypergraph, params: Params, rng,
     if len(G) == 0 and params.d > params.max_degree // 2:
         return _sample_regular_complement(params, gen)
 
-    for blocks in islice(_configuration_attempts(G, params, gen), max_attempts):
-        if blocks is not None:
-            tail = [tuple(int(x) for x in row) for row in blocks]
-            return OrderedHypergraph(params.n, params.k, list(G.edges) + tail)
+    blocks, _, _ = _configuration_rejection(G, params, gen, max_attempts,
+                                            first=True)
+    if blocks is not None:
+        tail = list(map(tuple, blocks.tolist()))
+        return OrderedHypergraph(params.n, params.k, list(G.edges) + tail)
     raise RejectionBudgetError(
         f"no simple extension in {max_attempts} attempts at n={params.n} "
         f"k={params.k} d={params.d} |G|={len(G)}; G may be inadmissible or "
@@ -237,7 +290,7 @@ def exact_simplicity_from_count(G: OrderedHypergraph, params: Params,
     independent direct enumeration.
     """
     t = len(G)
-    u = oracle.extension_family(G, params, budget).unordered_count
+    u = oracle.count_extensions(G, params, budget=budget).unordered_count
     ordered = u * math.factorial(params.M - t)
     state = residual_state(G, params)
     numerator = ordered * math.factorial(params.k) ** (params.M - t)
@@ -253,8 +306,8 @@ def simplicity_probability(G: OrderedHypergraph, params: Params, trials: int,
     instance is small enough to count (exact='auto'|'never'|'require')."""
     if trials < 1:
         raise DomainError("trials must be positive")
-    attempts = _configuration_attempts(G, params, as_generator(rng))
-    successes = sum(blocks is not None for blocks in islice(attempts, trials))
+    _, successes, _ = _configuration_rejection(G, params, as_generator(rng),
+                                               trials, first=False)
     p_hat = successes / trials
     low, high = wilson_interval(successes, trials)
     value: Fraction | None = None

@@ -45,6 +45,21 @@ class TestExposure:
         assert len(tr.graph) == N9.M
         assert all(tr.graph.degree(v) == 2 for v in range(1, 10))
 
+    @pytest.mark.parametrize("params", [Params(60, 3, 6), N9,
+                                        Params(12, 2, 3), Params(6, 3, 2)])
+    def test_residuals_match_per_edge_loop(self, params):
+        # reference: lower each vertex of the t-th edge, one edge at a time
+        for seed in range(3):
+            tr = expose_process(params, RngStream(seed))
+            row = np.full(params.n, params.d, dtype=np.int64)
+            expected = [row.copy()]
+            for e in tr.graph.edges:
+                for v in e:
+                    row[v - 1] -= 1
+                expected.append(row.copy())
+            assert tr.residuals.dtype == np.int64
+            assert np.array_equal(tr.residuals, np.array(expected))
+
 
 class TestResidualReport:
     def test_exact_moments_and_empirical_agreement(self):

@@ -1,5 +1,8 @@
 """Sampler correctness: stream discipline, validity, and uniformity."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,11 @@ from hypercouple import (
     sample_gnp,
     sample_multi_extension,
     sample_regular,
+)
+from hypercouple.samplers import (
+    _configuration_rejection,
+    exact_simplicity_from_count,
+    simplicity_probability,
 )
 from hypercouple.stats import tv_distance_uniform
 
@@ -155,3 +163,136 @@ class TestBinomialModels:
     def test_gnp_degenerate_probabilities(self):
         assert len(sample_gnp(5, 2, 0.0, RngStream(0))) == 0
         assert len(sample_gnp(5, 2, 1.0, RngStream(0))) == 10
+
+
+def _residual_copies(G, params):
+    degree = [0] * (params.n + 1)
+    for e in G.edges:
+        for v in e:
+            degree[v] += 1
+    return np.repeat(np.arange(1, params.n + 1, dtype=np.int64),
+                     [params.d - degree[v] for v in range(1, params.n + 1)])
+
+
+def _one_at_a_time(G, params, gen, limit):
+    """Reference rejection loop: one `gen.permutation` per attempt, stopped
+    at the first simple one.  Returns (sorted tail or None, attempts)."""
+    vector = _residual_copies(G, params)
+    for attempt in range(1, limit + 1):
+        perm = gen.permutation(vector).reshape(-1, params.k)
+        tail = [tuple(sorted(int(x) for x in row)) for row in perm]
+        if is_simple(list(G.edges) + tail):
+            return tail, attempt
+    return None, limit
+
+
+STREAM_CASES = [
+    (Params(60, 3, 6), ()),
+    (Params(9, 3, 2), ()),
+    (Params(30, 3, 4), ()),
+    # every vertex of the prefix keeps a copy, so a tail can repeat its edges
+    (Params(9, 3, 2), ((1, 2, 3), (4, 5, 6))),
+]
+
+
+class TestRejectionStream:
+    """The batched kernel consumes randomness exactly as successive
+    `gen.permutation` calls would, one attempt at a time."""
+
+    def test_permuted_rows_are_successive_permutations(self):
+        vector = np.repeat(np.arange(1, 13, dtype=np.int64), 3)
+        for seed in range(5):
+            for rows in (1, 2, 7, 40):
+                g1 = np.random.default_rng(seed)
+                g2 = np.random.default_rng(seed)
+                tile = np.empty((rows, len(vector)), dtype=np.int64)
+                tile[...] = vector
+                g1.permuted(tile, axis=1, out=tile)
+                expected = [g2.permutation(vector) for _ in range(rows)]
+                assert np.array_equal(tile, np.array(expected))
+                assert g1.bit_generator.state == g2.bit_generator.state
+
+    @pytest.mark.parametrize("params,prefix", STREAM_CASES)
+    def test_sample_is_first_simple_permutation(self, params, prefix):
+        G = OrderedHypergraph(params.n, params.k, prefix)
+        for seed in range(3):
+            g1 = np.random.default_rng(seed)
+            g2 = np.random.default_rng(seed)
+            for _ in range(3):
+                h = sample_regular(G, params, g1)
+                tail, _ = _one_at_a_time(G, params, g2, 10**6)
+                assert h.edges == G.edges + tuple(tail)
+                assert g1.bit_generator.state == g2.bit_generator.state
+
+    # (4,2,2) rows are 8 copies wide, so 5000 trials pass the batch cap
+    @pytest.mark.parametrize("params,prefix,trials", [
+        case + (300,) for case in STREAM_CASES] + [(Params(4, 2, 2), (), 5000)])
+    def test_simplicity_count_matches_permutation_loop(self, params, prefix,
+                                                       trials):
+        G = OrderedHypergraph(params.n, params.k, prefix)
+        vector = _residual_copies(G, params)
+        g1 = np.random.default_rng(17)
+        g2 = np.random.default_rng(17)
+        est = simplicity_probability(G, params, trials, g1, exact="never")
+        expected = 0
+        for _ in range(trials):
+            perm = g2.permutation(vector).reshape(-1, params.k)
+            expected += is_simple(list(G.edges) + [tuple(r) for r in perm])
+        assert est.successes == expected
+        assert g1.bit_generator.state == g2.bit_generator.state
+
+    @pytest.mark.parametrize("params,prefix", [
+        # residual copies {4, 4}: every attempt is a loop
+        (Params(4, 2, 2), ((1, 2), (1, 3), (2, 3))),
+        # seed 0 draws no simple attempt among its first 50 here
+        (Params(60, 3, 6), ()),
+    ])
+    def test_exhaustion_leaves_state_after_max_attempts(self, params, prefix):
+        G = OrderedHypergraph(params.n, params.k, prefix)
+        g1 = np.random.default_rng(0)
+        g2 = np.random.default_rng(0)
+        tail, _ = _one_at_a_time(G, params, g2, 50)
+        assert tail is None
+        with pytest.raises(RejectionBudgetError):
+            sample_regular(G, params, g1, max_attempts=50)
+        assert g1.bit_generator.state == g2.bit_generator.state
+
+
+class TestRejectionCounters:
+    def test_attempts_per_sample_match_exact_simplicity(self):
+        # attempts per accepted sample are geometric with mean 1/P(simple)
+        params = Params(9, 3, 2)
+        G = OrderedHypergraph(9, 3)
+        p = exact_simplicity_from_count(G, params)
+        assert abs(float(p) - 0.328) < 0.001
+        gen = RngStream(2024).generator()
+        reference = RngStream(2024).generator()
+        samples = 2000
+        total = 0
+        for _ in range(samples):
+            blocks, successes, attempts = _configuration_rejection(
+                G, params, gen, 10**6, first=True)
+            assert blocks is not None and successes == 1
+            assert attempts == _one_at_a_time(G, params, reference, 10**6)[1]
+            total += attempts
+        p = float(p)
+        z = (total / samples - 1 / p) / math.sqrt((1 - p) / p**2 / samples)
+        assert abs(z) < 4
+
+    def test_exact_count_does_not_list_the_family(self):
+        # the identity route needs only the number of completions; a
+        # listing of the family would hold its rows until the budget ran out
+        G = OrderedHypergraph(15, 3)
+        params = Params(15, 3, 2)
+        # a first call pays the lazy imports behind the generator
+        simplicity_probability(G, params, 5, RngStream(0), exact_budget=1000)
+        tracemalloc.start()
+        try:
+            est = simplicity_probability(G, params, 5, RngStream(0),
+                                         exact_budget=50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.exact is None
+        # a listing of the 50,000-node walk peaks near 0.74 MB
+        assert peak < 0.25 * 2**20
