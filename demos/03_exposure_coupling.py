@@ -27,7 +27,7 @@ def main():
     cfg = CouplingConfig(params, gamma=gamma,
                          epsilon=choose_epsilon(params, gamma))
     print(f"n={params.n} k={params.k} d={params.d}: M={params.M}, "
-          f"eps={cfg.epsilon_exact}, horizon={cfg.coupled_steps}, m={cfg.m}")
+          f"eps={cfg.epsilon}, horizon={cfg.coupled_steps}, m={cfg.m}")
 
     traces = [run_coupling(cfg, RngStream(7, (i,))) for i in range(TRACES)]
 

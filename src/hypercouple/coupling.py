@@ -34,20 +34,32 @@ from .core import (
     Params,
     complement_edges,
 )
-from .oracle import ExtensionFamily, extension_family
+from .oracle import StateLaw, extension_family
 from .samplers import as_generator, sample_gnm, sample_regular
 
 
-def choose_epsilon(params: Params, gamma: float) -> float:
+def _exact_ratio(value: float | Fraction, M: int) -> Fraction:
+    """gamma or epsilon as an exact rational.  A Fraction (or int) is taken
+    as is; a float within 1e-9/M of a multiple of 1/M is that multiple,
+    since decimals such as 0.5714285714285714 stand for 4/7; any other
+    float is its binary value."""
+    if not isinstance(value, float):
+        return Fraction(value)
+    j = round(value * M)
+    return Fraction(j, M) if abs(value * M - j) <= 1e-9 else Fraction(value)
+
+
+def choose_epsilon(params: Params, gamma: float | Fraction) -> Fraction:
     """Largest j/M not exceeding gamma/3, so that epsilon*M is integral."""
-    if not 0.0 < gamma < 1.0:
+    if not 0 < gamma < 1:
         raise DomainError(f"gamma={gamma} outside (0, 1)")
-    j = math.floor(params.M * gamma / 3.0 + 1e-12)
+    g = _exact_ratio(gamma, params.M)
+    j = params.M * g.numerator // (3 * g.denominator)
     if j < 1:
         raise DomainError(
             f"no feasible epsilon: M={params.M} is too small for gamma={gamma}"
         )
-    return j / params.M
+    return Fraction(j, params.M)
 
 
 @dataclass(frozen=True)
@@ -57,52 +69,55 @@ class CouplingConfig:
     gamma fixes the embedded edge count m = (1-gamma)*M, which must be a
     positive integer.  epsilon must be j/M for an integer j >= 1 with
     epsilon <= gamma/3; then the coupled horizon (1-epsilon)*M is integral
-    and m <= (1-3*epsilon)*M.  p_mode 'exact' computes the regular side's
-    conditional law by enumeration; 'mc' realizes direct draws by sampling
-    one completion and flags every near-uniformity verdict as uncertain.
+    and m <= (1-3*epsilon)*M.  Both are read exactly (see `_exact_ratio`),
+    so after construction gamma and epsilon are Fractions, epsilon = j/M,
+    and every check on them is exact.  p_mode 'exact' computes the regular side's conditional law
+    by enumeration; 'mc' estimates it from mc_trials sampled completions,
+    realizes direct draws by sampling one completion and flags every
+    near-uniformity verdict as uncertain.
     """
 
     params: Params
-    gamma: float
-    epsilon: float
+    gamma: float | Fraction
+    epsilon: float | Fraction
     p_mode: str = "exact"
     mc_trials: int = 200
     oracle_budget: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.gamma < 1.0:
+        if not 0 < self.gamma < 1:
             raise DomainError(f"gamma={self.gamma} outside (0, 1)")
         M = self.params.M
-        j = round(self.epsilon * M)
-        if j < 1 or abs(self.epsilon * M - j) > 1e-9:
+        gamma = _exact_ratio(self.gamma, M)
+        eps = _exact_ratio(self.epsilon, M)
+        if (eps * M).denominator != 1 or eps * M < 1:
             raise DomainError(
                 f"epsilon={self.epsilon} is not j/M for an integer j >= 1 (M={M})"
             )
-        if self.epsilon > self.gamma / 3.0 + 1e-12:
+        if eps > gamma / 3:
             raise DomainError(
-                f"epsilon={self.epsilon} exceeds gamma/3={self.gamma / 3.0}"
+                f"epsilon={self.epsilon} exceeds gamma/3={float(gamma / 3)}"
             )
-        m = (1.0 - self.gamma) * M
-        if abs(m - round(m)) > 1e-9 or round(m) < 1:
-            raise DomainError(f"(1-gamma)*M = {m} must be a positive integer")
+        m = (1 - gamma) * M
+        if m.denominator != 1 or m < 1:
+            raise DomainError(
+                f"(1-gamma)*M = {float(m)} must be a positive integer")
         if self.p_mode not in ("exact", "mc"):
             raise DomainError(f"p_mode must be 'exact' or 'mc', got {self.p_mode!r}")
         if self.p_mode == "mc" and self.mc_trials < 1:
             raise DomainError("mc_trials must be positive")
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "epsilon", eps)
 
     @property
     def m(self) -> int:
         """Edges of the uniform model embedded into the regular one."""
-        return round((1.0 - self.gamma) * self.params.M)
-
-    @property
-    def epsilon_exact(self) -> Fraction:
-        return Fraction(round(self.epsilon * self.params.M), self.params.M)
+        return int((1 - self.gamma) * self.params.M)
 
     @property
     def coupled_steps(self) -> int:
         """The horizon (1-epsilon)*M up to which proposals are drawn."""
-        return self.params.M - round(self.epsilon * self.params.M)
+        return int((1 - self.epsilon) * self.params.M)
 
 
 @dataclass(frozen=True)
@@ -153,45 +168,40 @@ class NearUniformityCheck:
     """Verdict of the near-uniformity event for one prefix state."""
 
     holds: bool
-    min_ratio: float
+    min_ratio: Fraction
     certain: bool
     worst_edge: Edge | None
 
 
-def check_near_uniformity(G: OrderedHypergraph, epsilon: float, params: Params,
-                          p_mode: str = "exact", mc_trials: int = 2000,
-                          rng=None, budget: int | None = None) -> NearUniformityCheck:
+def check_near_uniformity(G: OrderedHypergraph, epsilon: float | Fraction,
+                          params: Params, p_mode: str = "exact",
+                          mc_trials: int = 2000, rng=None,
+                          budget: int | None = None) -> NearUniformityCheck:
     """Does every absent edge carry at least (1-epsilon) times the uniform
     probability under the regular process's next-edge law?
 
-    Exact mode compares rationals (epsilon taken at its exact binary value);
-    mc mode estimates the law from sampled completions and is never certain.
+    epsilon is read exactly as in `CouplingConfig`.  Exact mode takes the
+    enumerated law; mc mode estimates it from sampled completions and is
+    never certain.  Both compare the law's rational min_ratio with 1 - eps.
     """
-    if not 0.0 < epsilon < 1.0:
+    if not 0 < epsilon < 1:
         raise DomainError(f"epsilon={epsilon} outside (0, 1)")
-    t = len(G)
-    if t >= params.M:
+    if len(G) >= params.M:
         raise DomainError("state already complete; no next edge exists")
-    scale = params.complete_count - t
     if p_mode == "exact":
         fam = extension_family(G, params, budget)
-        law = fam.state(fam.base, t)
-        idx = min(range(len(law.support)), key=lambda i: law.weights[i])
-        return NearUniformityCheck(
-            holds=bool(law.min_ratio >= 1 - Fraction(epsilon)),
-            min_ratio=float(law.min_ratio), certain=True,
-            worst_edge=law.support[idx],
-        )
-    if p_mode != "mc":
+        law = fam.state(fam.base, len(G))
+    elif p_mode == "mc":
+        if rng is None:
+            raise DomainError("mc mode needs an rng")
+        law = _estimate_law(G, params, mc_trials, as_generator(rng))
+    else:
         raise DomainError(f"p_mode must be 'exact' or 'mc', got {p_mode!r}")
-    if rng is None:
-        raise DomainError("mc mode needs an rng")
-    estimate = _estimate_law(G, params, mc_trials, as_generator(rng))
-    worst_edge = min(sorted(estimate), key=lambda e: estimate[e])
-    min_ratio = estimate[worst_edge] * scale
+    worst = law.weights.index(min(law.weights))
     return NearUniformityCheck(
-        holds=min_ratio >= 1 - epsilon, min_ratio=min_ratio,
-        certain=False, worst_edge=worst_edge,
+        holds=law.min_ratio >= 1 - _exact_ratio(epsilon, params.M),
+        min_ratio=law.min_ratio, certain=p_mode == "exact",
+        worst_edge=law.support[worst],
     )
 
 
@@ -203,7 +213,9 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
     proposals as `sample_gnm` draws them, the coins as exact Bernoulli(1-eps)
     draws `integers(M) < coupled_steps`, then every resolution draw; so the
     proposals and coins are independent of the resolutions, as the
-    construction requires.
+    construction requires.  Each step takes one `StateLaw` (enumerated, or
+    in mc mode estimated before the step resolves) for its verdict and its
+    excess draw.
     """
     params = config.params
     gen = as_generator(rng)
@@ -212,46 +224,39 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
     proposals = uniform_graph.edges
     coins = (gen.integers(params.M, size=cut) < cut).tolist()
 
-    eps = config.epsilon_exact
+    eps = config.epsilon
     keep = 1 - eps
     exact = config.p_mode == "exact"
-    law = extension_family(OrderedHypergraph(params.n, params.k), params,
-                           config.oracle_budget) if exact else None
+    family = extension_family(OrderedHypergraph(params.n, params.k), params,
+                              config.oracle_budget) if exact else None
 
     regular_graph = OrderedHypergraph(params.n, params.k)
     regular_set = regular_graph.edge_set
     steps: list[CouplingStep] = []
     accepted: list[Edge] = []
     near_all = True
-    certain_all = True
 
     for t in range(params.M):
+        if exact:
+            law = family.state(frozenset(regular_set), t)
+        elif t < cut:
+            law = _estimate_law(regular_graph, params, config.mc_trials, gen)
         proposal: Edge | None = None
         coin: int | None = None
         near: bool | None = None
-        sure = exact
-        estimate = None
         if t < cut:
             proposal = proposals[t]
             coin = int(coins[t])
-            if exact:
-                near = bool(law.state(frozenset(regular_set), t).min_ratio
-                            >= keep)
-            else:
-                estimate = _estimate_law(regular_graph, params,
-                                         config.mc_trials, gen)
-                scale = params.complete_count - t
-                near = bool(min(estimate.values()) * scale >= keep)
+            near = law.min_ratio >= keep
 
         excess: Edge | None = None
-        if t >= cut:
-            branch = "tail"
-            exposed = _conditional_draw(law, regular_graph, regular_set, t,
-                                        params, gen)
-        elif not near:
-            branch = "direct"
-            exposed = _conditional_draw(law, regular_graph, regular_set, t,
-                                        params, gen)
+        if t >= cut or not near:
+            branch = "tail" if t >= cut else "direct"
+            # mc mode realizes the law without estimating it: the next edge
+            # of one sampled completion
+            exposed = (law.support[_draw_cumulative(law.cumulative, law.total,
+                                                    gen)] if exact else
+                       sample_regular(regular_graph, params, gen)[t])
         elif coin == 1 and proposal not in regular_set:
             branch = "fresh"
             exposed = proposal
@@ -265,13 +270,11 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
             branch = "mapped"
         else:
             branch = "excess"
-            exposed = _excess_draw(law, estimate, regular_set, t, eps, params,
-                                   gen)
-            excess = exposed
+            exposed = excess = law.support[_draw_cumulative(*law.excess(eps),
+                                                            gen)]
 
         if t < cut:
-            near_all &= bool(near)
-            certain_all &= sure
+            near_all &= near
             if coin == 1:
                 accepted.append(proposal)
         if exposed in regular_set:
@@ -285,7 +288,7 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
             assert proposal in regular_set
         steps.append(CouplingStep(
             index=t, uniform_edge=proposal, coin=coin, near_uniform=near,
-            certain=sure, branch=branch, exposed_edge=exposed,
+            certain=exact, branch=branch, exposed_edge=exposed,
             excess_edge=excess,
         ))
 
@@ -298,55 +301,27 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
         embedded = proposals[:m]
         used_fallback = True
     contained = all(e in regular_set for e in embedded)
-    if near_all and certain_all and enough:
+    if near_all and exact and enough:
         # the guarantee the construction exists for; never bypassed
         assert contained, "near-uniform accepted proposals escaped the regular graph"
     return CouplingTrace(
         config=config, steps=tuple(steps), accepted=tuple(accepted),
         embedded=embedded, used_fallback=used_fallback,
         regular_final=regular_graph, uniform_final=uniform_graph,
-        near_uniform_all=near_all, certain=certain_all,
+        near_uniform_all=near_all, certain=exact,
         accepted_enough=enough, contained=contained,
     )
 
 
-def _conditional_draw(law: ExtensionFamily | None, regular_graph: OrderedHypergraph,
-                      regular_set: set[Edge], t: int, params: Params,
-                      gen: np.random.Generator) -> Edge:
-    """Draw the next regular edge from its conditional law: exactly via the
-    cached integer weights, or by sampling one uniform completion and taking
-    its next edge, which realizes the law without estimating it."""
-    if law is not None:
-        state = law.state(frozenset(regular_set), t)
-        return state.support[_draw_cumulative(state.cumulative, state.total, gen)]
-    return sample_regular(regular_graph, params, gen)[t]
-
-
-def _excess_draw(law: ExtensionFamily | None, estimate: dict[Edge, float] | None,
-                 regular_set: set[Edge], t: int, eps: Fraction, params: Params,
-                 gen: np.random.Generator) -> Edge:
-    """Draw from the excess law (p - (1-eps) * uniform) / eps; exact when the
-    law provider is enumerated, clipped estimates otherwise."""
-    if law is not None:
-        support, cumulative, total = law.excess(frozenset(regular_set), t, eps)
-        return support[_draw_cumulative(cumulative, total, gen)]
-    support = tuple(sorted(estimate))
-    base = (1.0 - float(eps)) / (params.complete_count - t)
-    clipped = np.array([max(estimate[e] - base, 0.0) for e in support])
-    total = clipped.sum()
-    if total <= 0.0:
-        return support[int(gen.integers(len(support)))]
-    return support[int(gen.choice(len(support), p=clipped / total))]
-
-
 def _estimate_law(regular_graph: OrderedHypergraph, params: Params, trials: int,
-                  gen: np.random.Generator) -> dict[Edge, float]:
+                  gen: np.random.Generator) -> StateLaw:
+    """Next-edge law estimated from `trials` sampled completions: each
+    absent edge weighs the number of completions exposing it next."""
     t = len(regular_graph)
-    counts: dict[Edge, int] = {e: 0 for e in complement_edges(regular_graph)}
+    counts = dict.fromkeys(complement_edges(regular_graph), 0)
     for _ in range(trials):
-        ext = sample_regular(regular_graph, params, gen)
-        counts[ext[t]] += 1
-    return {e: c / trials for e, c in counts.items()}
+        counts[sample_regular(regular_graph, params, gen)[t]] += 1
+    return StateLaw.from_weights(tuple(counts), tuple(counts.values()), trials)
 
 
 @dataclass
@@ -430,7 +405,7 @@ def accepted_size_diagnostics(config: CouplingConfig,
     if not traces:
         raise DomainError("no traces given")
     params = config.params
-    eps = float(config.epsilon_exact)
+    eps = float(config.epsilon)
     sizes = np.array([len(tr.accepted) for tr in traces], dtype=float)
     expected_mean = (1 - eps) ** 2 * params.M
     expected_var = (1 - eps) ** 2 * eps * params.M

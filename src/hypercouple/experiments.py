@@ -45,6 +45,7 @@ from .oracle import (
     count_extensions,
     exact_simplicity_probability,
     extension_family,
+    node_budget,
     switching_class_sizes,
 )
 from .process import residual_moments, residual_report
@@ -64,6 +65,9 @@ KINDS = ("sample", "couple", "couple-gnp", "process-stats", "switching-verify",
 
 # families larger than this are not enumerated for coupling TV checks
 _TV_FAMILY_LIMIT = 20_000
+# nodes an mc-mode TV count may walk: families within the limit took 2 to 7
+# nodes per graph, so a walk past this is a family past the limit
+_TV_COUNT_NODES = 20 * _TV_FAMILY_LIMIT
 
 
 @dataclass(frozen=True)
@@ -209,11 +213,10 @@ def _couple_config(o: dict) -> CouplingConfig:
 
 
 def _couple_worker(payload):
-    o, seed, idx, gnp, emit = payload
-    cc = _couple_config(o)
+    cc, p, seed, idx, gnp, emit = payload
     rng = RngStream(seed, (idx,))
     if gnp:
-        tr = run_coupling_gnp(cc, rng, p=o.get("p"))
+        tr = run_coupling_gnp(cc, rng, p=p)
         base = tr.base
         extra = (tr.edge_count, tr.independent_fallback, tr.contained)
     else:
@@ -228,12 +231,13 @@ def _couple_worker(payload):
 
 def _run_couple(cfg: ExperimentConfig, gnp: bool):
     o = dict(cfg.options)
-    cc = _couple_config(o)  # validate in parent; workers rebuild it
+    cc = _couple_config(o)  # validated once, handed to every worker
     emit = bool(o.get("emit_traces"))
     empty = OrderedHypergraph(cc.params.n, cc.params.k)
     if cc.p_mode == "exact":
         extension_family(empty, cc.params)  # built once, before the fork
-    payloads = [(o, cfg.seed, i, gnp, emit) for i in range(cfg.trials)]
+    payloads = [(cc, o.get("p"), cfg.seed, i, gnp, emit)
+                for i in range(cfg.trials)]
     results = list(_parallel(_couple_worker, payloads, cfg.jobs))
 
     contained = sum(r[0] for r in results)
@@ -241,21 +245,27 @@ def _run_couple(cfg: ExperimentConfig, gnp: bool):
     certain = all(r[2] for r in results)
     sizes = [float(r[3]) for r in results]
     fallback = sum(r[4] for r in results)
-    eps = float(cc.epsilon_exact)
+    eps = float(cc.epsilon)
     M = cc.params.M
     mean, var = _mean_var(sizes)
     below = sum(1 for s in sizes if s < cc.m)
 
     tv_checks = None
+    budget = node_budget()
     try:
-        # mc runs never list the family, so they only count it: a listing
-        # cut off by the budget would hold all its rows until the error
+        # mc runs never list the family, so they only count it (a listing
+        # cut off by the budget would hold all its rows until the error),
+        # and no further than a family within the limit needs
         size = (extension_family(empty, cc.params) if cc.p_mode == "exact"
-                else count_extensions(empty, cc.params)).unordered_count
+                else count_extensions(empty, cc.params, budget=min(
+                    budget, _TV_COUNT_NODES))).unordered_count
     except OracleBudgetError as exc:
-        # the finished trials stand; only the uniformity check is dropped
+        # the finished trials stand; only the uniformity check is dropped,
+        # silently when the count outran _TV_COUNT_NODES, which only a
+        # family past the limit does
         size = 0
-        tv_checks = {"skipped": str(exc)}
+        if budget < _TV_COUNT_NODES:
+            tv_checks = {"skipped": str(exc)}
     if 0 < size <= _TV_FAMILY_LIMIT:
         counts: dict = {}
         for r in results:
@@ -508,16 +518,18 @@ def validate_gamma_epsilon(n: int, k: int, d: int, gamma: float,
     }
     try:
         eps = choose_epsilon(params, gamma)
-        cc = CouplingConfig(params, gamma=gamma, epsilon=eps) \
-            if abs((1 - gamma) * params.M - round((1 - gamma) * params.M)) < 1e-9 \
-            and round((1 - gamma) * params.M) >= 1 else None
-        report["suggested_epsilon"] = eps
-        report["epsilon_fraction"] = f"{round(eps * params.M)}/{params.M}"
-        report["m"] = cc.m if cc else None
-        report["m_integral"] = cc is not None
     except DomainError as exc:
         report["suggested_epsilon"] = None
         report["epsilon_error"] = str(exc)
+        return report
+    try:
+        m = CouplingConfig(params, gamma=gamma, epsilon=eps).m
+    except DomainError:  # (1-gamma)*M is not a positive integer
+        m = None
+    report["suggested_epsilon"] = float(eps)
+    report["epsilon_fraction"] = f"{eps * params.M}/{params.M}"
+    report["m"] = m
+    report["m_integral"] = m is not None
     return report
 
 

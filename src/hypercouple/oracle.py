@@ -65,11 +65,13 @@ def node_budget(override: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class StateLaw:
-    """Exact conditional next-edge law at one prefix state.
+    """Next-edge law at one prefix state, in integer weights.
 
     support lists the absent edges lexicographically; weights are integer
-    completion counts (probability = weight / total); min_ratio is the
-    smallest probability divided by uniform, the near-uniformity statistic.
+    counts (probability = weight / total): completion counts for the exact
+    law, next-edge counts over sampled completions for an estimate.
+    min_ratio is the smallest probability divided by uniform, the
+    near-uniformity statistic.
     """
 
     support: tuple[Edge, ...]
@@ -78,9 +80,33 @@ class StateLaw:
     total: int
     min_ratio: Fraction
 
+    @classmethod
+    def from_weights(cls, support: tuple[Edge, ...], weights: tuple[int, ...],
+                     total: int) -> "StateLaw":
+        assert sum(weights) == total
+        return cls(support=support, weights=weights,
+                   cumulative=tuple(accumulate(weights)), total=total,
+                   min_ratio=Fraction(min(weights) * len(support), total))
+
     def distribution(self) -> dict[Edge, Fraction]:
         return {e: Fraction(w, self.total)
                 for e, w in zip(self.support, self.weights)}
+
+    def excess(self, eps: Fraction) -> tuple[tuple[int, ...], int]:
+        """Cumulative integer weights and total of the excess law
+        (p - (1-eps) * uniform) / eps over `support`.
+
+        Only defined at near-uniform states (min_ratio >= 1 - eps); the
+        weights share the denominator total * eps.denominator * |support|.
+        """
+        absent = len(self.support)
+        base = (eps.denominator - eps.numerator) * self.total
+        weights = [w * eps.denominator * absent - base for w in self.weights]
+        if min(weights) < 0:
+            raise DomainError("excess law undefined: state is not near-uniform")
+        cumulative = tuple(accumulate(weights))
+        assert cumulative[-1] == eps.numerator * self.total * absent
+        return cumulative, cumulative[-1]
 
 
 @dataclass(eq=False)
@@ -104,7 +130,6 @@ class ExtensionFamily:
     rows: np.ndarray | None = None
     nodes_used: int = 0
     _states: dict = field(default_factory=dict, init=False, repr=False)
-    _excess: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def base_size(self) -> int:
@@ -160,38 +185,11 @@ class ExtensionFamily:
                                              bitorder="little").sum(axis=0)
                                for j in range(rows.shape[1])]).tolist()
         support = tuple(e for e in self._columns if e not in edges)
-        weights = tuple(sums[self._columns[e]] for e in support)
-        total = len(rows) * (params.M - t)
-        assert sum(weights) == total
-        min_ratio = Fraction(min(weights) * (params.complete_count - t), total)
-        law = StateLaw(support=support, weights=weights,
-                       cumulative=tuple(accumulate(weights)), total=total,
-                       min_ratio=min_ratio)
+        law = StateLaw.from_weights(
+            support, tuple(sums[self._columns[e]] for e in support),
+            len(rows) * (params.M - t))
         self._states[edges] = law
         return law
-
-    def excess(self, edges: frozenset[Edge], t: int,
-               eps: Fraction) -> tuple[tuple[Edge, ...], tuple[int, ...], int]:
-        """Integer weights of the excess law (p - (1-eps) * uniform) / eps.
-
-        Only defined at near-uniform states; weights are exact and sum to
-        eps times the common denominator.
-        """
-        key = (edges, eps)
-        hit = self._excess.get(key)
-        law = self.state(edges, t)
-        if hit is not None:
-            return law.support, hit[0], hit[1]
-        absent = self.params.complete_count - t
-        # common denominator: total * eps.denominator * absent
-        base = (eps.denominator - eps.numerator) * law.total
-        weights = [w * eps.denominator * absent - base for w in law.weights]
-        if any(w < 0 for w in weights):
-            raise DomainError("excess law undefined: state is not near-uniform")
-        cum = tuple(accumulate(weights))
-        assert cum[-1] == eps.numerator * law.total * absent
-        self._excess[key] = (cum, cum[-1])
-        return law.support, cum, cum[-1]
 
 
 class _FocusBacktracker:

@@ -18,14 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .core import (
     DomainError,
-    DegreeState,
     Edge,
+    InadmissiblePrefixError,
     MultiEdge,
     OrderedHypergraph,
     Hypergraph,
@@ -120,10 +120,21 @@ class MultiExtension:
         return True
 
 
-def _residual_vector(state: DegreeState) -> np.ndarray:
-    vertices = np.fromiter(state.residual.keys(), dtype=np.int64)
-    counts = np.fromiter(state.residual.values(), dtype=np.int64)
-    return np.repeat(vertices, counts)
+def _residual_vector(G: OrderedHypergraph, params: Params) -> np.ndarray:
+    """The residual vertex copies of prefix G: vertex v repeated d - deg(v)
+    times, in vertex order.  Raises as `residual_state` does."""
+    if G.n != params.n or G.k != params.k:
+        raise DomainError("graph and params disagree on (n, k)")
+    if len(G) > params.M:
+        raise DomainError(f"prefix has {len(G)} edges, more than M={params.M}")
+    copies = np.fromiter(chain.from_iterable(G.edge_set), dtype=np.int64,
+                         count=len(G) * params.k)
+    residual = params.d - np.bincount(copies, minlength=params.n + 1)[1:]
+    if residual.min() < 0:
+        v = int(np.argmax(residual < 0)) + 1
+        raise InadmissiblePrefixError(
+            f"vertex {v} has degree {params.d - residual[v - 1]} > d={params.d}")
+    return np.repeat(np.arange(1, params.n + 1, dtype=np.int64), residual)
 
 
 def sample_multi_extension(G: OrderedHypergraph, params: Params,
@@ -131,9 +142,7 @@ def sample_multi_extension(G: OrderedHypergraph, params: Params,
     """Uniform vertex-copy permutation of the residual multiset, chopped into
     k-blocks.  Blocks are reported sorted; block order is kept."""
     gen = as_generator(rng)
-    state = residual_state(G, params)
-    vector = _residual_vector(state)
-    perm = gen.permutation(vector)
+    perm = gen.permutation(_residual_vector(G, params))
     blocks = np.sort(perm.reshape(-1, params.k), axis=1)
     tail = tuple(tuple(int(x) for x in row) for row in blocks)
     return MultiExtension(base=G, tail=tail)
@@ -165,7 +174,7 @@ def _configuration_rejection(G: OrderedHypergraph, params: Params,
     attempts and the number of attempts drawn.
     """
     k = params.k
-    vector = _residual_vector(residual_state(G, params))
+    vector = _residual_vector(G, params)
     width = len(vector)
     slots = width // k
     cap = max(1, _BATCH_CELLS // max(width, 1))

@@ -74,7 +74,7 @@ def coupling_pool():
             contained += tr.contained
     # instances whose exact next-edge law is often (or always) near uniform,
     # so the containment guarantee is exercised, not vacuous
-    aux = [(Params(4, 2, 3), 0.5 + 1e-15), (Params(4, 2, 2), 0.75)]
+    aux = [(Params(4, 2, 3), Fraction(1, 2)), (Params(4, 2, 2), 0.75)]
     for j, (params, gamma) in enumerate(aux):
         c = CouplingConfig(params, gamma=gamma,
                            epsilon=choose_epsilon(params, gamma))
@@ -202,7 +202,7 @@ def test_criterion_06_accepted_size_statistics(coupling_pool):
     cfg = coupling_pool["config"]
     sizes = coupling_pool["sizes"].astype(float)
     n_tr = len(sizes)
-    eps = float(cfg.epsilon_exact)
+    eps = float(cfg.epsilon)
     steps, q = cfg.coupled_steps, 1 - eps
     exp_mean = steps * q                       # = (1-eps)^2 * M
     exp_var = steps * q * eps                  # = (1-eps)^2 * eps * M

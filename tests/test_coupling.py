@@ -1,6 +1,7 @@
 """Joint exposure of the uniform and regular models: laws, traces, verdicts."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hypercouple import (
     run_coupling_gnp,
     sample_gnm,
 )
+from hypercouple import coupling
 from hypercouple.coupling import BRANCHES, _draw_cumulative
 from hypercouple.oracle import extension_family
 from hypercouple.stats import tv_distance_uniform
@@ -39,7 +41,7 @@ class TestEpsilonChoice:
         # M=4, gamma=0.75 -> j = floor(4/4) = 1
         assert choose_epsilon(N6, 0.75) == 0.25
         # M=20, gamma=0.6 -> floor(20*0.2) = 4
-        assert choose_epsilon(Params(30, 3, 2), 0.6) == 4 / 20
+        assert choose_epsilon(Params(30, 3, 2), 0.6) == Fraction(4, 20)
 
     def test_infeasible_gamma(self):
         with pytest.raises(DomainError):
@@ -57,7 +59,12 @@ class TestEpsilonChoice:
         with pytest.raises(DomainError):
             CouplingConfig(N6, gamma=0.75, epsilon=0.25, p_mode="guess")
         c = cfg()
-        assert (c.m, c.coupled_steps, c.epsilon_exact) == (1, 3, Fraction(1, 4))
+        assert (c.m, c.coupled_steps, c.epsilon) == (1, 3, Fraction(1, 4))
+
+    def test_decimal_gamma_is_read_as_its_grid_point(self):
+        # the CLI hands 4/7 over as the decimal 0.5714285714285714
+        c = cfg(Params(7, 3, 3), 0.5714285714285714)
+        assert (c.m, c.epsilon, c.coupled_steps) == (3, Fraction(1, 7), 6)
 
 
 class TestExactLaw:
@@ -86,6 +93,47 @@ class TestExactLaw:
         assert chk.certain
         assert chk.min_ratio == pytest.approx(ratio)
         assert chk.holds == (ratio >= 0.75 - 1e-12)
+
+
+class TestBoundaryVerdict:
+    """A least ratio exactly 1 - eps is near-uniform, in mc mode too."""
+
+    P733 = Params(7, 3, 3)
+
+    @pytest.fixture
+    def scripted_first_edges(self, monkeypatch):
+        # 245 completions at the empty prefix: the first absent edge comes
+        # first 6 times, the second 8 times, the other 33 edges 7 times each,
+        # so the least ratio is 6 * 35 / 245 = 6/7
+        edges = list(combinations(range(1, 8), 3))
+        script = [e for i, e in enumerate(edges)
+                  for _ in range({0: 6, 1: 8}.get(i, 7))]
+        assert len(script) == 245
+        firsts = iter(script * 2)
+        real = coupling.sample_regular
+
+        def stub(G, params, gen, *args, **kw):
+            if len(G) == 0:
+                return [next(firsts)]
+            return real(G, params, gen, *args, **kw)
+
+        monkeypatch.setattr(coupling, "sample_regular", stub)
+
+    @pytest.mark.parametrize("eps", [1 / 7, Fraction(1, 7)])
+    def test_mc_check_holds_at_the_boundary(self, scripted_first_edges, eps):
+        chk = check_near_uniformity(OrderedHypergraph(7, 3), eps, self.P733,
+                                    p_mode="mc", mc_trials=245,
+                                    rng=np.random.default_rng(0))
+        assert chk.min_ratio == Fraction(6, 7)
+        assert chk.holds and not chk.certain
+        assert chk.worst_edge == (1, 2, 3)
+
+    def test_mc_trace_verdict_holds_at_the_boundary(self,
+                                                    scripted_first_edges):
+        c = cfg(self.P733, Fraction(4, 7), p_mode="mc", mc_trials=245)
+        tr = run_coupling(c, np.random.default_rng(0))
+        assert tr.steps[0].near_uniform is True
+        assert c.epsilon == Fraction(1, 7)
 
 
 class TestTraces:
@@ -117,7 +165,7 @@ class TestTraces:
         # complete regular family: every state is exactly uniform, so the
         # guarantee applies on every trace that accepted enough proposals
         p = Params(4, 2, 3)
-        c = CouplingConfig(p, gamma=choose_epsilon(p, 0.9) * 3 + 1e-15,
+        c = CouplingConfig(p, gamma=3 * choose_epsilon(p, 0.9),
                            epsilon=choose_epsilon(p, 0.9))
         hits = 0
         for i in range(150):

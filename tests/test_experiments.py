@@ -12,6 +12,7 @@ from hypercouple import (
     run_experiment,
     validate_gamma_epsilon,
 )
+from hypercouple import experiments
 from hypercouple.experiments import (
     _parse_p_mode,
     config_from_args,
@@ -86,6 +87,19 @@ class TestReproducibility:
                                             out=str(out), options=dict(opts)))
             runs.append(data_digests(out))
         assert runs[0] == runs[1]
+
+    def test_mc_couple_independent_of_parallelism(self, tmp_path):
+        runs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"j{jobs}"
+            assert main(["couple", "--n", "4", "--k", "2", "--d", "3",
+                         "--gamma", "0.5", "--p-mode", "mc:200",
+                         "--emit-traces", "--trials", "4", "--seed", "8",
+                         "--jobs", jobs, "--out", str(out)]) == 0
+            runs.append(data_digests(out))
+        assert runs[0] == runs[1]
+        rows = (tmp_path / "j1" / "rows.csv").read_text().splitlines()
+        assert any(r.endswith(",excess") for r in rows)
 
     def test_manifest_shape(self, tmp_path):
         out = tmp_path / "m"
@@ -222,6 +236,24 @@ class TestCliBoundary:
         assert s["trials"] == 2
         assert "100000 nodes" in s["tv_checks"]["skipped"]
         assert len((out / "rows.csv").read_text().splitlines()) == 3
+
+    def test_mc_tv_count_walks_a_bounded_budget(self, tmp_path,
+                                               monkeypatch):
+        monkeypatch.delenv("HYPERCOUPLE_NODE_BUDGET", raising=False)
+        budgets = []
+        real = experiments.count_extensions
+
+        def spy(G, params, *args, budget=None, **kw):
+            budgets.append(budget)
+            return real(G, params, *args, budget=budget, **kw)
+
+        monkeypatch.setattr(experiments, "count_extensions", spy)
+        assert main(["couple", "--n", "6", "--k", "3", "--d", "2",
+                     "--gamma", "0.75", "--p-mode", "mc:5", "--trials", "2",
+                     "--out", str(tmp_path / "c")]) == 0
+        cap = experiments._TV_COUNT_NODES
+        assert budgets and all(b is not None and b <= cap for b in budgets)
+        assert read_json(tmp_path / "c")["tv_checks"]["family_size"] == 75
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -15,6 +15,7 @@ from hypercouple import (
     as_generator,
     count_extensions,
     is_simple,
+    residual_state,
     sample_gnm,
     sample_gnp,
     sample_multi_extension,
@@ -22,6 +23,7 @@ from hypercouple import (
 )
 from hypercouple.samplers import (
     _configuration_rejection,
+    _residual_vector,
     exact_simplicity_from_count,
     simplicity_probability,
 )
@@ -193,6 +195,44 @@ STREAM_CASES = [
     # every vertex of the prefix keeps a copy, so a tail can repeat its edges
     (Params(9, 3, 2), ((1, 2, 3), (4, 5, 6))),
 ]
+
+
+class TestResidualVector:
+    """The residual vertex copies come straight from a degree count."""
+
+    @staticmethod
+    def from_state(G, params):
+        st = residual_state(G, params)
+        return np.repeat(np.fromiter(st.residual.keys(), dtype=np.int64),
+                         np.fromiter(st.residual.values(), dtype=np.int64))
+
+    @pytest.mark.parametrize("params, prefix", [
+        (Params(9, 3, 2), ()),
+        (Params(9, 3, 2), ((1, 2, 3), (4, 5, 6))),
+        (Params(9, 3, 2), ((1, 2, 3), (1, 4, 5), (2, 6, 9))),
+        (Params(6, 3, 2), ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6))),
+        (Params(12, 2, 3), ((1, 12), (3, 7), (1, 2))),
+    ])
+    def test_equals_the_residual_state_vector(self, params, prefix):
+        G = OrderedHypergraph(params.n, params.k, prefix)
+        got = _residual_vector(G, params)
+        want = self.from_state(G, params)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("G, params", [
+        (OrderedHypergraph(6, 3, [(1, 2, 3), (1, 4, 5), (1, 2, 6)]),
+         Params(6, 3, 2)),
+        (OrderedHypergraph(6, 3), Params(6, 2, 2)),
+        (OrderedHypergraph(4, 2, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]),
+         Params(4, 2, 2)),
+    ])
+    def test_raises_as_residual_state(self, G, params):
+        with pytest.raises(DomainError) as want:
+            residual_state(G, params)
+        with pytest.raises(DomainError) as got:
+            _residual_vector(G, params)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 class TestRejectionStream:
