@@ -207,7 +207,9 @@ class OrderedHypergraph:
         return OrderedHypergraph(self.n, self.k, self._seq)
 
     def as_hypergraph(self) -> Hypergraph:
-        return Hypergraph(self.n, self.k, self._seq)
+        g = Hypergraph(self.n, self.k)
+        g._edges = set(self._set)  # already validated by append
+        return g
 
     def __contains__(self, e: Sequence[int]) -> bool:
         return tuple(sorted(e)) in self._set

@@ -2,15 +2,19 @@
 
 Everything here enumerates, so it only works for tiny instances, but in
 exchange every probability and identity comes out as an exact Fraction.
-Two independent enumeration strategies are kept deliberately separate:
+Three enumeration routes are kept deliberately separate:
 
-* `count_extensions` counts unordered completions by focus-vertex
-  backtracking (always satisfy the smallest deficient vertex first);
+* `count_extensions(..., list_completions=True)` lists unordered
+  completions with one vectorised sweep over the edge pool in
+  lexicographic order;
+* `count_extensions` without a listing counts them by focus-vertex
+  backtracking (always satisfy the smallest deficient vertex first), the
+  listing's independent second opinion;
 * `exact_simplicity_probability` counts ordered simple tails
   edge-by-edge and converts to a probability over vertex-copy
   permutations.
 
-Tests tie the two together through the configuration-model identity
+Tests tie them together through the configuration-model identity
 P(simple) * N_G = |R_G| * (k!)^(M-t), where N_G is the number of
 distinct permutations of the residual vertex-copy multiset.
 """
@@ -43,6 +47,12 @@ ENV_NODE_BUDGET = "HYPERCOUPLE_NODE_BUDGET"
 
 class OracleBudgetError(RuntimeError):
     """Enumeration exceeded its node budget; no silent truncation."""
+
+
+def _budget_error(budget: int) -> OracleBudgetError:
+    return OracleBudgetError(
+        f"enumeration exceeded {budget} nodes; raise the budget "
+        f"explicitly or via {ENV_NODE_BUDGET} if this size is intended")
 
 
 def node_budget(override: int | None = None) -> int:
@@ -116,7 +126,7 @@ class ExtensionFamily:
     `unordered_count` is the number of completion edge-sets; the ordered
     family (all ways to expose the remaining edges one by one) is larger by
     a factor (M-t)!.  A listed family keeps one packed 0/1 row per
-    completion tail, in the order the enumeration found them: bit c of a
+    completion tail, in the lexicographic order of the tails: bit c of a
     row (little-endian within each byte) is set iff the tail contains the
     c-th edge of the lexicographic edge pool.  Every exact count below is
     read off these rows: U(G+S) is the number of rows containing S, and the
@@ -146,8 +156,8 @@ class ExtensionFamily:
 
     @property
     def completions(self) -> list[tuple[Edge, ...]] | None:
-        """Tails as lexicographically sorted edge tuples, decoded from the
-        rows in the order found; None when the family was only counted."""
+        """Tails as lexicographically sorted edge tuples, in the rows'
+        lexicographic order; None when the family was only counted."""
         if self.rows is None:
             return None
         pool = tuple(self._columns)
@@ -193,12 +203,12 @@ class ExtensionFamily:
 
 
 class _FocusBacktracker:
-    """Enumerate unordered completions, always serving the smallest deficient
+    """Count unordered completions, always serving the smallest deficient
     vertex next; within a stage, incident edges are chosen in increasing
     lexicographic order, so each completion is visited exactly once."""
 
-    def __init__(self, n: int, k: int, residual: list[int] | None,
-                 forbidden: set[Edge], budget: int, collect: bool) -> None:
+    def __init__(self, n: int, k: int, residual: list[int],
+                 forbidden: set[Edge], budget: int) -> None:
         self.n = n
         self.k = k
         self.residual = residual  # index 0 unused
@@ -206,12 +216,6 @@ class _FocusBacktracker:
         self.budget = budget
         self.count = 0
         self.nodes = 0
-        self.chosen: list[Edge] = []
-        # listing writes each completion as a packed row of edge-pool bits
-        self.bits = {e: 1 << c for c, e in enumerate(
-            combinations(range(1, n + 1), k))} if collect else None
-        self.width = (math.comb(n, k) + 7) // 8
-        self.rows = bytearray()
 
     def run(self) -> None:
         self._fill()
@@ -225,9 +229,6 @@ class _FocusBacktracker:
                 break
         if focus == 0:
             self.count += 1
-            if self.bits is not None:
-                mask = sum(self.bits[e] for e in self.chosen)
-                self.rows += mask.to_bytes(self.width, "little")
             return
         available = [w for w in range(focus + 1, self.n + 1) if r[w] > 0]
         cands = [
@@ -248,19 +249,94 @@ class _FocusBacktracker:
             e = cands[i]
             self.nodes += 1
             if self.nodes > self.budget:
-                raise OracleBudgetError(
-                    f"enumeration exceeded {self.budget} nodes; raise the budget "
-                    f"explicitly or via {ENV_NODE_BUDGET} if this size is intended"
-                )
+                raise _budget_error(self.budget)
             if any(r[w] == 0 for w in e[1:]):
                 continue
             for w in e:
                 r[w] -= 1
-            self.chosen.append(e)
             self._assign(v, needed - 1, cands, i + 1)
-            self.chosen.pop()
             for w in e:
                 r[w] += 1
+
+
+# a sweep frontier longer than this is halved, the second half waiting on a
+# stack, so the sweep runs depth-first over chunks of bounded size
+_SWEEP_ROWS = 1 << 14
+# bytes a listing may hold at once: listed rows, waiting chunks and frontier
+_LIST_BYTES = 1 << 28
+
+
+def _sweep_completions(n: int, k: int, residual: list[int] | None,
+                       base: frozenset[Edge],
+                       budget: int) -> tuple[np.ndarray, int]:
+    """List the completion tails as packed rows, in lexicographic order.
+
+    One pass over the edge pool in lexicographic order: a frontier row is a
+    partial tail (residual degrees and packed tail bits).  At a free pool
+    edge, every row with positive residuals at all its vertices gets an
+    include-child just before it, so rows stay in the lexicographic order of
+    their tails; a row whose residual at some vertex exceeds the free edges
+    still to come through that vertex is dropped.  Each include-child is one
+    node charged to `budget`; holding more than _LIST_BYTES raises.
+    """
+    pool = np.array(list(combinations(range(1, n + 1), k)), dtype=np.intp)
+    width = (len(pool) + 7) // 8
+    free = np.array([e not in base for e in map(tuple, pool.tolist())])
+    incidence = np.zeros((len(pool), n + 1), dtype=np.int64)
+    np.put_along_axis(incidence, pool, 1, axis=1)
+    incidence[~free] = 0
+    through = incidence.sum(axis=0)
+    # later[c, v]: free pool edges after edge c that contain vertex v
+    later = through - np.cumsum(incidence, axis=0)
+    if residual is None or any(
+            r > f for r, f in zip(residual, through.tolist())):
+        # a vertex overflows, or cannot reach degree d: nothing to list
+        return np.zeros((0, width), dtype=np.uint8), 0
+    start = np.array(residual, dtype=np.min_scalar_type(max(residual)))
+    row_bytes = start.nbytes + width
+    listed = bytearray()
+    stack = [(0, start[None, :], np.zeros((1, width), dtype=np.uint8))]
+    waiting = row_bytes
+    nodes = 0
+    while stack:
+        c0, R, B = stack.pop()
+        waiting -= len(R) * row_bytes
+        for c in range(c0, len(pool)):
+            if not free[c]:
+                continue
+            e = pool[c]
+            at_e = R[:, e]
+            take = (at_e > 0).all(axis=1)
+            keep = (at_e <= later[c, e]).all(axis=1)
+            born = int(np.count_nonzero(take))
+            if not born and keep.all():
+                continue
+            nodes += born
+            if nodes > budget:
+                raise _budget_error(budget)
+            copies = take.astype(np.intp) + keep
+            size = int(copies.sum())
+            if (len(listed) + waiting + (len(R) + size) * row_bytes
+                    > _LIST_BYTES):
+                raise OracleBudgetError(
+                    f"listing would hold more than {_LIST_BYTES} bytes of "
+                    f"rows; this family is too large to list")
+            first = (np.cumsum(copies) - copies)[take]
+            R = np.repeat(R, copies, axis=0)
+            B = np.repeat(B, copies, axis=0)
+            R[first[:, None], e] -= 1
+            B[first, c >> 3] |= np.uint8(1 << (c & 7))
+            if len(R) == 0:
+                break
+            if len(R) > _SWEEP_ROWS:
+                half = len(R) // 2
+                stack.append((c + 1, R[half:].copy(), B[half:].copy()))
+                waiting += (len(R) - half) * row_bytes
+                R, B = R[:half].copy(), B[:half].copy()
+        listed += B.tobytes()
+    rows = np.frombuffer(listed, dtype=np.uint8).reshape(-1, width)
+    rows.flags.writeable = False  # cached families are shared by every caller
+    return rows, nodes
 
 
 def _residual_list(G: OrderedHypergraph, params: Params) -> list[int] | None:
@@ -282,7 +358,8 @@ def count_extensions(G: OrderedHypergraph, params: Params,
 
     A prefix with a vertex above degree d is reported as inadmissible with
     count 0 rather than raising; exceeding the node budget raises
-    OracleBudgetError.
+    OracleBudgetError, as does a listing that would hold more than
+    _LIST_BYTES.
     """
     if G.n != params.n or G.k != params.k:
         raise DomainError("graph and params disagree on (n, k)")
@@ -291,20 +368,25 @@ def count_extensions(G: OrderedHypergraph, params: Params,
         raise DomainError(f"prefix has {t} edges, more than M={params.M}")
     base = frozenset(G.edge_set)
     residual = _residual_list(G, params)
-    bt = _FocusBacktracker(params.n, params.k, residual, set(base),
-                           node_budget(budget), list_completions)
-    if residual is not None:  # else a vertex overflows: nothing to walk
+    rows = None
+    if list_completions:
+        rows, nodes = _sweep_completions(params.n, params.k, residual, base,
+                                         node_budget(budget))
+        count = len(rows)
+    elif residual is None:  # a vertex overflows: nothing to walk
+        count = nodes = 0
+    else:
+        bt = _FocusBacktracker(params.n, params.k, residual, set(base),
+                               node_budget(budget))
         bt.run()
-    # a read-only copy: cached families are shared by every caller
-    rows = np.frombuffer(bytes(bt.rows), dtype=np.uint8).reshape(
-        -1, bt.width) if list_completions else None
+        count, nodes = bt.count, bt.nodes
     return ExtensionFamily(
         params=params,
         base=base,
-        unordered_count=bt.count,
-        admissible=bt.count > 0,
+        unordered_count=count,
+        admissible=count > 0,
         rows=rows,
-        nodes_used=bt.nodes,
+        nodes_used=nodes,
     )
 
 
@@ -443,10 +525,7 @@ class _SequentialTailCounter:
         for e in combinations(support, self.k):
             self.nodes += 1
             if self.nodes > self.budget:
-                raise OracleBudgetError(
-                    f"enumeration exceeded {self.budget} nodes; raise the budget "
-                    f"explicitly or via {ENV_NODE_BUDGET} if this size is intended"
-                )
+                raise _budget_error(self.budget)
             if e in self.forbidden or e in self.used:
                 continue
             for w in e:

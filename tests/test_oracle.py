@@ -7,6 +7,7 @@ backtracking counter to independent combinatorics.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -214,6 +215,24 @@ class TestFamilyAgainstCounter:
         own = extension_family(g, p)
         assert own.state(own.base, len(g)) == law
 
+    @pytest.mark.parametrize("nkd,edges",
+                             PREFIXES + [((9, 3, 2), [(3, 4, 5)])])
+    def test_listing_is_every_completion_in_lexicographic_order(self, nkd,
+                                                                edges):
+        # sorted, regular and as many as the counting walk finds: this pins
+        # the listing to one set of rows in one order
+        p = Params(*nkd)
+        g = OrderedHypergraph(p.n, p.k, edges)
+        fam = count_extensions(g, p, list_completions=True)
+        tails = fam.completions
+        assert all(a < b for a, b in zip(tails, tails[1:]))
+        for tail in tails:
+            assert not set(tail) & g.edge_set
+            degrees = OrderedHypergraph(p.n, p.k, edges + list(tail)
+                                        ).degree_map()
+            assert set(degrees.values()) == {p.d}
+        assert len(tails) == count_extensions(g, p).unordered_count
+
     def test_inadmissible_prefix_has_weight_zero(self):
         p = Params(6, 3, 2)
         g = OrderedHypergraph(6, 3, [(1, 2, 3), (1, 4, 5)])
@@ -243,3 +262,59 @@ class TestFamilyAgainstCounter:
         for e in list(combinations(range(1, 7), 3))[:info.maxsize + 3]:
             extension_family(OrderedHypergraph(6, 3, [e]), p)
             assert oracle._cached_family.cache_info().currsize <= info.maxsize
+
+
+class TestListingSweep:
+    def test_overfull_prefix_lists_no_rows(self):
+        p = Params(6, 3, 2)
+        g = OrderedHypergraph(6, 3, [(1, 2, 3), (1, 4, 5), (1, 2, 6)])
+        fam = count_extensions(g, p, list_completions=True)
+        assert fam.rows.shape == (0, math.ceil(p.complete_count / 8))
+        assert not fam.admissible and fam.unordered_count == 0
+
+    def test_complete_prefix_lists_one_empty_tail(self):
+        p = Params(6, 3, 2)
+        full = count_extensions(empty(6, 3), p,
+                                list_completions=True).completions[0]
+        fam = count_extensions(OrderedHypergraph(6, 3, full), p,
+                               list_completions=True)
+        assert fam.rows.shape == (1, 3) and not fam.rows.any()
+        assert fam.completions == [()] and fam.unordered_count == 1
+
+    def test_unreachable_degree_lists_nothing(self):
+        # d = 200 exceeds what a one-byte signed residual can hold
+        g, p = OrderedHypergraph(4, 2), Params(4, 2, 200)
+        assert count_extensions(g, p, list_completions=True
+                                ).unordered_count == 0
+        assert count_extensions(g, p).unordered_count == 0
+
+    def test_family_is_built_through_count_extensions(self, monkeypatch):
+        calls = []
+        real = oracle.count_extensions
+
+        def spy(*args, **kwargs):
+            fam = real(*args, **kwargs)
+            calls.append((kwargs.get("list_completions"), fam.nodes_used))
+            return fam
+
+        monkeypatch.setattr(oracle, "count_extensions", spy)
+        oracle._cached_family.cache_clear()
+        g, p = OrderedHypergraph(7, 3, [(1, 2, 3)]), Params(7, 3, 3)
+        extension_family(g, p)
+        extension_family(g, p)
+        assert len(calls) == 1 and calls[0][0] is True
+        nodes = calls[0][1]
+        assert type(nodes) is int and nodes > 0
+
+    def test_listing_memory_is_capped(self, monkeypatch):
+        cap = 4 * 2**20
+        monkeypatch.setattr(oracle, "_LIST_BYTES", cap)
+        monkeypatch.delenv("HYPERCOUPLE_NODE_BUDGET", raising=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleBudgetError, match=str(cap)):
+                extension_family(empty(15, 3), Params(15, 3, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * cap
