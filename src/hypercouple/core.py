@@ -183,6 +183,20 @@ class OrderedHypergraph:
         for e in edges:
             self.append(e)
 
+    @classmethod
+    def _from_canonical(cls, n: int, k: int,
+                        edges: Iterable[Edge]) -> "OrderedHypergraph":
+        """Build from edges the package already knows are sorted k-tuples
+        in 1..n, skipping `make_edge`; only distinctness is checked."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.k = k
+        g._seq = list(edges)
+        g._set = set(g._seq)
+        if len(g._set) != len(g._seq):
+            raise DomainError("duplicate edge in a canonical edge sequence")
+        return g
+
     @property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(self._seq)
@@ -201,10 +215,10 @@ class OrderedHypergraph:
     def prefix(self, t: int) -> "OrderedHypergraph":
         if not 0 <= t <= len(self._seq):
             raise DomainError(f"prefix length {t} out of range 0..{len(self._seq)}")
-        return OrderedHypergraph(self.n, self.k, self._seq[:t])
+        return OrderedHypergraph._from_canonical(self.n, self.k, self._seq[:t])
 
     def copy(self) -> "OrderedHypergraph":
-        return OrderedHypergraph(self.n, self.k, self._seq)
+        return OrderedHypergraph._from_canonical(self.n, self.k, self._seq)
 
     def as_hypergraph(self) -> Hypergraph:
         g = Hypergraph(self.n, self.k)

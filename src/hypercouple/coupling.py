@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +34,7 @@ from .core import (
     Params,
     complement_edges,
 )
-from .oracle import StateLaw, extension_family
+from .oracle import StateLaw, _family, extension_family
 from .samplers import as_generator, sample_gnm, sample_regular
 
 
@@ -83,6 +83,9 @@ class CouplingConfig:
     p_mode: str = "exact"
     mc_trials: int = 200
     oracle_budget: int | None = None
+    # derived once from the fields above
+    _m: int = field(init=False, repr=False, compare=False)
+    _coupled_steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.gamma < 1:
@@ -108,16 +111,18 @@ class CouplingConfig:
             raise DomainError("mc_trials must be positive")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "_m", int(m))
+        object.__setattr__(self, "_coupled_steps", M - int(eps * M))
 
     @property
     def m(self) -> int:
         """Edges of the uniform model embedded into the regular one."""
-        return int((1 - self.gamma) * self.params.M)
+        return self._m
 
     @property
     def coupled_steps(self) -> int:
         """The horizon (1-epsilon)*M up to which proposals are drawn."""
-        return int((1 - self.epsilon) * self.params.M)
+        return self._coupled_steps
 
 
 @dataclass(frozen=True)
@@ -182,7 +187,7 @@ def check_near_uniformity(G: OrderedHypergraph, epsilon: float | Fraction,
 
     epsilon is read exactly as in `CouplingConfig`.  Exact mode takes the
     enumerated law; mc mode estimates it from sampled completions and is
-    never certain.  Both compare the law's rational min_ratio with 1 - eps.
+    never certain.  Both decide with the law's exact `near_uniform`.
     """
     if not 0 < epsilon < 1:
         raise DomainError(f"epsilon={epsilon} outside (0, 1)")
@@ -197,9 +202,9 @@ def check_near_uniformity(G: OrderedHypergraph, epsilon: float | Fraction,
         law = _estimate_law(G, params, mc_trials, as_generator(rng))
     else:
         raise DomainError(f"p_mode must be 'exact' or 'mc', got {p_mode!r}")
-    worst = law.weights.index(min(law.weights))
+    worst = law.weights.index(law.min_weight)
     return NearUniformityCheck(
-        holds=law.min_ratio >= 1 - _exact_ratio(epsilon, params.M),
+        holds=law.near_uniform(_exact_ratio(epsilon, params.M)),
         min_ratio=law.min_ratio, certain=p_mode == "exact",
         worst_edge=law.support[worst],
     )
@@ -218,20 +223,22 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
     excess draw.
     """
     params = config.params
+    n, k = params.n, params.k
     gen = as_generator(rng)
     cut = config.coupled_steps
-    uniform_graph = sample_gnm(params.n, params.k, cut, gen)
+    uniform_graph = sample_gnm(n, k, cut, gen)
     proposals = uniform_graph.edges
     coins = (gen.integers(params.M, size=cut) < cut).tolist()
 
     eps = config.epsilon
-    keep = 1 - eps
     exact = config.p_mode == "exact"
-    family = extension_family(OrderedHypergraph(params.n, params.k), params,
-                              config.oracle_budget) if exact else None
+    family = (_family(params, frozenset(), config.oracle_budget) if exact
+              else None)
 
-    regular_graph = OrderedHypergraph(params.n, params.k)
-    regular_set = regular_graph.edge_set
+    # the regular side's exposure order; every edge is a pool edge, so the
+    # final graph is built once without re-validating them
+    regular_seq: list[Edge] = []
+    regular_set: set[Edge] = set()
     steps: list[CouplingStep] = []
     accepted: list[Edge] = []
     near_all = True
@@ -239,15 +246,18 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
     for t in range(params.M):
         if exact:
             law = family.state(frozenset(regular_set), t)
-        elif t < cut:
-            law = _estimate_law(regular_graph, params, config.mc_trials, gen)
+        else:
+            regular_graph = OrderedHypergraph._from_canonical(n, k, regular_seq)
+            if t < cut:
+                law = _estimate_law(regular_graph, params, config.mc_trials,
+                                    gen)
         proposal: Edge | None = None
         coin: int | None = None
         near: bool | None = None
         if t < cut:
             proposal = proposals[t]
             coin = int(coins[t])
-            near = law.min_ratio >= keep
+            near = law.near_uniform(eps)
 
         excess: Edge | None = None
         if t >= cut or not near:
@@ -281,7 +291,8 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
             raise AssertionError(
                 f"step {t} tried to re-expose {exposed}; conditional law broke"
             )
-        regular_graph.append(exposed)
+        regular_seq.append(exposed)
+        regular_set.add(exposed)
         if t < cut and near and coin == 1:
             # the step-level guarantee: an accepted proposal under a
             # near-uniform verdict is on the regular side immediately after
@@ -307,7 +318,8 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
     return CouplingTrace(
         config=config, steps=tuple(steps), accepted=tuple(accepted),
         embedded=embedded, used_fallback=used_fallback,
-        regular_final=regular_graph, uniform_final=uniform_graph,
+        regular_final=OrderedHypergraph._from_canonical(n, k, regular_seq),
+        uniform_final=uniform_graph,
         near_uniform_all=near_all, certain=exact,
         accepted_enough=enough, contained=contained,
     )

@@ -43,7 +43,6 @@ from .hamilton import hamiltonicity_sweep
 from .oracle import (
     OracleBudgetError,
     count_extensions,
-    exact_simplicity_probability,
     extension_family,
     node_budget,
     switching_class_sizes,
@@ -55,6 +54,7 @@ from .samplers import (
     sample_gnm,
     sample_gnp,
     sample_regular,
+    simplicity_from_completions,
 )
 from .stats import tv_distance_uniform, wilson_interval
 from .switchings import backward_count, forward_count
@@ -384,8 +384,8 @@ def _run_switching_verify(cfg: ExperimentConfig):
     fam = extension_family(base, params)
     if not fam.admissible:
         raise DomainError("base prefix admits no completions")
-    graphs = [OrderedHypergraph(params.n, params.k,
-                                list(base.edges) + list(tail)).as_hypergraph()
+    graphs = [OrderedHypergraph._from_canonical(
+                  params.n, params.k, base.edges + tail).as_hypergraph()
               for tail in fam.completions]
 
     if kind == "remove_edge":
@@ -477,7 +477,9 @@ def _run_oracle_dump(cfg: ExperimentConfig):
             pr = Fraction(w, law.total)
             rows.append(("-".join(map(str, e)), w,
                          f"{pr.numerator}/{pr.denominator}"))
-    psimple = exact_simplicity_probability(base, params)
+    # the count identity on the family just listed; the direct enumeration
+    # of ordered tails walks (M-t)! times as many nodes
+    psimple = simplicity_from_completions(base, params, fam.unordered_count)
     summary = {
         "kind": "oracle-dump", "schema_version": SCHEMA_VERSION,
         "n": params.n, "k": params.k, "d": params.d,

@@ -88,7 +88,10 @@ class StateLaw:
     weights: tuple[int, ...]
     cumulative: tuple[int, ...]
     total: int
-    min_ratio: Fraction
+    min_weight: int
+    # excess cumulatives by epsilon, kept for the law's lifetime
+    _excess: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @classmethod
     def from_weights(cls, support: tuple[Edge, ...], weights: tuple[int, ...],
@@ -96,7 +99,16 @@ class StateLaw:
         assert sum(weights) == total
         return cls(support=support, weights=weights,
                    cumulative=tuple(accumulate(weights)), total=total,
-                   min_ratio=Fraction(min(weights) * len(support), total))
+                   min_weight=min(weights))
+
+    @property
+    def min_ratio(self) -> Fraction:
+        return Fraction(self.min_weight * len(self.support), self.total)
+
+    def near_uniform(self, eps: Fraction) -> bool:
+        """min_ratio >= 1 - eps, as one integer comparison."""
+        return (self.min_weight * len(self.support) * eps.denominator
+                >= self.total * (eps.denominator - eps.numerator))
 
     def distribution(self) -> dict[Edge, Fraction]:
         return {e: Fraction(w, self.total)
@@ -104,11 +116,14 @@ class StateLaw:
 
     def excess(self, eps: Fraction) -> tuple[tuple[int, ...], int]:
         """Cumulative integer weights and total of the excess law
-        (p - (1-eps) * uniform) / eps over `support`.
+        (p - (1-eps) * uniform) / eps over `support`, computed once per eps.
 
         Only defined at near-uniform states (min_ratio >= 1 - eps); the
         weights share the denominator total * eps.denominator * |support|.
         """
+        hit = self._excess.get(eps)
+        if hit is not None:
+            return hit
         absent = len(self.support)
         base = (eps.denominator - eps.numerator) * self.total
         weights = [w * eps.denominator * absent - base for w in self.weights]
@@ -116,7 +131,8 @@ class StateLaw:
             raise DomainError("excess law undefined: state is not near-uniform")
         cumulative = tuple(accumulate(weights))
         assert cumulative[-1] == eps.numerator * self.total * absent
-        return cumulative, cumulative[-1]
+        hit = self._excess[eps] = cumulative, cumulative[-1]
+        return hit
 
 
 @dataclass(eq=False)
@@ -402,9 +418,16 @@ class _FamilyKey:
 # oracles one per prefix under study
 @lru_cache(maxsize=8)
 def _cached_family(key: _FamilyKey) -> ExtensionFamily:
-    g = OrderedHypergraph(key.params.n, key.params.k, sorted(key.edges))
+    g = OrderedHypergraph._from_canonical(key.params.n, key.params.k,
+                                          sorted(key.edges))
     return count_extensions(g, key.params, list_completions=True,
                             budget=key.budget)
+
+
+def _family(params: Params, edges: frozenset[Edge],
+            budget: int | None) -> ExtensionFamily:
+    """`extension_family` keyed by an edge set instead of a graph."""
+    return _cached_family(_FamilyKey(params, edges, budget))
 
 
 def extension_family(G: OrderedHypergraph, params: Params,
@@ -414,7 +437,7 @@ def extension_family(G: OrderedHypergraph, params: Params,
     `budget` is charged only when the family is built."""
     if G.n != params.n or G.k != params.k:
         raise DomainError("graph and params disagree on (n, k)")
-    return _cached_family(_FamilyKey(params, frozenset(G.edge_set), budget))
+    return _family(params, frozenset(G.edge_set), budget)
 
 
 def exact_next_edge_distribution(G: OrderedHypergraph, params: Params,

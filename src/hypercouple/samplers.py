@@ -89,7 +89,7 @@ def sample_gnm(n: int, k: int, m: int, rng) -> OrderedHypergraph:
     for t in range(m):
         j = int(gen.integers(t, total))
         pool[t], pool[j] = pool[j], pool[t]
-    return OrderedHypergraph(n, k, pool[:m])
+    return OrderedHypergraph._from_canonical(n, k, pool[:m])
 
 
 def sample_gnp(n: int, k: int, p: float, rng) -> Hypergraph:
@@ -250,8 +250,9 @@ def sample_regular(G: OrderedHypergraph, params: Params, rng,
     blocks, _, _ = _configuration_rejection(G, params, gen, max_attempts,
                                             first=True)
     if blocks is not None:
-        tail = list(map(tuple, blocks.tolist()))
-        return OrderedHypergraph(params.n, params.k, list(G.edges) + tail)
+        tail = tuple(map(tuple, blocks.tolist()))
+        return OrderedHypergraph._from_canonical(params.n, params.k,
+                                                 G.edges + tail)
     raise RejectionBudgetError(
         f"no simple extension in {max_attempts} attempts at n={params.n} "
         f"k={params.k} d={params.d} |G|={len(G)}; G may be inadmissible or "
@@ -271,7 +272,8 @@ def _sample_regular_complement(params: Params, gen: np.random.Generator) -> Orde
         absent = comp.edge_set
         kept = [e for e in pool if e not in absent]
     order = gen.permutation(len(kept))
-    return OrderedHypergraph(params.n, params.k, [kept[i] for i in order])
+    return OrderedHypergraph._from_canonical(params.n, params.k,
+                                             [kept[i] for i in order])
 
 
 @dataclass
@@ -293,16 +295,25 @@ class SimplicityEstimate:
 
 def exact_simplicity_from_count(G: OrderedHypergraph, params: Params,
                                 budget: int | None = None) -> Fraction:
-    """P(simple) through the completion count: |R_G| (k!)^(M-t) prod r! / (k(M-t))!.
+    """P(simple) through the completion count of G (see
+    `simplicity_from_completions`).
 
     This is the identity route; `oracle.exact_simplicity_probability` is the
     independent direct enumeration.
     """
-    t = len(G)
     u = oracle.count_extensions(G, params, budget=budget).unordered_count
-    ordered = u * math.factorial(params.M - t)
+    return simplicity_from_completions(G, params, u)
+
+
+def simplicity_from_completions(G: OrderedHypergraph, params: Params,
+                                unordered_count: int) -> Fraction:
+    """P(simple) from the number |R_G| of unordered completions of G:
+    |R_G| (M-t)! (k!)^(M-t) prod r! / (k(M-t))!.  Raises
+    InadmissiblePrefixError when a vertex of G exceeds degree d."""
+    t = len(G)
     state = residual_state(G, params)
-    numerator = ordered * math.factorial(params.k) ** (params.M - t)
+    numerator = (unordered_count * math.factorial(params.M - t)
+                 * math.factorial(params.k) ** (params.M - t))
     for r in state.residual.values():
         numerator *= math.factorial(r)
     return Fraction(numerator, math.factorial(params.k * (params.M - t)))

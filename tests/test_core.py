@@ -99,6 +99,46 @@ class TestContainers:
         with pytest.raises(DomainError):
             g.append((2, 1))
 
+    def test_public_constructors_canonicalise(self):
+        edges = [(3, 1, 2), [5, 4, 1], (2, 4, 3)]
+        canonical = [(1, 2, 3), (1, 4, 5), (2, 3, 4)]
+        assert OrderedHypergraph(5, 3, edges).edges == tuple(canonical)
+        assert Hypergraph(5, 3, edges).edge_set == set(canonical)
+        g = OrderedHypergraph(5, 3)
+        g.append([5, 2, 1])
+        assert g.edges == ((1, 2, 5),)
+
+    @pytest.mark.parametrize("edges", [
+        [(1, 1, 2)],              # repeated vertex
+        [(1, 2)],                 # wrong size
+        [(1, 2, 3, 4)],           # wrong size
+        [(0, 1, 2)],              # below the vertex range
+        [(1, 2, 6)],              # above the vertex range
+        [(1, 2, 3), (3, 2, 1)],   # duplicate edge
+    ])
+    def test_public_constructors_still_validate(self, edges):
+        with pytest.raises(DomainError):
+            OrderedHypergraph(5, 3, edges)
+        g = OrderedHypergraph(5, 3, edges[:-1])
+        with pytest.raises(DomainError):
+            g.append(edges[-1])
+        if len(edges) == 1:  # a set silently absorbs a duplicate edge
+            with pytest.raises(DomainError):
+                Hypergraph(5, 3, edges)
+            with pytest.raises(DomainError):
+                Hypergraph(5, 3).add_edge(edges[0])
+
+    @given(graph_instances())
+    def test_trusted_build_equals_the_public_one(self, inst):
+        n, k, edges = inst
+        g = OrderedHypergraph._from_canonical(n, k, edges)
+        assert g == OrderedHypergraph(n, k, edges)
+        assert g.edge_set == set(edges)
+
+    def test_trusted_build_checks_distinctness(self):
+        with pytest.raises(DomainError):
+            OrderedHypergraph._from_canonical(5, 3, [(1, 2, 3), (1, 2, 3)])
+
     def test_pair_degree(self):
         g = Hypergraph(5, 3, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
         assert g.pair_degree(1, 2) == 2

@@ -1,7 +1,9 @@
 """Joint exposure of the uniform and regular models: laws, traces, verdicts."""
 
+import pickle
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from hypercouple import (
 )
 from hypercouple import coupling
 from hypercouple.coupling import BRANCHES, _draw_cumulative
-from hypercouple.oracle import extension_family
+from hypercouple.oracle import StateLaw, extension_family
 from hypercouple.stats import tv_distance_uniform
 
 N6 = Params(6, 3, 2)
@@ -65,6 +67,44 @@ class TestEpsilonChoice:
         # the CLI hands 4/7 over as the decimal 0.5714285714285714
         c = cfg(Params(7, 3, 3), 0.5714285714285714)
         assert (c.m, c.epsilon, c.coupled_steps) == (3, Fraction(1, 7), 6)
+
+
+class TestDerivedConstants:
+    """m and the horizon are derived once, at construction."""
+
+    GRID = [Params(6, 3, 2), Params(7, 3, 3), Params(9, 3, 2),
+            Params(8, 2, 3), Params(12, 3, 2), Params(60, 3, 6)]
+
+    def test_constants_equal_the_fraction_formulas(self):
+        checked = 0
+        for params in self.GRID:
+            M = params.M
+            for i in range(1, M):
+                gamma = Fraction(i, M)
+                for j in range(1, M):
+                    try:
+                        c = CouplingConfig(params, gamma=float(gamma),
+                                           epsilon=Fraction(j, M))
+                    except DomainError:
+                        continue
+                    assert c.m == (1 - gamma) * M
+                    assert c.coupled_steps == (1 - Fraction(j, M)) * M
+                    assert type(c.m) is int and type(c.coupled_steps) is int
+                    checked += 1
+        assert checked > 100
+
+    def test_config_pickles_compares_and_hashes_as_before(self):
+        c = cfg(Params(7, 3, 3), 0.5714285714285714, oracle_budget=10**6)
+        same = cfg(Params(7, 3, 3), Fraction(4, 7), oracle_budget=10**6)
+        back = pickle.loads(pickle.dumps(c))
+        assert back == c == same
+        assert hash(back) == hash(c) == hash(same)
+        assert (back.m, back.coupled_steps) == (c.m, c.coupled_steps)
+        assert c != cfg(Params(7, 3, 3), Fraction(4, 7), p_mode="mc")
+        # the derived constants stay out of equality, hashing and repr
+        assert hash(c) == hash((c.params, c.gamma, c.epsilon, c.p_mode,
+                                c.mc_trials, c.oracle_budget))
+        assert "_m=" not in repr(c) and "_coupled_steps=" not in repr(c)
 
 
 class TestExactLaw:
@@ -136,6 +176,94 @@ class TestBoundaryVerdict:
         assert c.epsilon == Fraction(1, 7)
 
 
+def _all_state_laws(params):
+    """The exact next-edge law at every prefix state of the family, with
+    the state as pool column indices.  Read off the listed completions:
+    state S's weight at e counts the completions through S + e."""
+    fam = extension_family(OrderedHypergraph(params.n, params.k), params)
+    pool = list(combinations(range(1, params.n + 1), params.k))
+    column = {e: c for c, e in enumerate(pool)}
+    tails = np.array([[column[e] for e in tail] for tail in fam.completions])
+    M = params.M
+    for t in range(M):
+        picks = list(combinations(range(M), t))
+        keys = np.concatenate([tails[:, list(p)] for p in picks])
+        rest = np.concatenate([np.delete(tails, list(p), axis=1)
+                               for p in picks])
+        codes = keys @ (len(pool) ** np.arange(t, dtype=np.int64))
+        _, first, inv = np.unique(codes, return_index=True,
+                                  return_inverse=True)
+        states = keys[first]
+        W = np.zeros((len(states), len(pool)), dtype=np.int64)
+        np.add.at(W, (np.repeat(inv.reshape(-1), M - t), rest.reshape(-1)), 1)
+        free = np.ones(W.shape, dtype=bool)
+        free[np.arange(len(states))[:, None], states] = False
+        cols = np.broadcast_to(np.arange(len(pool)), W.shape)[free]
+        for key, c, w in zip(states.tolist(),
+                             cols.reshape(len(states), -1).tolist(),
+                             W[free].reshape(len(states), -1).tolist()):
+            yield key, StateLaw.from_weights(itemgetter(*c)(pool), tuple(w),
+                                             sum(w))
+
+
+class TestIntegerVerdict:
+    """near_uniform is min_ratio >= 1 - eps as one integer comparison, and
+    the memoised excess cumulative is the excess law."""
+
+    @staticmethod
+    def feasible_epsilons(params):
+        # eps = j/M <= gamma/3 with (1-gamma)M a positive integer
+        return [Fraction(j, params.M) for j in range(1, params.M)
+                if 3 * j <= params.M - 1]
+
+    @staticmethod
+    def check(law, eps, keep, undefined_excess=True):
+        verdict = law.near_uniform(eps)
+        assert verdict == (law.min_ratio >= keep)
+        if verdict:
+            memo = law.excess(eps)
+            assert law.excess(eps) is memo
+            fresh = StateLaw.from_weights(law.support, law.weights, law.total)
+            assert fresh.excess(eps) == memo
+            # the excess law (p - (1-eps) * uniform) / eps, as Fractions
+            cumulative, total = memo
+            uniform = Fraction(1, len(law.support))
+            for w, c, prev in zip(law.weights, cumulative, (0,) + cumulative):
+                assert Fraction(c - prev, total) == (
+                    Fraction(w, law.total) - keep * uniform) / eps
+        elif undefined_excess:
+            with pytest.raises(DomainError):
+                law.excess(eps)
+        return verdict
+
+    @pytest.mark.parametrize("params,states,near", [
+        (Params(6, 3, 2), 511, 11), (Params(7, 3, 3), 231911, 72)])
+    def test_every_state_every_feasible_epsilon(self, params, states, near):
+        fam = extension_family(OrderedHypergraph(params.n, params.k), params)
+        epsilons = [(eps, 1 - eps) for eps in self.feasible_epsilons(params)]
+        seen = holds = 0
+        pool = list(combinations(range(1, params.n + 1), params.k))
+        for key, law in _all_state_laws(params):
+            shallow = len(key) <= 1
+            if shallow:  # tie the listing above to the family's laws
+                edges = frozenset(pool[i] for i in key)
+                assert law == fam.state(edges, len(edges))
+            for eps, keep in epsilons:
+                holds += self.check(law, eps, keep, undefined_excess=shallow)
+            seen += 1
+        assert (seen, holds) == (states, near)
+
+    def test_equality_boundary(self):
+        # TestBoundaryVerdict's law: least ratio exactly 6/7 = 1 - 1/7
+        support = tuple(combinations(range(1, 8), 3))
+        weights = (6, 8) + (7,) * 33
+        law = StateLaw.from_weights(support, weights, 245)
+        assert law.min_ratio == Fraction(6, 7)
+        assert self.check(law, Fraction(1, 7), Fraction(6, 7))
+        below = StateLaw.from_weights(support, (6, 9) + (7,) * 32 + (6,), 245)
+        assert not self.check(below, Fraction(1, 8), Fraction(7, 8))
+
+
 class TestTraces:
     def test_trace_structural_invariants(self):
         c = cfg()
@@ -160,6 +288,17 @@ class TestTraces:
             assert tr.embedded == tr.accepted[:c.m] or tr.used_fallback
             if tr.contained and not tr.used_fallback:
                 assert set(tr.embedded) <= tr.regular_final.edge_set
+
+    @pytest.mark.parametrize("params,gamma", [
+        (N6, 0.75), (Params(7, 3, 3), 0.5714285714285714),
+        (Params(4, 2, 2), 0.75)])
+    def test_regular_final_equals_the_public_rebuild(self, params, gamma):
+        c = cfg(params, gamma)
+        for i in range(20):
+            final = run_coupling(c, RngStream(12, (i,))).regular_final
+            assert final == OrderedHypergraph(params.n, params.k,
+                                              list(final.edges))
+            assert final.edge_set == set(final.edges)
 
     def test_hard_containment_implication(self):
         # complete regular family: every state is exactly uniform, so the

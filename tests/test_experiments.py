@@ -12,7 +12,7 @@ from hypercouple import (
     run_experiment,
     validate_gamma_epsilon,
 )
-from hypercouple import experiments
+from hypercouple import experiments, oracle
 from hypercouple.experiments import (
     _parse_p_mode,
     config_from_args,
@@ -219,10 +219,24 @@ class TestCliBoundary:
         assert main(["bogus-subcommand"]) == 2
 
     def test_exhausted_budget_exits_two(self, capsys, monkeypatch):
+        # a family cached by an earlier test would be served without a walk
+        oracle._cached_family.cache_clear()
         monkeypatch.setenv("HYPERCOUPLE_NODE_BUDGET", "50")
         rc = main(["oracle-dump", "--n", "6", "--k", "3", "--d", "2"])
         assert rc == 2
         assert "budget exhausted" in capsys.readouterr().err
+
+    def test_oracle_dump_reads_simplicity_off_the_listed_family(
+            self, tmp_path, capsys, monkeypatch):
+        # the ordered-tail walk would need 11,205 * 7! leaves at (7,3,3)
+        monkeypatch.setenv("HYPERCOUPLE_NODE_BUDGET", "1000000")
+        out = tmp_path / "o"
+        rc = main(["oracle-dump", "--n", "7", "--k", "3", "--d", "3",
+                   "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        s = read_json(out)
+        assert s["unordered_completions"] == 11205
+        assert s["simplicity_probability"] == "4901067/56581525"
 
     def test_tv_check_skipped_when_family_outruns_budget(self, tmp_path,
                                                          capsys, monkeypatch):

@@ -1,0 +1,60 @@
+"""Pinned data-file digests: a silent change of any random stream fails here.
+
+Each run's `summary.json` and `rows.csv` must hash to the digests below at
+`--jobs 1` and `--jobs 2`.  The digests were recorded before coupling traces
+and samplers stopped re-validating their pool edges, a change that keeps
+every draw.  A change that does alter a stream must say so in CHANGES.md
+and re-record the digests it moves.
+"""
+
+import hashlib
+
+import pytest
+
+from hypercouple.experiments import main
+
+COUPLE_632 = ["couple", "--n", "6", "--k", "3", "--d", "2", "--gamma", "0.75",
+              "--trials", "200"]
+
+GOLDEN = {
+    "couple-632": (
+        COUPLE_632,
+        "c1ca9aec1825b76a1829d9d2d68a935837ce7cd1a68f60a395538462a3f7f398",
+        "dfd4b2922549ee8c943e7ebc00b8a6cdcc279df87282570b0e29560e0fca13df"),
+    "couple-632-traces": (
+        COUPLE_632 + ["--emit-traces"],
+        "c1ca9aec1825b76a1829d9d2d68a935837ce7cd1a68f60a395538462a3f7f398",
+        "d73aca1838bc61cef16d5a0138e789890612f272fcfb6657a76ca75046bf8880"),
+    "couple-733": (
+        ["couple", "--n", "7", "--k", "3", "--d", "3",
+         "--gamma", "0.5714285714285714", "--trials", "8"],
+        "1675b4ade78d7046265549a67d6018e845c647d4ade5da0fc6272a2666b763cd",
+        "9a3a7048eb7211e8361e0521c1dc0ad0c11123a6b800742ad0df6c40b791bdcf"),
+    "process-60": (
+        ["process-stats", "--n", "60", "--k", "3", "--d", "6",
+         "--trials", "20"],
+        "9a0a4301932fdebb716c6f59c9ffdfeac68a53f11b6a6ec3967a74022ceb2b18",
+        "543a6c15aa0444ca802e8913181b93f1c9da8e1d87abd883a4b2d94f998d44f9"),
+    "switching-932": (
+        ["switching-verify", "--n", "9", "--k", "3", "--d", "2",
+         "--switch-kind", "pair_degree", "--u", "1", "--v", "2",
+         "--base", "3,4,5"],
+        "bae84c78975c8af59710723837c435dcafa09cd709c753a793ebf7b4a63e14a4",
+        "d418653244184231b6fb96015ad771a56d7633116c1e5306d1b7249a05ca0a9f"),
+    "oracle-632": (
+        ["oracle-dump", "--n", "6", "--k", "3", "--d", "2"],
+        "320ed8c2baf27969d1ceed1a5e086301ded52d6b9ff4a75c8b1b18b0b09d067f",
+        "379bfb7bdd51aad11dc52444092753f8fc8589c9ea95e4baa934f126b20785b9"),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_data_files_keep_their_digests(name, jobs, tmp_path, capsys):
+    argv, summary, rows = GOLDEN[name]
+    out = tmp_path / name
+    rc = main(argv + ["--seed", "11", "--jobs", str(jobs), "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+               for f in ("summary.json", "rows.csv")}
+    assert digests == {"summary.json": summary, "rows.csv": rows}

@@ -109,6 +109,38 @@ class TestRegularSampler:
             sample_regular(prefix, Params(4, 2, 1), RngStream(0))
 
 
+def _rebuilt(g):
+    """g rebuilt through the validating public constructor."""
+    return OrderedHypergraph(g.n, g.k, list(g.edges))
+
+
+class TestTrustedBuilds:
+    """Samplers build their graphs without re-validating edges; every
+    result must equal the graph the public constructor builds from it."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gnm(self, seed):
+        g = sample_gnm(9, 3, 30, RngStream(seed))
+        assert g == _rebuilt(g)
+        assert g.edge_set == set(g.edges)
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("params,base", [
+        (Params(9, 3, 2), ()),
+        (Params(9, 3, 2), ((1, 2, 3), (2, 4, 7))),
+        # beyond half the complete degree: the complement route, once with
+        # a rejection-sampled complement and once with the complete graph
+        (Params(6, 3, 8), ()),
+        (Params(6, 3, 10), ()),
+    ])
+    def test_regular(self, seed, params, base):
+        prefix = OrderedHypergraph(params.n, params.k, base)
+        g = sample_regular(prefix, params, RngStream(seed))
+        assert g == _rebuilt(g)
+        assert g.edges[:len(base)] == base
+        assert len(g.edge_set) == len(g) == params.M
+
+
 class TestMultiExtension:
     def test_tail_respects_residual_degrees(self):
         p = Params(6, 3, 2)
