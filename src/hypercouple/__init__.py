@@ -5,7 +5,6 @@ Hamilton cycle search."""
 __version__ = "0.1.0"
 
 from .core import (
-    DegreeState,
     DomainError,
     Edge,
     Hypergraph,
@@ -15,13 +14,12 @@ from .core import (
     Params,
     codegree_rel,
     complement_edges,
-    default_concentration,
     format_edge_list,
     is_simple,
     make_edge,
     parse_edge_list,
     read_edge_list,
-    residual_state,
+    residual_degrees,
     write_edge_list,
 )
 from .oracle import (

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 Edge = tuple[int, ...]
 MultiEdge = tuple[int, ...]
@@ -64,11 +66,6 @@ class Params:
     def complete_count(self) -> int:
         """Number comb(n, k) of possible edges."""
         return math.comb(self.n, self.k)
-
-
-def default_concentration(k: int) -> float:
-    """Default constant 3*(k+2) entering the residual-degree deviation scale."""
-    return 3.0 * (k + 2)
 
 
 def make_edge(vertices: Iterable[int], n: int | None = None,
@@ -282,50 +279,29 @@ def codegree_rel(H: AnyGraph, G: AnyGraph, u: int, v: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class DegreeState:
-    """Residual degrees of a prefix toward a d-regular target.
+def residual_degrees(G: AnyGraph, params: Params) -> np.ndarray:
+    """Residual degrees X(v) = d - deg_G(v) of prefix G toward a d-regular
+    k-graph, as an int64 array indexed by vertex (index 0 holds 0); they
+    sum to k*(M - t).
 
-    residual[v] = d - deg_G(v); tau = 1 - t/M is the unexposed fraction and
-    delta = sqrt(a * tau * log(n) / d) the relative deviation scale used by
-    concentration checks.
-    """
-
-    residual: dict[int, int]
-    tau: float
-    delta: float
-
-    @property
-    def total(self) -> int:
-        return sum(self.residual.values())
-
-
-def residual_state(G: AnyGraph, params: Params, a: float | None = None) -> DegreeState:
-    """Residual degree state of prefix G toward a d-regular k-graph.
-
-    Raises InadmissiblePrefixError if some vertex already exceeds degree d.
+    Raises DomainError when G and params disagree on (n, k) or G has more
+    than M edges, and InadmissiblePrefixError naming the first vertex whose
+    degree already exceeds d.
     """
     if G.n != params.n or G.k != params.k:
         raise DomainError("graph and params disagree on (n, k)")
     t = len(G)
     if t > params.M:
         raise DomainError(f"prefix has {t} edges, more than M={params.M}")
-    if a is None:
-        a = default_concentration(params.k)
-    deg = G.degree_map()
-    residual = {}
-    for v in range(1, params.n + 1):
-        r = params.d - deg[v]
-        if r < 0:
-            raise InadmissiblePrefixError(
-                f"vertex {v} has degree {deg[v]} > d={params.d}"
-            )
-        residual[v] = r
-    tau = 1.0 - t / params.M
-    delta = math.sqrt(a * tau * math.log(params.n) / params.d)
-    state = DegreeState(residual=residual, tau=tau, delta=delta)
-    assert state.total == params.k * (params.M - t)
-    return state
+    copies = np.fromiter(chain.from_iterable(G.edge_set), dtype=np.int64,
+                         count=t * params.k)
+    residual = params.d - np.bincount(copies, minlength=params.n + 1)
+    residual[0] = 0
+    if residual.min() < 0:
+        v = int(np.argmax(residual < 0))
+        raise InadmissiblePrefixError(
+            f"vertex {v} has degree {params.d - residual[v]} > d={params.d}")
+    return residual
 
 
 def complement_edges(G: AnyGraph) -> Iterator[Edge]:

@@ -16,12 +16,14 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Iterator
 
 import numpy as np
@@ -47,7 +49,7 @@ from .oracle import (
     node_budget,
     switching_class_sizes,
 )
-from .process import residual_moments, residual_report
+from .process import residual_report
 from .samplers import (
     RejectionBudgetError,
     RngStream,
@@ -168,13 +170,16 @@ def _run_sample(cfg: ExperimentConfig) -> tuple[dict, list, list[tuple[str, byte
     o = cfg.options
     model = o.get("model", "regular")
     n, k = o["n"], o["k"]
-    if model == "regular":
-        Params(n, k, o["d"])  # validate early, in the parent process
-    elif model == "gnm":
-        if not 0 <= o["m"] <= math.comb(n, k):
-            raise DomainError(f"m={o['m']} outside 0..C(n,k)")
-    elif model != "gnp":
+    # validate early, in the parent process
+    needs = {"regular": "d", "gnm": "m", "gnp": "p"}.get(model)
+    if needs is None:
         raise DomainError(f"unknown sample model {model!r}")
+    if o.get(needs) is None:
+        raise DomainError(f"model {model} needs --{needs}")
+    if model == "regular":
+        Params(n, k, o["d"])
+    elif model == "gnm" and not 0 <= o["m"] <= math.comb(n, k):
+        raise DomainError(f"m={o['m']} outside 0..C(n,k)")
     payloads = [(model, n, k, o.get("d"), o.get("m"), o.get("p"),
                  cfg.seed, i) for i in range(cfg.trials)]
     texts = list(_parallel(_sample_worker, payloads, cfg.jobs))
@@ -197,7 +202,10 @@ def _parse_p_mode(raw: str) -> tuple[str, int]:
     if raw == "exact":
         return "exact", 0
     if raw.startswith("mc:"):
-        return "mc", int(raw.split(":", 1)[1])
+        try:
+            return "mc", int(raw[3:])
+        except ValueError:
+            pass
     raise DomainError(f"p-mode must be 'exact' or 'mc:<trials>', got {raw!r}")
 
 
@@ -209,7 +217,7 @@ def _couple_config(o: dict) -> CouplingConfig:
         eps = choose_epsilon(params, gamma)
     mode, mc_trials = _parse_p_mode(o.get("p_mode", "exact"))
     return CouplingConfig(params=params, gamma=gamma, epsilon=eps,
-                          p_mode=mode, mc_trials=max(mc_trials, 1))
+                          p_mode=mode, mc_trials=mc_trials)
 
 
 def _couple_worker(payload):
@@ -322,50 +330,32 @@ def _run_couple(cfg: ExperimentConfig, gnp: bool):
 # --------------------------------------------------------- process-stats ---
 
 def _process_worker(payload):
-    n, k, d, seed, idx, a = payload
-    rep = residual_report(Params(n, k, d), 1, RngStream(seed, (idx,)), a=a)
-    return rep.emp_mean, rep.envelope_exceed
+    params, seed, idx, a = payload
+    return residual_report(params, 1, RngStream(seed, (idx,)), a=a)
 
 
 def _run_process_stats(cfg: ExperimentConfig):
     o = cfg.options
     params = Params(o["n"], o["k"], o["d"])
-    a = o.get("a")
-    # one exposure per trial; aggregate in trial order
-    payloads = [(params.n, params.k, params.d, cfg.seed, i, a)
-                for i in range(cfg.trials)]
-    M = params.M
-    total = np.zeros((M + 1, params.n))
-    exceed = np.zeros(M + 1)
-    for emp_mean, exc in _parallel(_process_worker, payloads, cfg.jobs):
-        total += emp_mean
-        exceed += exc
-    emp_mean = total / cfg.trials
-    exceed /= cfg.trials
-    _, exact_mean, exact_var = residual_moments(params)
+    # one exposure per trial; the reports add up in trial order
+    payloads = [(params, cfg.seed, i, o.get("a")) for i in range(cfg.trials)]
+    rep = reduce(operator.add, _parallel(_process_worker, payloads, cfg.jobs))
+    zmax = np.abs(rep.z_scores()).max(axis=1)
     rows: list[tuple] = [("t", "exact_mean", "exact_var", "emp_mean_min",
                           "emp_mean_max", "max_abs_z", "envelope_exceed")]
-    worst = 0.0
-    for t in range(M + 1):
-        if exact_var[t] > 0:
-            z = np.abs(emp_mean[t] - exact_mean[t]) / math.sqrt(
-                exact_var[t] / cfg.trials)
-            zmax = float(z.max())
-        else:
-            zmax = 0.0
-        worst = max(worst, zmax)
-        rows.append((t, round(float(exact_mean[t]), 6),
-                     round(float(exact_var[t]), 6),
-                     round(float(emp_mean[t].min()), 6),
-                     round(float(emp_mean[t].max()), 6),
-                     round(zmax, 4), round(float(exceed[t]), 6)))
+    for t in range(params.M + 1):
+        rows.append((t, round(float(rep.exact_mean[t]), 6),
+                     round(float(rep.exact_var[t]), 6),
+                     round(float(rep.emp_mean[t].min()), 6),
+                     round(float(rep.emp_mean[t].max()), 6),
+                     round(float(zmax[t]), 4),
+                     round(float(rep.envelope_exceed[t]), 6)))
     summary = {
         "kind": "process-stats", "schema_version": SCHEMA_VERSION,
         "n": params.n, "k": params.k, "d": params.d, "trials": cfg.trials,
-        "max_abs_mean_z": round(worst, 4),
-        "envelope_a": a if a is not None else 3.0 * (params.k + 2),
-        "envelope_exceed_rate": round(float(exceed[1:M].mean()), 6)
-        if M > 1 else 0.0,
+        "max_abs_mean_z": round(rep.max_abs_mean_z(), 4),
+        "envelope_a": rep.a,
+        "envelope_exceed_rate": round(rep.overall_exceed_rate, 6),
     }
     return summary, rows, []
 

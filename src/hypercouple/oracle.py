@@ -38,7 +38,7 @@ from .core import (
     OrderedHypergraph,
     Params,
     make_edge,
-    residual_state,
+    residual_degrees,
 )
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -71,6 +71,23 @@ def node_budget(override: int | None = None) -> int:
             raise DomainError(f"bad {ENV_NODE_BUDGET}={raw!r}")
         return value
     return DEFAULT_NODE_BUDGET
+
+
+EXACT_MODES = ("auto", "never", "require")
+
+
+def check_exact_mode(exact: str) -> None:
+    """Reject an `exact=` value other than 'auto', 'never' or 'require'."""
+    if exact not in EXACT_MODES:
+        raise DomainError(f"exact must be one of {EXACT_MODES}, got {exact!r}")
+
+
+def check_pair(u: int, v: int, n: int) -> None:
+    """Reject a marked pair that is not two distinct vertices of 1..n."""
+    if u == v:
+        raise DomainError("statistic needs two distinct vertices")
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise DomainError(f"vertices u={u}, v={v} must lie in 1..{n}")
 
 
 @dataclass(frozen=True)
@@ -282,7 +299,7 @@ _SWEEP_ROWS = 1 << 14
 _LIST_BYTES = 1 << 28
 
 
-def _sweep_completions(n: int, k: int, residual: list[int] | None,
+def _sweep_completions(n: int, k: int, residual: np.ndarray | None,
                        base: frozenset[Edge],
                        budget: int) -> tuple[np.ndarray, int]:
     """List the completion tails as packed rows, in lexicographic order.
@@ -304,11 +321,10 @@ def _sweep_completions(n: int, k: int, residual: list[int] | None,
     through = incidence.sum(axis=0)
     # later[c, v]: free pool edges after edge c that contain vertex v
     later = through - np.cumsum(incidence, axis=0)
-    if residual is None or any(
-            r > f for r, f in zip(residual, through.tolist())):
+    if residual is None or (residual > through).any():
         # a vertex overflows, or cannot reach degree d: nothing to list
         return np.zeros((0, width), dtype=np.uint8), 0
-    start = np.array(residual, dtype=np.min_scalar_type(max(residual)))
+    start = residual.astype(np.min_scalar_type(residual.max()))
     row_bytes = start.nbytes + width
     listed = bytearray()
     stack = [(0, start[None, :], np.zeros((1, width), dtype=np.uint8))]
@@ -355,18 +371,6 @@ def _sweep_completions(n: int, k: int, residual: list[int] | None,
     return rows, nodes
 
 
-def _residual_list(G: OrderedHypergraph, params: Params) -> list[int] | None:
-    """Residual degrees as a 1-indexed list, or None if some vertex overflows."""
-    deg = G.degree_map()
-    residual = [0] * (params.n + 1)
-    for v in range(1, params.n + 1):
-        r = params.d - deg[v]
-        if r < 0:
-            return None
-        residual[v] = r
-    return residual
-
-
 def count_extensions(G: OrderedHypergraph, params: Params,
                      list_completions: bool = False,
                      budget: int | None = None) -> ExtensionFamily:
@@ -377,13 +381,11 @@ def count_extensions(G: OrderedHypergraph, params: Params,
     OracleBudgetError, as does a listing that would hold more than
     _LIST_BYTES.
     """
-    if G.n != params.n or G.k != params.k:
-        raise DomainError("graph and params disagree on (n, k)")
-    t = len(G)
-    if t > params.M:
-        raise DomainError(f"prefix has {t} edges, more than M={params.M}")
+    try:
+        residual = residual_degrees(G, params)
+    except InadmissiblePrefixError:
+        residual = None
     base = frozenset(G.edge_set)
-    residual = _residual_list(G, params)
     rows = None
     if list_completions:
         rows, nodes = _sweep_completions(params.n, params.k, residual, base,
@@ -392,8 +394,8 @@ def count_extensions(G: OrderedHypergraph, params: Params,
     elif residual is None:  # a vertex overflows: nothing to walk
         count = nodes = 0
     else:
-        bt = _FocusBacktracker(params.n, params.k, residual, set(base),
-                               node_budget(budget))
+        bt = _FocusBacktracker(params.n, params.k, residual.tolist(),
+                               set(base), node_budget(budget))
         bt.run()
         count, nodes = bt.count, bt.nodes
     return ExtensionFamily(
@@ -486,8 +488,7 @@ def switching_class_sizes(G: OrderedHypergraph, u: int, v: int, kind: str,
     """
     if kind not in ("pair_degree", "codegree"):
         raise DomainError(f"unknown switching statistic kind {kind!r}")
-    if u == v:
-        raise DomainError("statistic needs two distinct vertices")
+    check_pair(u, v, params.n)
     fam = extension_family(G, params, budget)
     t = len(G)
     orderings = math.factorial(params.M - t)
@@ -562,9 +563,9 @@ class _SequentialTailCounter:
 
 def residual_multiset_permutations(G: OrderedHypergraph, params: Params) -> int:
     """Number N_G of distinct arrangements of the residual vertex copies."""
-    st = residual_state(G, params)
-    total = math.factorial(st.total)
-    for r in st.residual.values():
+    residual = residual_degrees(G, params).tolist()
+    total = math.factorial(sum(residual))
+    for r in residual:
         total //= math.factorial(r)
     return total
 
@@ -577,14 +578,8 @@ def exact_simplicity_probability(G: OrderedHypergraph, params: Params,
     permutations, so P = T * (k!)^(M-t) / N_G.  Raises
     InadmissiblePrefixError when the residual multiset does not exist.
     """
-    if G.n != params.n or G.k != params.k:
-        raise DomainError("graph and params disagree on (n, k)")
+    residual = residual_degrees(G, params).tolist()
     t = len(G)
-    if t > params.M:
-        raise DomainError(f"prefix has {t} edges, more than M={params.M}")
-    residual = _residual_list(G, params)
-    if residual is None:
-        raise InadmissiblePrefixError("a vertex exceeds degree d; no multiset")
     counter = _SequentialTailCounter(params.n, params.k, residual,
                                      set(G.edge_set), params.M - t,
                                      node_budget(budget))
@@ -631,9 +626,9 @@ def verify_ratio_identity(G: OrderedHypergraph, e: Edge, f: Edge, params: Params
     u_f = len(fam.rows_with({f}))
     if u_f == 0:
         raise DomainError("f does not extend G admissibly; ratio undefined")
-    st = residual_state(G, params)
-    num = math.prod(st.residual[w] for w in set(e) - set(f))
-    den = math.prod(st.residual[w] for w in set(f) - set(e))
+    residual = residual_degrees(G, params).tolist()
+    num = math.prod(residual[w] for w in set(e) - set(f))
+    den = math.prod(residual[w] for w in set(f) - set(e))
     residual_ratio = Fraction(num, den)
     extension_ratio = Fraction(u_e, u_f)
     p_f = exact_simplicity_probability(

@@ -44,10 +44,6 @@ class ProcessTrace:
     graph: OrderedHypergraph
     residuals: np.ndarray
 
-    @property
-    def params_shape(self) -> tuple[int, int]:
-        return self.residuals.shape
-
 
 def expose_process(params: Params, rng) -> ProcessTrace:
     """Sample R(n,d) with a uniform edge order and expose it one edge at a
@@ -71,18 +67,36 @@ class ResidualReport:
     tau*d and the exact variance t*(d/M)*(1-d/M)*(M-t)/(M-1).  Moments are
     kept per vertex (shape (M+1, n)): the row sum of X_t over vertices is
     the constant k*(M-t), so pooled means carry no information.  The
-    envelope row counts how often |X_t(v) - tau*d| exceeded
-    sqrt(a*tau*d*log n).
+    envelope row is the share of vertices with |X_t(v) - tau*d| above
+    sqrt(a*tau*d*log n), averaged over trials.  The report keeps sums over
+    its trials, so reports on the same params and a add up, in the order
+    they are added, to the report over all their trials.
     """
 
     params: Params
     trials: int
     a: float
-    emp_mean: np.ndarray
-    emp_var: np.ndarray
+    residual_sum: np.ndarray
+    exceed_sum: np.ndarray
     exact_mean: np.ndarray
     exact_var: np.ndarray
-    envelope_exceed: np.ndarray
+
+    def __add__(self, other: "ResidualReport") -> "ResidualReport":
+        if (other.params, other.a) != (self.params, self.a):
+            raise DomainError("only reports on the same params and a add up")
+        return ResidualReport(
+            params=self.params, trials=self.trials + other.trials, a=self.a,
+            residual_sum=self.residual_sum + other.residual_sum,
+            exceed_sum=self.exceed_sum + other.exceed_sum,
+            exact_mean=self.exact_mean, exact_var=self.exact_var)
+
+    @property
+    def emp_mean(self) -> np.ndarray:
+        return self.residual_sum / self.trials
+
+    @property
+    def envelope_exceed(self) -> np.ndarray:
+        return self.exceed_sum / self.trials
 
     @property
     def overall_exceed_rate(self) -> float:
@@ -90,23 +104,24 @@ class ResidualReport:
         return float(self.envelope_exceed[1:-1].mean()) if self.params.M > 1 \
             else 0.0
 
+    def z_scores(self) -> np.ndarray:
+        """Standard score of every vertex's empirical mean at every step
+        against the exact hypergeometric moments, shape (M+1, n); 0 where
+        the exact variance is 0, as at t = 0 and t = M."""
+        se = np.sqrt(self.exact_var / self.trials)[:, None]
+        z = np.zeros_like(self.residual_sum)
+        np.divide(self.emp_mean - self.exact_mean[:, None], se, out=z,
+                  where=se > 0)
+        return z
+
     def mean_z(self, t: int, v: int) -> float:
-        """Standard score of vertex v's empirical mean at step t against the
-        exact hypergeometric moments."""
-        var = self.exact_var[t]
-        if var == 0.0:
-            return 0.0
-        return float((self.emp_mean[t, v - 1] - self.exact_mean[t])
-                     / math.sqrt(var / self.trials))
+        """Standard score of vertex v's empirical mean at step t."""
+        return float(self.z_scores()[t, v - 1])
 
     def max_abs_mean_z(self) -> float:
-        """Worst per-vertex mean deviation over all interior steps, in exact
-        standard errors."""
-        worst = 0.0
-        for t in range(1, self.params.M):
-            for v in range(1, self.params.n + 1):
-                worst = max(worst, abs(self.mean_z(t, v)))
-        return worst
+        """Worst per-vertex mean deviation over all steps, in exact standard
+        errors."""
+        return float(np.abs(self.z_scores()).max())
 
 
 def residual_moments(params: Params) -> tuple[np.ndarray, np.ndarray,
@@ -131,31 +146,29 @@ def residual_report(params: Params, trials: int, rng,
 
     The pooled per-step variance over vertices is slightly below the
     marginal one (degrees are negatively associated), so only means are
-    meant for tight tests; a defaults to the concentration constant
-    3*(k+2) used by the degree-envelope heuristics.
+    meant for tight tests; a must be positive and defaults to the
+    concentration constant 3*(k+2) used by the degree-envelope heuristics.
     """
     if trials < 1:
         raise DomainError("trials must be positive")
     if a is None:
         a = 3.0 * (params.k + 2)
+    if not a > 0:
+        raise DomainError(f"envelope constant a must be positive, got {a}")
     gen = as_generator(rng)
     M, n, d = params.M, params.n, params.d
     tau, exact_mean, exact_var = residual_moments(params)
     width = np.sqrt(a * tau * d * math.log(n))
     total = np.zeros((M + 1, n))
-    total_sq = np.zeros((M + 1, n))
-    exceed = np.zeros((M + 1, n))
+    exceed = np.zeros(M + 1)
     for _ in range(trials):
         res = expose_process(params, gen).residuals.astype(float)
         total += res
-        total_sq += res * res
-        exceed += np.abs(res - exact_mean[:, None]) > width[:, None]
-    emp_mean = total / trials
-    emp_var = total_sq / trials - emp_mean**2
-    return ResidualReport(params=params, trials=trials, a=a, emp_mean=emp_mean,
-                          emp_var=emp_var, exact_mean=exact_mean,
-                          exact_var=exact_var,
-                          envelope_exceed=exceed.mean(axis=1) / trials)
+        exceed += (np.abs(res - exact_mean[:, None])
+                   > width[:, None]).mean(axis=1)
+    return ResidualReport(params=params, trials=trials, a=a,
+                          residual_sum=total, exceed_sum=exceed,
+                          exact_mean=exact_mean, exact_var=exact_var)
 
 
 def best_average_edge(G: OrderedHypergraph, params: Params,

@@ -18,19 +18,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
 from .core import (
     DomainError,
     Edge,
-    InadmissiblePrefixError,
     MultiEdge,
     OrderedHypergraph,
     Hypergraph,
     Params,
-    residual_state,
+    residual_degrees,
 )
 from . import oracle
 from .stats import wilson_interval
@@ -122,19 +121,9 @@ class MultiExtension:
 
 def _residual_vector(G: OrderedHypergraph, params: Params) -> np.ndarray:
     """The residual vertex copies of prefix G: vertex v repeated d - deg(v)
-    times, in vertex order.  Raises as `residual_state` does."""
-    if G.n != params.n or G.k != params.k:
-        raise DomainError("graph and params disagree on (n, k)")
-    if len(G) > params.M:
-        raise DomainError(f"prefix has {len(G)} edges, more than M={params.M}")
-    copies = np.fromiter(chain.from_iterable(G.edge_set), dtype=np.int64,
-                         count=len(G) * params.k)
-    residual = params.d - np.bincount(copies, minlength=params.n + 1)[1:]
-    if residual.min() < 0:
-        v = int(np.argmax(residual < 0)) + 1
-        raise InadmissiblePrefixError(
-            f"vertex {v} has degree {params.d - residual[v - 1]} > d={params.d}")
-    return np.repeat(np.arange(1, params.n + 1, dtype=np.int64), residual)
+    times, in vertex order.  Raises as `residual_degrees` does."""
+    return np.repeat(np.arange(params.n + 1, dtype=np.int64),
+                     residual_degrees(G, params))
 
 
 def sample_multi_extension(G: OrderedHypergraph, params: Params,
@@ -308,15 +297,13 @@ def exact_simplicity_from_count(G: OrderedHypergraph, params: Params,
 def simplicity_from_completions(G: OrderedHypergraph, params: Params,
                                 unordered_count: int) -> Fraction:
     """P(simple) from the number |R_G| of unordered completions of G:
-    |R_G| (M-t)! (k!)^(M-t) prod r! / (k(M-t))!.  Raises
-    InadmissiblePrefixError when a vertex of G exceeds degree d."""
+    |R_G| (M-t)! (k!)^(M-t) / N_G, with N_G the number of arrangements of
+    the residual vertex copies.  Raises InadmissiblePrefixError when a
+    vertex of G exceeds degree d."""
     t = len(G)
-    state = residual_state(G, params)
-    numerator = (unordered_count * math.factorial(params.M - t)
-                 * math.factorial(params.k) ** (params.M - t))
-    for r in state.residual.values():
-        numerator *= math.factorial(r)
-    return Fraction(numerator, math.factorial(params.k * (params.M - t)))
+    return Fraction(unordered_count * math.factorial(params.M - t)
+                    * math.factorial(params.k) ** (params.M - t),
+                    oracle.residual_multiset_permutations(G, params))
 
 
 def simplicity_probability(G: OrderedHypergraph, params: Params, trials: int,
@@ -326,6 +313,7 @@ def simplicity_probability(G: OrderedHypergraph, params: Params, trials: int,
     instance is small enough to count (exact='auto'|'never'|'require')."""
     if trials < 1:
         raise DomainError("trials must be positive")
+    oracle.check_exact_mode(exact)
     _, successes, _ = _configuration_rejection(G, params, as_generator(rng),
                                                trials, first=False)
     p_hat = successes / trials

@@ -35,7 +35,7 @@ from .core import (
     Params,
     codegree_rel,
     make_edge,
-    residual_state,
+    residual_degrees,
 )
 from . import oracle
 from .samplers import as_generator, sample_regular
@@ -407,6 +407,7 @@ def edge_probability(G: OrderedHypergraph, e: Edge, params: Params, trials: int,
         raise DomainError(f"edge {e} already lies in G")
     if trials < 1:
         raise DomainError("trials must be positive")
+    oracle.check_exact_mode(exact)
     gen = as_generator(rng)
     successes = 0
     for _ in range(trials):
@@ -469,13 +470,15 @@ def tail_profile(G: OrderedHypergraph, u: int, v: int, kind: str, params: Params
     exactly via enumeration when feasible, otherwise by sampling."""
     if kind not in ("pair_degree", "codegree"):
         raise DomainError(f"unknown statistic kind {kind!r}")
-    state = residual_state(G, params)
-    tau = state.tau
+    oracle.check_pair(u, v, params.n)
+    oracle.check_exact_mode(exact)
+    residual = residual_degrees(G, params)
+    tau = 1.0 - len(G) / params.M
     if kind == "pair_degree":
         threshold = c * tau * params.d / params.n
     else:
         threshold = c * tau * params.d ** 2 / params.n ** (params.k - 1)
-    hypothesis_ok = max(state.residual.values()) <= 2 * tau * params.d
+    hypothesis_ok = bool(residual.max() <= 2 * tau * params.d)
 
     sizes: dict[int, int] | None = None
     dist: dict[int, float] = {}

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from hypercouple import (
     make_edge,
     parse_edge_list,
     read_edge_list,
-    residual_state,
+    residual_degrees,
     write_edge_list,
 )
 
@@ -161,20 +162,49 @@ class TestCodegree:
             codegree_rel(H, G, 1, 2)
 
 
-class TestResidualState:
-    def test_totals_and_tau(self):
-        p = Params(6, 3, 2)
-        g = OrderedHypergraph(6, 3, [(1, 2, 3)])
-        st_ = residual_state(g, p)
-        assert st_.total == p.k * (p.M - 1)
-        assert st_.tau == pytest.approx(1 - 1 / p.M)
-        assert st_.residual[1] == 1 and st_.residual[4] == 2
+class TestResidualDegrees:
+    @pytest.mark.parametrize("graph", [OrderedHypergraph, Hypergraph])
+    @pytest.mark.parametrize("params, prefix", [
+        (Params(6, 3, 2), ()),
+        (Params(6, 3, 2), ((1, 2, 3),)),
+        (Params(9, 3, 2), ((1, 2, 3), (1, 4, 5), (2, 6, 9))),
+        (Params(12, 2, 3), ((1, 12), (3, 7), (1, 2))),
+    ])
+    def test_d_minus_degree_by_vertex(self, graph, params, prefix):
+        g = graph(params.n, params.k, prefix)
+        r = residual_degrees(g, params)
+        assert r.dtype == np.int64 and r.shape == (params.n + 1,)
+        assert r[0] == 0
+        assert r.tolist()[1:] == [params.d - g.degree(v)
+                                  for v in range(1, params.n + 1)]
+        assert r.sum() == params.k * (params.M - len(prefix))
 
-    def test_overfull_prefix_rejected(self):
-        p = Params(6, 3, 1)
-        g = OrderedHypergraph(6, 3, [(1, 2, 3), (1, 4, 5)])
-        with pytest.raises(InadmissiblePrefixError):
-            residual_state(g, p)
+    def test_complete_prefix_leaves_nothing(self):
+        p = Params(6, 3, 2)
+        g = OrderedHypergraph(6, 3, [(1, 2, 3), (1, 4, 5), (2, 4, 6),
+                                     (3, 5, 6)])
+        assert not residual_degrees(g, p).any()
+
+    def test_overfull_prefix_names_the_first_overfull_vertex(self):
+        p = Params(6, 3, 2)
+        g = OrderedHypergraph(6, 3, [(1, 3, 5), (2, 3, 5), (3, 4, 5)])
+        with pytest.raises(InadmissiblePrefixError,
+                           match=r"^vertex 3 has degree 3 > d=2$"):
+            residual_degrees(g, p)
+
+    @pytest.mark.parametrize("g, p, message", [
+        (OrderedHypergraph(6, 3), Params(6, 2, 2),
+         "graph and params disagree on (n, k)"),
+        (OrderedHypergraph(6, 3), Params(9, 3, 2),
+         "graph and params disagree on (n, k)"),
+        (OrderedHypergraph(4, 2, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]),
+         Params(4, 2, 2), "prefix has 5 edges, more than M=4"),
+    ])
+    def test_shape_errors(self, g, p, message):
+        with pytest.raises(DomainError) as err:
+            residual_degrees(g, p)
+        assert type(err.value) is DomainError
+        assert str(err.value) == message
 
 
 class TestSerialization:

@@ -218,6 +218,22 @@ class TestCliBoundary:
                      "--gamma", "0.01"]) == 2
         assert main(["bogus-subcommand"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n", "6", "--k", "3"],
+        ["sample", "--n", "6", "--k", "3", "--model", "gnm"],
+        ["sample", "--n", "6", "--k", "3", "--model", "gnp"],
+        ["couple", "--n", "6", "--k", "3", "--d", "2", "--gamma", "0.75",
+         "--p-mode", "mc:x"],
+        ["couple", "--n", "6", "--k", "3", "--d", "2", "--gamma", "0.75",
+         "--p-mode", "mc:0"],
+        ["process-stats", "--n", "9", "--k", "3", "--d", "2", "--a", "-1"],
+        ["switching-verify", "--n", "6", "--k", "3", "--d", "2",
+         "--switch-kind", "pair_degree", "--u", "1", "--v", "9"],
+    ])
+    def test_bad_or_missing_options_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_exhausted_budget_exits_two(self, capsys, monkeypatch):
         # a family cached by an earlier test would be served without a walk
         oracle._cached_family.cache_clear()

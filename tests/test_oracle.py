@@ -26,6 +26,7 @@ from hypercouple import (
     switching_class_sizes,
     verify_ratio_identity,
 )
+from hypercouple.samplers import simplicity_from_completions
 
 
 def empty(n, k):
@@ -93,6 +94,20 @@ class TestConfigurationIdentity:
         n_seq = Fraction(math.factorial(n * d), math.factorial(d) ** n)
         ordered_tails = fam.unordered_count * math.factorial(p.M)
         assert ps * n_seq == ordered_tails * math.factorial(k) ** p.M
+
+    @pytest.mark.parametrize("nkd, prefix", [
+        ((6, 3, 2), ()),
+        ((6, 3, 2), ((1, 2, 3),)),
+        ((6, 2, 2), ((1, 2), (1, 3))),
+        ((9, 3, 2), ((1, 2, 3), (1, 4, 5))),
+        ((7, 3, 3), ((1, 2, 3), (4, 5, 6))),
+    ])
+    def test_count_route_equals_direct_enumeration(self, nkd, prefix):
+        p = Params(*nkd)
+        g = OrderedHypergraph(p.n, p.k, prefix)
+        u = count_extensions(g, p).unordered_count
+        assert simplicity_from_completions(g, p, u) \
+            == exact_simplicity_probability(g, p)
 
     def test_frozen_simplicity_probabilities(self):
         assert exact_simplicity_probability(empty(6, 3), Params(6, 3, 2)) \
@@ -169,6 +184,12 @@ class TestRatioIdentity:
 
 
 class TestClassSizes:
+    @pytest.mark.parametrize("u, v", [(1, 9), (0, 2), (7, 1), (3, 3)])
+    def test_pair_outside_the_vertices_is_rejected(self, u, v):
+        with pytest.raises(DomainError):
+            switching_class_sizes(empty(6, 3), u, v, "pair_degree",
+                                  Params(6, 3, 2))
+
     def test_frozen_pair_degree_classes(self):
         cs = switching_class_sizes(empty(6, 3), 1, 2, "pair_degree",
                                    Params(6, 3, 2))

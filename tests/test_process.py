@@ -90,6 +90,42 @@ class TestResidualReport:
         with pytest.raises(DomainError):
             residual_report(N9, 0, RngStream(0))
 
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
+    def test_rejects_a_nonpositive_envelope_constant(self, a):
+        with pytest.raises(DomainError, match="must be positive"):
+            residual_report(N9, 1, RngStream(0), a=a)
+
+    def test_z_scores_follow_the_per_step_formula(self):
+        rep = residual_report(N9, 40, RngStream(7))
+        z = rep.z_scores()
+        assert z.shape == (N9.M + 1, N9.n)
+        assert not z[0].any() and not z[N9.M].any()
+        for t in range(1, N9.M):
+            tau = (N9.M - t) / N9.M
+            var = t * (2 / N9.M) * (1 - 2 / N9.M) * (N9.M - t) / (N9.M - 1)
+            for v in range(1, N9.n + 1):
+                want = (rep.emp_mean[t, v - 1] - tau * 2) / math.sqrt(var / 40)
+                assert z[t, v - 1] == pytest.approx(want, rel=1e-12)
+                assert rep.mean_z(t, v) == z[t, v - 1]
+        assert rep.max_abs_mean_z() == np.abs(z).max()
+
+    def test_trial_reports_add_up_to_the_joint_report(self):
+        joint = residual_report(N9, 3, RngStream(8).generator())
+        gen = RngStream(8).generator()
+        parts = [residual_report(N9, 1, gen) for _ in range(3)]
+        summed = parts[0] + parts[1] + parts[2]
+        assert summed.trials == 3 and summed.a == joint.a
+        assert np.array_equal(summed.residual_sum, joint.residual_sum)
+        assert np.array_equal(summed.exceed_sum, joint.exceed_sum)
+        assert np.array_equal(summed.z_scores(), joint.z_scores())
+
+    def test_reports_on_different_instances_do_not_add(self):
+        rep = residual_report(N9, 1, RngStream(0))
+        with pytest.raises(DomainError):
+            rep + residual_report(N9, 1, RngStream(0), a=1.0)
+        with pytest.raises(DomainError):
+            rep + residual_report(Params(6, 3, 2), 1, RngStream(0))
+
 
 class TestBestAverageEdge:
     def test_returns_lex_least_maximizer(self):

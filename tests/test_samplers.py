@@ -8,6 +8,7 @@ import pytest
 
 from hypercouple import (
     DomainError,
+    InadmissiblePrefixError,
     OrderedHypergraph,
     Params,
     RejectionBudgetError,
@@ -15,7 +16,6 @@ from hypercouple import (
     as_generator,
     count_extensions,
     is_simple,
-    residual_state,
     sample_gnm,
     sample_gnp,
     sample_multi_extension,
@@ -232,12 +232,6 @@ STREAM_CASES = [
 class TestResidualVector:
     """The residual vertex copies come straight from a degree count."""
 
-    @staticmethod
-    def from_state(G, params):
-        st = residual_state(G, params)
-        return np.repeat(np.fromiter(st.residual.keys(), dtype=np.int64),
-                         np.fromiter(st.residual.values(), dtype=np.int64))
-
     @pytest.mark.parametrize("params, prefix", [
         (Params(9, 3, 2), ()),
         (Params(9, 3, 2), ((1, 2, 3), (4, 5, 6))),
@@ -245,26 +239,22 @@ class TestResidualVector:
         (Params(6, 3, 2), ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6))),
         (Params(12, 2, 3), ((1, 12), (3, 7), (1, 2))),
     ])
-    def test_equals_the_residual_state_vector(self, params, prefix):
+    def test_equals_an_independent_copy_count(self, params, prefix):
         G = OrderedHypergraph(params.n, params.k, prefix)
         got = _residual_vector(G, params)
-        want = self.from_state(G, params)
+        want = _residual_copies(G, params)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
-    @pytest.mark.parametrize("G, params", [
+    @pytest.mark.parametrize("G, params, error", [
         (OrderedHypergraph(6, 3, [(1, 2, 3), (1, 4, 5), (1, 2, 6)]),
-         Params(6, 3, 2)),
-        (OrderedHypergraph(6, 3), Params(6, 2, 2)),
+         Params(6, 3, 2), InadmissiblePrefixError),
+        (OrderedHypergraph(6, 3), Params(6, 2, 2), DomainError),
         (OrderedHypergraph(4, 2, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]),
-         Params(4, 2, 2)),
+         Params(4, 2, 2), DomainError),
     ])
-    def test_raises_as_residual_state(self, G, params):
-        with pytest.raises(DomainError) as want:
-            residual_state(G, params)
-        with pytest.raises(DomainError) as got:
+    def test_rejects_what_has_no_residual_multiset(self, G, params, error):
+        with pytest.raises(error):
             _residual_vector(G, params)
-        assert type(got.value) is type(want.value)
-        assert str(got.value) == str(want.value)
 
 
 class TestRejectionStream:
@@ -331,6 +321,11 @@ class TestRejectionStream:
 
 
 class TestRejectionCounters:
+    def test_unknown_exact_mode_is_rejected(self):
+        with pytest.raises(DomainError, match="exact must be one of"):
+            simplicity_probability(OrderedHypergraph(6, 3), Params(6, 3, 2),
+                                   5, RngStream(0), exact="requre")
+
     def test_attempts_per_sample_match_exact_simplicity(self):
         # attempts per accepted sample are geometric with mean 1/P(simple)
         params = Params(9, 3, 2)

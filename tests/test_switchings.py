@@ -179,3 +179,22 @@ class TestProbesAgainstOracle:
         total = sum(cs.unordered_sizes.values())
         for val, cnt in cs.unordered_sizes.items():
             assert prof.distribution[val] == pytest.approx(cnt / total)
+
+    @pytest.mark.parametrize("exact", ["never", "require"])
+    @pytest.mark.parametrize("u, v", [(1, 7), (0, 2)])
+    def test_tail_profile_rejects_a_pair_outside_the_vertices(self, u, v,
+                                                              exact):
+        with pytest.raises(DomainError, match="must lie in 1..6"):
+            tail_profile(OrderedHypergraph(6, 3), u, v, "pair_degree",
+                         Params(6, 3, 2), RngStream(0), trials=5,
+                         exact=exact)
+
+    def test_unknown_exact_mode_is_rejected(self):
+        params = Params(6, 3, 2)
+        g = OrderedHypergraph(6, 3)
+        with pytest.raises(DomainError, match="exact must be one of"):
+            edge_probability(g, (4, 5, 6), params, 5, RngStream(0),
+                             exact="Never")
+        with pytest.raises(DomainError, match="exact must be one of"):
+            tail_profile(g, 1, 2, "pair_degree", params, RngStream(0),
+                         trials=5, exact="exact")
