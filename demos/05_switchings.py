@@ -3,12 +3,13 @@ statistic, and check that moves out of level L are exactly the moves into
 level L-1.  The class-size ratio that drops out is what tail bounds on the
 statistic are made of."""
 
+import numpy as np
+
 from hypercouple import (
-    Hypergraph,
     OrderedHypergraph,
     Params,
     backward_count,
-    count_extensions,
+    extension_family,
     forward_count,
     switching_class_sizes,
 )
@@ -17,23 +18,21 @@ from hypercouple import (
 def main():
     params = Params(5, 2, 2)
     base = OrderedHypergraph(5, 2)
-    fam = count_extensions(base, params, list_completions=True)
-    graphs = [Hypergraph(5, 2, tail) for tail in fam.completions]
-    print(f"2-regular graphs on 5 vertices: {len(graphs)}")
+    fam = extension_family(base, params)
+    print(f"2-regular graphs on 5 vertices: {fam.unordered_count}")
 
     pair = (1, 2)
-    level = {h: sum(1 for e in h.edge_set if 1 in e and 2 in e)
-             for h in graphs}
-    for lvl in sorted(set(level.values())):
-        upper = [h for h, s in level.items() if s == lvl]
-        lower = [h for h, s in level.items() if s == lvl - 1]
-        f = sum(forward_count(h, base, "pair_degree", pair=pair)
-                for h in upper)
-        b = sum(backward_count(h, base, "pair_degree", pair=pair)
-                for h in lower)
-        print(f"  level {lvl}: {len(upper)} graphs, forward {f} == back {b}")
-
     cs = switching_class_sizes(base, 1, 2, "pair_degree", params)
+    level = np.array(cs.values)
+    for lvl in sorted(cs.unordered_sizes):
+        # one call per class: the kernels count every member at once
+        upper = fam.restrict(level == lvl)
+        lower = fam.restrict(level == lvl - 1)
+        f = forward_count(upper, base, "pair_degree", pair=pair)
+        b = backward_count(lower, base, "pair_degree", pair=pair)
+        print(f"  level {lvl}: {upper.unordered_count} graphs, "
+              f"forward {f} == back {b}")
+
     print(f"levels occupied: {sorted(cs.unordered_sizes)} "
           f"(interval: {cs.is_interval})")
     sizes = cs.unordered_sizes

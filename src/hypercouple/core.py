@@ -144,13 +144,6 @@ class Hypergraph:
     def degree(self, v: int) -> int:
         return sum(1 for e in self._edges if v in e)
 
-    def degree_map(self) -> dict[int, int]:
-        deg = dict.fromkeys(range(1, self.n + 1), 0)
-        for e in self._edges:
-            for v in e:
-                deg[v] += 1
-        return deg
-
     def pair_degree(self, u: int, v: int) -> int:
         """Number of edges containing both u and v (symmetric)."""
         if u == v:
@@ -247,13 +240,6 @@ class OrderedHypergraph:
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self._seq if v in e)
-
-    def degree_map(self) -> dict[int, int]:
-        deg = dict.fromkeys(range(1, self.n + 1), 0)
-        for e in self._seq:
-            for v in e:
-                deg[v] += 1
-        return deg
 
 
 AnyGraph = Hypergraph | OrderedHypergraph

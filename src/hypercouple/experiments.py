@@ -34,6 +34,7 @@ from .core import (
     OrderedHypergraph,
     Params,
     format_edge_list,
+    make_edge,
 )
 from .coupling import (
     CouplingConfig,
@@ -368,49 +369,48 @@ def _run_switching_verify(cfg: ExperimentConfig):
     kind = o["switch_kind"]
     base = OrderedHypergraph(params.n, params.k, o.get("base_edges", []))
     u, v = o.get("u", 0), o.get("v", 0)
-    edge = tuple(o["edge"]) if o.get("edge") else None
-    pair = (u, v) if kind != "remove_edge" else None
-    sizes = switching_class_sizes(base, u, v, kind, params) if pair else None
+    if kind == "remove_edge":
+        if not o.get("edge"):
+            raise DomainError("remove_edge needs --edge")
+        edge = make_edge(o["edge"], params.n, params.k)
+        if edge in base:
+            raise DomainError("--edge lies in the fixed base prefix")
+    else:
+        pair = (u, v)
+        sizes = switching_class_sizes(base, u, v, kind, params)
     fam = extension_family(base, params)
     if not fam.admissible:
         raise DomainError("base prefix admits no completions")
-    graphs = [OrderedHypergraph._from_canonical(
-                  params.n, params.k, base.edges + tail).as_hypergraph()
-              for tail in fam.completions]
 
+    # each class goes to the counting kernels whole, as a restricted family
     if kind == "remove_edge":
-        if edge is None:
-            raise DomainError("remove_edge needs --edge")
-        if edge in base:
-            raise DomainError("--edge lies in the fixed base prefix")
-        having = [H for H in graphs if edge in H.edge_set]
-        lacking = [H for H in graphs if edge not in H.edge_set]
-        fsum = sum(forward_count(H, base, kind, edge=edge) for H in having)
-        bsum = sum(backward_count(H, base, kind, edge=edge) for H in lacking)
+        having = fam.holds(edge)
+        upper, lower = fam.restrict(having), fam.restrict(~having)
+        fsum = forward_count(upper, base, kind, edge=edge)
+        bsum = backward_count(lower, base, kind, edge=edge)
         rows = [("class", "size", "forward_sum", "backward_sum"),
-                (1, len(having), fsum, None), (0, len(lacking), None, bsum)]
+                (1, upper.unordered_count, fsum, None),
+                (0, lower.unordered_count, None, bsum)]
         balanced = fsum == bsum
         interval = None
     else:
-        by_level: dict[int, list] = {}
-        for H, s in zip(graphs, sizes.values):
-            by_level.setdefault(s, []).append(H)
+        values = np.array(sizes.values, dtype=np.int64)
         rows = [("class", "size", "forward_sum", "backward_sum")]
         balanced = True
-        for ell in sorted(by_level):
-            cls = by_level[ell]
-            fsum = sum(forward_count(H, base, kind, pair=pair) for H in cls)
-            below = by_level.get(ell - 1, [])
-            bsum = sum(backward_count(H, base, kind, pair=pair) for H in below)
+        for ell, size in sorted(sizes.unordered_sizes.items()):
+            fsum = forward_count(fam.restrict(values == ell), base, kind,
+                                 pair=pair)
+            bsum = backward_count(fam.restrict(values == ell - 1), base,
+                                  kind, pair=pair)
             balanced &= fsum == bsum
-            rows.append((ell, len(cls), fsum, bsum))
+            rows.append((ell, size, fsum, bsum))
         interval = {"bottom": sizes.bottom, "top": sizes.top,
                     "is_interval": sizes.is_interval}
     summary = {
         "kind": "switching-verify", "schema_version": SCHEMA_VERSION,
         "n": params.n, "k": params.k, "d": params.d,
         "switch_kind": kind, "u": u or None, "v": v or None,
-        "family_size": len(graphs), "balanced": balanced,
+        "family_size": fam.unordered_count, "balanced": balanced,
         "interval": interval,
     }
     return summary, rows, []

@@ -187,6 +187,19 @@ class ExtensionFamily:
         return {e: c for c, e in enumerate(
             combinations(range(1, self.params.n + 1), self.params.k))}
 
+    @cached_property
+    def tails(self) -> np.ndarray:
+        """Pool columns of each completion tail: one increasing row of
+        M - t column indices per completion, in the rows' order."""
+        if self.rows is None:
+            raise DomainError("family was counted without listing completions")
+        bits = np.unpackbits(self.rows, axis=1, count=len(self._columns),
+                             bitorder="little")
+        tails = np.nonzero(bits)[1].reshape(len(self.rows),
+                                            self.params.M - self.base_size)
+        tails.flags.writeable = False
+        return tails
+
     @property
     def completions(self) -> list[tuple[Edge, ...]] | None:
         """Tails as lexicographically sorted edge tuples, in the rows'
@@ -194,11 +207,23 @@ class ExtensionFamily:
         if self.rows is None:
             return None
         pool = tuple(self._columns)
-        bits = np.unpackbits(self.rows, axis=1, count=len(pool),
-                             bitorder="little")
-        cols = np.nonzero(bits)[1].reshape(len(self.rows),
-                                           self.params.M - self.base_size)
-        return [tuple(pool[c] for c in row) for row in cols.tolist()]
+        return [tuple(pool[c] for c in row) for row in self.tails.tolist()]
+
+    def holds(self, e: Edge) -> np.ndarray:
+        """Mask over the listed completions: does the tail contain edge e?"""
+        return (self.tails == self._columns[e]).any(axis=1)
+
+    def restrict(self, which) -> "ExtensionFamily":
+        """The listed completions that `which` (a boolean mask or index
+        array over the rows) selects, as a family over the same base; it
+        shares this family's unpacked tails instead of unpacking again."""
+        tails = self.tails[which]
+        sub = ExtensionFamily(params=self.params, base=self.base,
+                              unordered_count=len(tails),
+                              admissible=self.admissible,
+                              rows=self.rows[which])
+        sub.__dict__["tails"] = tails  # fills the cached property
+        return sub
 
     def rows_with(self, edges) -> np.ndarray:
         """Rows of the completions containing every edge of `edges` outside
@@ -490,23 +515,28 @@ def switching_class_sizes(G: OrderedHypergraph, u: int, v: int, kind: str,
         raise DomainError(f"unknown switching statistic kind {kind!r}")
     check_pair(u, v, params.n)
     fam = extension_family(G, params, budget)
-    t = len(G)
-    orderings = math.factorial(params.M - t)
-    base = G.edge_set
-    values: list[int] = []
-    for tail in fam.completions:
-        tail_set = set(tail)
-        if kind == "pair_degree":
-            value = sum(1 for e in tail if u in e and v in e)
-        else:
-            value = 0
-            for e in base | tail_set:
-                if u not in e or v in e:
-                    continue
-                swapped = tuple(sorted(set(e) - {u} | {v}))
-                if swapped in tail_set:
-                    value += 1
-        values.append(value)
+    orderings = math.factorial(params.M - len(G))
+    columns = fam._columns
+    tails = fam.tails
+    if kind == "pair_degree":
+        through = np.array([u in e and v in e for e in columns], dtype=bool)
+        values = through[tails].sum(axis=1)
+    else:
+        # a tail edge W+{v} counts when its swap W+{u} lies in G or in the
+        # same tail; -1 marks edges that have no swap (u in e, or v not)
+        swap = np.array([columns[tuple(sorted(set(e) - {v} | {u}))]
+                         if v in e and u not in e else -1 for e in columns])
+        in_base = np.zeros(len(columns) + 1, dtype=bool)  # [-1] stays False
+        in_base[[columns[e] for e in G.edge_set]] = True
+        # tails rows are increasing, so row * C + column is sorted overall
+        which = np.arange(len(tails))[:, None] * len(columns)
+        keys = (which + tails).ravel()
+        swapped = swap[tails]
+        wanted = which + swapped
+        at = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
+        in_tail = keys[at] == wanted
+        values = ((swapped >= 0) & (in_base[swapped] | in_tail)).sum(axis=1)
+    values = values.tolist()
     unordered = dict(Counter(values))
     top = max(unordered) if unordered else 0
     bottom = min(unordered) if unordered else 0

@@ -13,10 +13,17 @@ Which statistic the move targets fixes the labeling convention:
   sorted along the column order of row 1.  An extra exclusion forbids
   (column_1 - v) + u from being an edge of H.
 
-Forward counts enumerate legal moves out of H; backward counts enumerate,
-from a target H', every (source graph, move) pair that lands on H'.  Both
-ends of the double-counting identity sum over the same set of moves, so the
-totals agree exactly on enumerated families.
+The forward count of H is the number of legal moves out of H; the backward
+count of a target H' is the number of (source graph, move) pairs that land
+on H'.  One vectorised kernel per direction counts them (`forward_counts`,
+`backward_counts`, totalled by `forward_count` and `backward_count`) for a
+single graph, a sequence of graphs or a whole class at once, given as a
+listed `ExtensionFamily` restricted to the class's rows.  The iterators
+`iter_forward_moves` and `iter_backward_moves` list the moves one at a time;
+they are the kernels' independent second opinion, and the tests hold the
+two to equal counts member by member.  Both ends of the double-counting
+identity sum over the same set of moves, so the totals agree exactly on
+enumerated families.
 """
 
 from __future__ import annotations
@@ -24,7 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from functools import lru_cache
+from itertools import combinations, permutations
+from typing import Callable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .core import (
     AnyGraph,
@@ -199,13 +210,6 @@ def _forward_legal(rows: tuple[tuple[int, ...], ...], h_set: set[Edge]) -> bool:
     return all(col not in h_set or col in removed for col in _columns(rows))
 
 
-def forward_count(H: AnyGraph, G: AnyGraph, kind: str, *,
-                  edge: Edge | None = None,
-                  pair: tuple[int, int] | None = None) -> int:
-    """Number of legal switching moves out of H of the given kind."""
-    return sum(1 for _ in iter_forward_moves(H, G, kind, edge=edge, pair=pair))
-
-
 def _iter_increasing_partitions(
     rems: tuple[frozenset[int], ...],
     row_ok: Callable[[tuple[int, ...]], bool],
@@ -375,11 +379,341 @@ def _pair_degree_reconstructions(gu: Edge, gv: Edge, others: tuple[Edge, ...],
             yield emit(ordered_cols, (row1,) + partition, None)
 
 
-def backward_count(Hp: AnyGraph, G: AnyGraph, kind: str, *,
+# ------------------------------------------------------------ class counts --
+#
+# Every member of a listed family has the same number of pool edges, so each
+# choice the enumerators above make is a fixed choice of pool positions.  The
+# kernels below make those choices for a whole class at once: a frontier of
+# partial moves grows one pool edge per numpy step (np.nonzero keeps the
+# survivors of a vertex-mask test), and the last step tests the full k-by-k
+# matrices.  Counts equal the iterators' move counts member by member.
+
+# a single graph, a sequence of graphs with equally many edges, or a listed
+# family (each completion together with the family's base)
+Members = AnyGraph | Sequence[AnyGraph] | oracle.ExtensionFamily
+
+# partial moves times their widest per-move temporary, per numpy step: keeps
+# every temporary of the kernels to a few MB
+_CELLS = 1 << 18
+
+
+class _EdgeTable(NamedTuple):
+    """The lexicographic edge pool of (n, k) as arrays; W = ceil((n+1)/64)
+    words hold a vertex mask, so no bound on n is assumed."""
+
+    vertices: np.ndarray  # (C, k): edge c's vertices, increasing
+    masks: np.ndarray     # (C, W) uint64: edge c's vertex mask
+    bits: np.ndarray      # (n+1, W) uint64: the mask of one vertex
+    weights: np.ndarray   # (k, n+1): comb(n - x, k - i)
+
+    def rank(self, edges: np.ndarray) -> np.ndarray:
+        """Pool index of each increasing k-tuple along the last axis."""
+        k = len(self.weights)
+        return (len(self.vertices) - 1
+                - self.weights[np.arange(k), edges].sum(axis=-1))
+
+
+@lru_cache(maxsize=4)
+def _edge_table(n: int, k: int) -> _EdgeTable:
+    vertices = np.array(list(combinations(range(1, n + 1), k)),
+                        dtype=np.intp)
+    x = np.arange(n + 1)
+    bits = np.zeros((n + 1, (n + 64) // 64), dtype=np.uint64)
+    bits[x, x >> 6] = np.left_shift(np.uint64(1), (x & 63).astype(np.uint64))
+    weights = np.array([[math.comb(n - y, k - i) for y in range(n + 1)]
+                        for i in range(k)], dtype=np.int64)
+    return _EdgeTable(vertices, np.bitwise_or.reduce(bits[vertices], axis=1),
+                      bits, weights)
+
+
+class _Leads(NamedTuple):
+    """The edges that may stand as row 1 of a move of one kind and target."""
+
+    rows: np.ndarray     # (L, k): row 1's vertices in column order
+    ranks: np.ndarray    # (L,): pool index of row 1 as an edge
+    anchors: np.ndarray  # (L,): pool index of the kept anchor e_0, or -1
+    slots: np.ndarray    # (C,): lead index of each pool edge, or -1
+    clash: int           # codegree's u, else 0: (column 1 - v) + u is barred
+
+
+@lru_cache(maxsize=16)
+def _leads(n: int, k: int, kind: str, target: tuple[int, ...]) -> _Leads:
+    table = _edge_table(n, k)
+    anchors: list[Edge] = []
+    clash = 0
+    if kind == "remove_edge":
+        rows = [target]
+    elif kind == "pair_degree":
+        u, v = target
+        rows = [e for e in combinations(range(1, n + 1), k)
+                if u in e and v in e]
+    else:
+        u, v = target
+        rest = [x for x in range(1, n + 1) if x not in target]
+        ws = list(combinations(rest, k - 1))
+        rows = [(v,) + w for w in ws]
+        anchors = [tuple(sorted(w + (u,))) for w in ws]
+        clash = u
+    rows = np.array(rows, dtype=np.intp).reshape(-1, k)
+    ranks = table.rank(np.sort(rows, axis=1))
+    anchor_ranks = (table.rank(np.array(anchors, dtype=np.intp)) if anchors
+                    else np.full(len(rows), -1))
+    slots = np.full(len(table.vertices), -1)
+    slots[ranks] = np.arange(len(rows))
+    return _Leads(rows, ranks, anchor_ranks, slots, clash)
+
+
+@lru_cache(maxsize=4)
+def _orders(k: int) -> np.ndarray:
+    """The (k-1)! orders in which one column hands its k-1 leftovers to
+    rows 2..k."""
+    return np.array(list(permutations(range(k - 1))), dtype=np.intp)
+
+
+class _Front(NamedTuple):
+    """Partial moves, one per row."""
+
+    member: np.ndarray  # (S,): member of the chunk
+    lead: np.ndarray    # (S,): row of the lead table standing as row 1
+    pos: np.ndarray     # (S, j): pool positions chosen so far
+    used: np.ndarray    # (S, W): vertices the chosen edges cover
+
+
+def _pool_rows(H: Members,
+               G: AnyGraph) -> tuple[_EdgeTable, np.ndarray, np.ndarray]:
+    """The edge table, each member's pool (its edges outside G) as an
+    increasing row of pool indices, and G's pool indices."""
+    n, k = G.n, G.k
+    table = _edge_table(n, k)
+    if isinstance(H, oracle.ExtensionFamily):
+        if (H.params.n, H.params.k) != (n, k):
+            raise DomainError("H and G disagree on (n, k)")
+        base = table.rank(np.array(sorted(H.base), dtype=np.intp
+                                   ).reshape(-1, k))
+        members = np.hstack([np.broadcast_to(base, (len(H.tails), len(base))),
+                             H.tails])
+    else:
+        graphs = [H] if isinstance(H, (Hypergraph, OrderedHypergraph)) \
+            else list(H)
+        if any((g.n, g.k) != (n, k) for g in graphs):
+            raise DomainError("H and G disagree on (n, k)")
+        sizes = {len(g) for g in graphs}
+        if len(sizes) > 1:
+            raise DomainError(f"members have different edge counts {sorted(sizes)}")
+        edges = np.array([sorted(g.edge_set) for g in graphs], dtype=np.intp)
+        members = table.rank(edges.reshape(len(graphs), max(sizes, default=0), k))
+    fixed = table.rank(np.array(sorted(G.edge_set), dtype=np.intp
+                                ).reshape(-1, k))
+    inside = np.isin(members, fixed)
+    if (inside.sum(axis=1) != len(fixed)).any():
+        raise DomainError("G must be a subgraph of H")
+    pool = members[~inside].reshape(len(members),
+                                    members.shape[1] - len(fixed))
+    return table, np.sort(pool, axis=1), fixed
+
+
+def _walk(front: _Front, steps, finish, counts: np.ndarray,
+          table: _EdgeTable, pool: np.ndarray, width: int) -> None:
+    """Grow every partial move through `steps`, then add `finish`'s number of
+    completed moves per partial move to its member's count.
+
+    A step adds one pool edge: any position the step allows that is disjoint
+    from the edges chosen so far.  The walk is depth first over blocks of at
+    most _CELLS // width partial moves.
+    """
+    block = max(1, _CELLS // width)
+    stack = [(front, 0)]
+    while stack:
+        front, j = stack.pop()
+        if len(front.member) > block:
+            stack.extend((_Front(*(a[lo:lo + block] for a in front)), j)
+                         for lo in range(0, len(front.member), block))
+        elif j < len(steps):
+            masks = table.masks[pool[front.member]]            # (S, m, W)
+            ok = steps[j](front, masks) & ~(
+                masks & front.used[:, None, :]).any(axis=2)
+            s, q = np.nonzero(ok)
+            stack.append((_Front(front.member[s], front.lead[s],
+                                 np.column_stack([front.pos[s], q]),
+                                 front.used[s] | masks[s, q]), j + 1))
+        else:
+            counts += np.bincount(front.member, weights=finish(front),
+                                  minlength=len(counts)).astype(np.int64)
+
+
+def _clashes(table: _EdgeTable, present: np.ndarray, member: np.ndarray,
+             rest: np.ndarray, u: int) -> np.ndarray:
+    """Codegree's extra exclusion: is rest + u, when it is a k-set, an edge
+    of the member?  `rest` holds column 1 without v."""
+    free = (rest != u).all(axis=1)
+    clash = np.sort(np.column_stack([rest, np.full(len(rest), u)]), axis=1)
+    return free & present[member, np.where(free, table.rank(clash), 0)]
+
+
+def _forward_block(table: _EdgeTable, leads: _Leads, pool: np.ndarray,
+                   present: np.ndarray, counts: np.ndarray) -> None:
+    """Forward moves out of each member of a chunk.
+
+    Row 1 is a lead edge of the member's pool whose anchor, if any, is in
+    the member; rows 2..k are pool edges in increasing pool order, pairwise
+    disjoint and disjoint from row 1; no column may be an edge of the member
+    (a column meets every row once, so it is never a removed row).
+    """
+    c, m = pool.shape
+    lead = leads.slots[pool]                                   # (c, m)
+    anchor = leads.anchors[lead]
+    ok = (lead >= 0) & ((anchor < 0) | present[np.arange(c)[:, None], anchor])
+    member, first = np.nonzero(ok)
+    front = _Front(member, lead[member, first],
+                   np.empty((len(member), 0), dtype=np.intp),
+                   table.masks[pool[member, first]])
+
+    def later(front, masks):
+        if front.pos.shape[1] == 0:
+            return True
+        return np.arange(m) > front.pos[:, -1:]
+
+    def finish(front):
+        rows = np.concatenate(
+            [leads.rows[front.lead][:, None],
+             table.vertices[pool[front.member[:, None], front.pos]]], axis=1)
+        cols = np.sort(rows.transpose(0, 2, 1), axis=2)
+        legal = ~present[front.member[:, None], table.rank(cols)].any(axis=1)
+        if leads.clash:
+            legal &= ~_clashes(table, present, front.member, rows[:, 1:, 0],
+                               leads.clash)
+        return legal
+
+    k = leads.rows.shape[1]
+    _walk(front, [later] * (k - 1), finish, counts, table, pool,
+          m * table.masks.shape[1] + k * k)
+
+
+def _backward_block(table: _EdgeTable, leads: _Leads, pool: np.ndarray,
+                    present: np.ndarray, counts: np.ndarray) -> None:
+    """(source, move) pairs landing on each member of a chunk.
+
+    Row 1 is a lead edge absent from the member whose anchor, if any, is in
+    it; column j is a pool edge that meets row 1 exactly in its j-th vertex
+    and is not the anchor; columns are pairwise disjoint.  Every split of
+    the column leftovers into rows 2..k that increase along the columns and
+    are absent from the member then completes one pair.
+    """
+    m = pool.shape[1]
+    k = leads.rows.shape[1]
+    anchors = leads.anchors
+    ok = ~present[:, leads.ranks] & ((anchors < 0) | present[:, anchors])
+    member, lead = np.nonzero(ok)
+    front = _Front(member, lead, np.empty((len(member), 0), dtype=np.intp),
+                   np.zeros((len(member), table.masks.shape[1]),
+                            dtype=np.uint64))
+    lead_masks = table.masks[leads.ranks]
+    orders = _orders(k)
+
+    def column(j):
+        def meets_row1_at_j(front, masks):
+            meet = masks & lead_masks[front.lead][:, None, :]
+            at_j = table.bits[leads.rows[front.lead, j]][:, None, :]
+            return ((meet == at_j).all(axis=2)
+                    & (pool[front.member] != anchors[front.lead][:, None]))
+        return meets_row1_at_j
+
+    def finish(front):
+        cols = table.vertices[pool[front.member[:, None], front.pos]]
+        row1 = leads.rows[front.lead]
+        left = cols[cols != row1[:, :, None]].reshape(len(cols), k, k - 1)
+        # the (k-1)!^(k-1) splits of the leftovers into rows 2..k, one
+        # column at a time: row r starts at column 1's r-th leftover, and a
+        # column's order survives only if every row still increases
+        which = np.arange(len(left))
+        rows = left[:, 0, :, None]
+        for j in range(1, k):
+            cand = left[which, j][:, orders]                 # (S, (k-1)!, k-1)
+            s, q = np.nonzero((cand > rows[:, None, :, -1]).all(axis=2))
+            which = which[s]
+            rows = np.concatenate([rows[s], cand[s, q][:, :, None]], axis=2)
+        fresh = ~present[front.member[which, None], table.rank(rows)].any(axis=1)
+        found = np.bincount(which[fresh], minlength=len(left))
+        if leads.clash:
+            found[_clashes(table, present, front.member, left[:, 0],
+                           leads.clash)] = 0
+        return found
+
+    _walk(front, [column(j) for j in range(k)], finish, counts, table, pool,
+          max(m * table.masks.shape[1], len(orders) * k * k))
+
+
+def _counts(H: Members, G: AnyGraph, kind: str, edge: Edge | None,
+            pair: tuple[int, int] | None, kernel) -> np.ndarray:
+    """Validate the arguments, then run `kernel` over chunks of members."""
+    if kind not in KINDS:
+        raise DomainError(f"unknown switching kind {kind!r}")
+    table, pool, fixed = _pool_rows(H, G)
+    if kind == "remove_edge":
+        if edge is None:
+            raise DomainError("remove_edge switching needs edge=")
+        target = make_edge(edge, G.n, G.k)
+        e = table.rank(np.array(target))
+        held = (pool == e).any(axis=1)
+        if kernel is _forward_block:
+            if e in fixed:
+                raise DomainError(f"edge {target} lies in the fixed prefix G")
+            if not held.all():
+                raise DomainError(f"edge {target} is not in H")
+        elif e in fixed or held.any():
+            raise DomainError(f"edge {target} is present in the target graph")
+    else:
+        if pair is None:
+            raise DomainError(f"{kind} switching needs pair=")
+        if pair[0] == pair[1]:
+            raise DomainError("pair must name two distinct vertices")
+        oracle.check_pair(*pair, G.n)
+        target = tuple(pair)
+    leads = _leads(G.n, G.k, kind, target)
+    counts = np.zeros(len(pool), dtype=np.int64)
+    if not len(leads.ranks):  # no edge can stand as row 1 (codegree, n = k)
+        return counts
+    size = len(table.vertices)
+    step = max(1, _CELLS // (size + pool.shape[1] + len(leads.ranks)))
+    for lo in range(0, len(pool), step):
+        part = pool[lo:lo + step]
+        present = np.zeros((len(part), size), dtype=bool)
+        present[:, fixed] = True
+        present[np.arange(len(part))[:, None], part] = True
+        kernel(table, leads, part, present, counts[lo:lo + step])
+    return counts
+
+
+def forward_counts(H: Members, G: AnyGraph, kind: str, *,
+                   edge: Edge | None = None,
+                   pair: tuple[int, int] | None = None) -> np.ndarray:
+    """Legal switching moves of the given kind out of each member of H, in
+    member order (see `Members` for what H may be)."""
+    return _counts(H, G, kind, edge, pair, _forward_block)
+
+
+def forward_count(H: Members, G: AnyGraph, kind: str, *,
+                  edge: Edge | None = None,
+                  pair: tuple[int, int] | None = None) -> int:
+    """Number of legal switching moves out of H of the given kind; for
+    several members, the total over them."""
+    return int(forward_counts(H, G, kind, edge=edge, pair=pair).sum())
+
+
+def backward_counts(Hp: Members, G: AnyGraph, kind: str, *,
+                    edge: Edge | None = None,
+                    pair: tuple[int, int] | None = None) -> np.ndarray:
+    """(source, move) reconstructions landing on each member of Hp, in
+    member order."""
+    return _counts(Hp, G, kind, edge, pair, _backward_block)
+
+
+def backward_count(Hp: Members, G: AnyGraph, kind: str, *,
                    edge: Edge | None = None,
                    pair: tuple[int, int] | None = None) -> int:
-    """Number of (source, move) reconstructions landing on Hp."""
-    return sum(1 for _ in iter_backward_moves(Hp, G, kind, edge=edge, pair=pair))
+    """Number of (source, move) reconstructions landing on Hp; for several
+    members, the total over them."""
+    return int(backward_counts(Hp, G, kind, edge=edge, pair=pair).sum())
 
 
 @dataclass

@@ -25,13 +25,11 @@ from hypercouple import (
     OrderedHypergraph,
     Params,
     RngStream,
-    backward_count,
     choose_epsilon,
     codegree_rel,
     count_extensions,
     exact_simplicity_probability,
     find_hamilton_cycle,
-    forward_count,
     hamiltonicity_sweep,
     naive_hamiltonian,
     residual_report,
@@ -44,6 +42,7 @@ from hypercouple import (
     verify_ratio_identity,
 )
 from hypercouple.oracle import extension_family
+from hypercouple.switchings import backward_counts, forward_counts
 from hypercouple.stats import tv_distance_uniform
 
 from conftest import record_criterion
@@ -227,32 +226,33 @@ def _enumerate_family(params, base_edges=()):
     graphs = [Hypergraph(params.n, params.k,
                          list(base.edges) + list(tail))
               for tail in fam.completions]
-    return base, graphs
+    return base, fam, graphs
 
 
-def _check_levels(base, graphs, kind, pair):
+def _check_levels(base, fam, graphs, kind, pair):
     """Exact per-level balance plus the min/max sandwich; returns
-    (balanced, sandwich_ok, nontrivial_totals)."""
+    (balanced, sandwich_ok, nontrivial_totals).  Levels come from the
+    graphs, per-graph move counts from one kernel call per class."""
     u, v = pair
     base_set = base.edge_set
     if kind == "pair_degree":
-        stat = {h: sum(1 for e in h.edge_set - base_set
-                       if u in e and v in e) for h in graphs}
+        stat = np.array([sum(1 for e in h.edge_set - base_set
+                             if u in e and v in e) for h in graphs])
     else:
-        stat = {h: codegree_rel(h, base, u, v) for h in graphs}
+        stat = np.array([codegree_rel(h, base, u, v) for h in graphs])
     balanced = sandwich = True
     moves = 0
-    for lvl in sorted(set(stat.values())):
-        upper = [h for h, s in stat.items() if s == lvl]
-        lower = [h for h, s in stat.items() if s == lvl - 1]
-        f = [forward_count(h, base, kind, pair=pair) for h in upper]
-        b = [backward_count(h, base, kind, pair=pair) for h in lower]
-        total = sum(f)
-        balanced &= total == sum(b)
+    for lvl in np.unique(stat).tolist():
+        upper, lower = stat == lvl, stat == lvl - 1
+        f = forward_counts(fam.restrict(upper), base, kind, pair=pair)
+        b = backward_counts(fam.restrict(lower), base, kind, pair=pair)
+        total = int(f.sum())
+        balanced &= total == int(b.sum())
         moves += total
-        if total and lower:
+        if total and lower.any():
             # |C_lvl|*min f <= total <= |C_{lvl-1}|*max b, both ends exact
-            sandwich &= len(upper) * min(f) <= total <= len(lower) * max(b)
+            sandwich &= (upper.sum() * f.min() <= total
+                         <= lower.sum() * b.max())
     return balanced, sandwich, moves
 
 
@@ -261,24 +261,23 @@ def test_criterion_07_switching_double_counting():
     results = []
     for n, k, d in [(5, 2, 2), (6, 2, 2), (9, 3, 2), (6, 3, 2)]:
         params = Params(n, k, d)
-        base, graphs = _enumerate_family(params)
+        base, fam, graphs = _enumerate_family(params)
         for kind in (("pair_degree", "codegree") if n == 5
                      else ("pair_degree",)):
-            bal, sand, moves = _check_levels(base, graphs, kind, (1, 2))
+            bal, sand, moves = _check_levels(base, fam, graphs, kind, (1, 2))
             cs = switching_class_sizes(base, 1, 2, kind, params)
             results.append((f"n{n}k{k}d{d}:{kind}", bal, sand,
                             cs.bottom == 0 and cs.is_interval, moves))
     # remove_edge classes on the matching-free instance
     params = Params(5, 2, 2)
-    base, graphs = _enumerate_family(params)
+    base, fam, graphs = _enumerate_family(params)
     e = (1, 2)
-    having = [h for h in graphs if e in h.edge_set]
-    lacking = [h for h in graphs if e not in h.edge_set]
-    f = [forward_count(h, base, "remove_edge", edge=e) for h in having]
-    b = [backward_count(h, base, "remove_edge", edge=e) for h in lacking]
-    total = sum(f)
-    bal = total == sum(b) and total > 0
-    sand = len(having) * min(f) <= total <= len(lacking) * max(b)
+    having = np.array([e in h.edge_set for h in graphs])
+    f = forward_counts(fam.restrict(having), base, "remove_edge", edge=e)
+    b = backward_counts(fam.restrict(~having), base, "remove_edge", edge=e)
+    total = int(f.sum())
+    bal = total == int(b.sum()) and total > 0
+    sand = having.sum() * f.min() <= total <= (~having).sum() * b.max()
     results.append(("n5k2d2:remove_edge", bal, sand, True, total))
     elapsed = time.monotonic() - t0
     nontrivial = sum(1 for r in results if r[4] > 0)

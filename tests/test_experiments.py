@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
@@ -12,7 +13,8 @@ from hypercouple import (
     run_experiment,
     validate_gamma_epsilon,
 )
-from hypercouple import experiments, oracle
+from hypercouple import (coupling, experiments, oracle, process, samplers,
+                         switchings)
 from hypercouple.experiments import (
     _parse_p_mode,
     config_from_args,
@@ -234,6 +236,23 @@ class TestCliBoundary:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("edge, rc", [
+        ("2,1", 0), ("1,1", 2), ("1,9", 2), ("0,3", 2), ("1,2,3", 2),
+    ])
+    def test_remove_edge_checks_and_canonicalises_the_edge(self, edge, rc,
+                                                           tmp_path, capsys):
+        argv = ["switching-verify", "--n", "6", "--k", "2", "--d", "2",
+                "--switch-kind", "remove_edge", "--seed", "0"]
+        out = tmp_path / "given"
+        assert main(argv + ["--edge", edge, "--out", str(out)]) == rc
+        if rc:
+            assert capsys.readouterr().err.startswith("config error: ")
+            return
+        sorted_out = tmp_path / "sorted"
+        assert main(argv + ["--edge", "1,2", "--out", str(sorted_out)]) == 0
+        assert data_digests(out) == data_digests(sorted_out)
+        assert read_json(out)["balanced"] is True
+
     def test_exhausted_budget_exits_two(self, capsys, monkeypatch):
         # a family cached by an earlier test would be served without a walk
         oracle._cached_family.cache_clear()
@@ -287,3 +306,67 @@ class TestCliBoundary:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+class TestTracedNames:
+    """The benchmark measures its per-layer metrics by wrapping ten public
+    callables by name, in every module that holds them.  A refactor that
+    stops calling one of them loses that layer's metric, so each must still
+    be reached by the runs the benchmark makes."""
+
+    TRACED = [
+        (samplers.RngStream, "generator"),
+        (samplers, "sample_regular"),
+        (samplers, "simplicity_probability"),
+        (process, "residual_report"),
+        (oracle, "count_extensions"),
+        (oracle, "switching_class_sizes"),
+        (coupling, "run_coupling"),
+        (switchings, "forward_count"),
+        (switchings, "backward_count"),
+        (experiments, "run_experiment"),
+    ]
+
+    RUNS = [
+        ["switching-verify", "--n", "7", "--k", "2", "--d", "2",
+         "--switch-kind", "pair_degree", "--u", "1", "--v", "2"],
+        ["switching-verify", "--n", "9", "--k", "3", "--d", "2",
+         "--switch-kind", "pair_degree", "--u", "1", "--v", "2",
+         "--base", "3,4,5"],
+        ["couple", "--n", "6", "--k", "3", "--d", "2", "--gamma", "0.75",
+         "--trials", "20"],
+        ["process-stats", "--n", "60", "--k", "3", "--d", "6",
+         "--trials", "5"],
+    ]
+
+    def test_every_traced_callable_is_reached(self, tmp_path, monkeypatch):
+        results: dict[str, list[type]] = {}
+        modules = [m for name, m in sys.modules.items()
+                   if name == "hypercouple" or name.startswith("hypercouple.")]
+        for owner, attr in self.TRACED:
+            original = getattr(owner, attr)
+
+            def spy(*args, _fn=original, _name=attr, **kwargs):
+                result = _fn(*args, **kwargs)
+                results.setdefault(_name, []).append(type(result))
+                return result
+
+            if isinstance(owner, type):
+                monkeypatch.setattr(owner, attr, spy)
+                continue
+            for mod in modules:
+                for key, obj in list(vars(mod).items()):
+                    if obj is original:
+                        monkeypatch.setattr(mod, key, spy)
+        # each benchmark round is a fresh process: nothing listed yet
+        oracle._cached_family.cache_clear()
+        for i, argv in enumerate(self.RUNS):
+            assert main(argv + ["--seed", "1", "--jobs", "1",
+                                "--out", str(tmp_path / str(i))]) == 0
+        for name in ("forward_count", "backward_count",
+                     "switching_class_sizes", "count_extensions",
+                     "run_coupling", "residual_report", "sample_regular",
+                     "generator"):
+            assert results.get(name), f"{name} was never called"
+        for name in ("forward_count", "backward_count"):
+            assert set(results[name]) == {int}

@@ -1,5 +1,6 @@
 """Switching moves: mechanics, statistic drops, and exact double counting."""
 
+import numpy as np
 import pytest
 
 from hypercouple import (
@@ -16,19 +17,34 @@ from hypercouple import (
     forward_count,
     iter_backward_moves,
     iter_forward_moves,
+    residual_degrees,
     switching_class_sizes,
     tail_profile,
 )
-from hypercouple.switchings import apply_switch, edge_probability
+from hypercouple.switchings import (
+    apply_switch,
+    backward_counts,
+    edge_probability,
+    forward_counts,
+)
 
 
 def family(n, k, d, base_edges=()):
+    """The listed family, its base and its members as graphs."""
     params = Params(n, k, d)
     base = OrderedHypergraph(n, k, base_edges)
     fam = count_extensions(base, params, list_completions=True)
     graphs = [Hypergraph(n, k, list(base.edges) + list(tail))
               for tail in fam.completions]
-    return params, base, graphs
+    return fam, base, graphs
+
+
+def pair_stat(graphs, base, kind, u=1, v=2):
+    """Each member's pair statistic, counted on the graph itself."""
+    if kind == "pair_degree":
+        return np.array([sum(1 for e in h.edge_set - base.edge_set
+                             if u in e and v in e) for h in graphs])
+    return np.array([codegree_rel(h, base, u, v) for h in graphs])
 
 
 class TestMoveMechanics:
@@ -36,7 +52,7 @@ class TestMoveMechanics:
         h = Hypergraph(6, 2, [(1, 2), (3, 4), (5, 6)])
         move = SwitchingMove(rows=((1, 2), (3, 4)))
         out = apply_switch(h, move)
-        assert out.degree_map() == h.degree_map()
+        assert all(out.degree(v) == h.degree(v) for v in range(1, 7))
         assert (1, 3) in out.edge_set and (2, 4) in out.edge_set
         assert (1, 2) not in out.edge_set
 
@@ -69,7 +85,7 @@ class TestMoveMechanics:
 
 class TestStatisticDrops:
     def test_pair_degree_drops_by_one(self):
-        params, base, graphs = family(5, 2, 2)
+        fam, base, graphs = family(5, 2, 2)
         for h in graphs:
             before = sum(1 for e in h.edge_set if 1 in e and 2 in e)
             for mv in iter_forward_moves(h, base, "pair_degree", pair=(1, 2)):
@@ -78,7 +94,7 @@ class TestStatisticDrops:
                 assert after == before - 1
 
     def test_codegree_drops_by_one(self):
-        params, base, graphs = family(5, 2, 2)
+        fam, base, graphs = family(5, 2, 2)
         for h in graphs:
             before = codegree_rel(h, base, 1, 2)
             for mv in iter_forward_moves(h, base, "codegree", pair=(1, 2)):
@@ -86,7 +102,7 @@ class TestStatisticDrops:
                 assert codegree_rel(out, base, 1, 2) == before - 1
 
     def test_remove_edge_removes_it(self):
-        params, base, graphs = family(5, 2, 2)
+        fam, base, graphs = family(5, 2, 2)
         e = (1, 2)
         for h in graphs:
             if e not in h.edge_set:
@@ -96,33 +112,32 @@ class TestStatisticDrops:
 
 
 class TestDoubleCounting:
+    """Moves out of class L against moves into class L-1, one kernel call
+    per class."""
+
     @pytest.mark.parametrize("kind", ["pair_degree", "codegree"])
     def test_class_sums_balance_exactly(self, kind):
-        params, base, graphs = family(5, 2, 2)
-        stat = {}
-        for h in graphs:
-            if kind == "pair_degree":
-                stat[h] = sum(1 for e in h.edge_set if 1 in e and 2 in e)
-            else:
-                stat[h] = codegree_rel(h, base, 1, 2)
-        for level in sorted(set(stat.values())):
-            fsum = sum(forward_count(h, base, kind, pair=(1, 2))
-                       for h, s in stat.items() if s == level)
-            bsum = sum(backward_count(h, base, kind, pair=(1, 2))
-                       for h, s in stat.items() if s == level - 1)
+        fam, base, graphs = family(5, 2, 2)
+        stat = pair_stat(graphs, base, kind)
+        for level in np.unique(stat).tolist():
+            fsum = forward_count(fam.restrict(stat == level), base, kind,
+                                 pair=(1, 2))
+            bsum = backward_count(fam.restrict(stat == level - 1), base,
+                                  kind, pair=(1, 2))
             assert fsum == bsum
 
     def test_remove_edge_sums_balance_exactly(self):
-        params, base, graphs = family(5, 2, 2)
+        fam, base, graphs = family(5, 2, 2)
         e = (1, 2)
-        fsum = sum(forward_count(h, base, "remove_edge", edge=e)
-                   for h in graphs if e in h.edge_set)
-        bsum = sum(backward_count(h, base, "remove_edge", edge=e)
-                   for h in graphs if e not in h.edge_set)
+        having = np.array([e in h.edge_set for h in graphs])
+        fsum = forward_count(fam.restrict(having), base, "remove_edge",
+                             edge=e)
+        bsum = backward_count(fam.restrict(~having), base, "remove_edge",
+                              edge=e)
         assert fsum == bsum > 0
 
     def test_backward_sources_are_family_members_one_level_up(self):
-        params, base, graphs = family(5, 2, 2)
+        fam, base, graphs = family(5, 2, 2)
         keys = {tuple(sorted(h.edge_set)) for h in graphs}
         for h in graphs:
             lvl = sum(1 for e in h.edge_set if 1 in e and 2 in e)
@@ -134,16 +149,155 @@ class TestDoubleCounting:
                 assert apply_switch(src, mv).edge_set == h.edge_set
 
     def test_nonempty_base_balances_too(self):
-        params, base, graphs = family(6, 2, 2, base_edges=[(1, 2)])
+        fam, base, graphs = family(6, 2, 2, base_edges=[(1, 2)])
         # statistic counts only pair copies outside the fixed prefix
-        stat = {h: sum(1 for e in h.edge_set - base.edge_set
-                       if 1 in e and 2 in e) for h in graphs}
-        for level in sorted(set(stat.values())):
-            fsum = sum(forward_count(h, base, "pair_degree", pair=(1, 2))
-                       for h, s in stat.items() if s == level)
-            bsum = sum(backward_count(h, base, "pair_degree", pair=(1, 2))
-                       for h, s in stat.items() if s == level - 1)
+        stat = pair_stat(graphs, base, "pair_degree")
+        for level in np.unique(stat).tolist():
+            fsum = forward_count(fam.restrict(stat == level), base,
+                                 "pair_degree", pair=(1, 2))
+            bsum = backward_count(fam.restrict(stat == level - 1), base,
+                                  "pair_degree", pair=(1, 2))
             assert fsum == bsum
+
+
+def iterated(graphs, base, kind, forward, **target):
+    moves = iter_forward_moves if forward else iter_backward_moves
+    return [sum(1 for _ in moves(h, base, kind, **target)) for h in graphs]
+
+
+class TestKernelAgainstIterators:
+    """The class-wide kernels against the enumerating iterators, member by
+    member."""
+
+    @pytest.mark.parametrize("kind, target", [
+        ("pair_degree", {"pair": (1, 2)}),
+        ("pair_degree", {"pair": (4, 2)}),
+        ("codegree", {"pair": (1, 2)}),
+        ("codegree", {"pair": (5, 3)}),
+    ])
+    def test_every_member_of_the_522_family(self, kind, target):
+        fam, base, graphs = family(5, 2, 2)
+        for forward, counts in ((True, forward_counts),
+                                (False, backward_counts)):
+            assert counts(fam, base, kind, **target).tolist() == \
+                iterated(graphs, base, kind, forward, **target)
+
+    @pytest.mark.parametrize("e", [(1, 2), (2, 5)])
+    def test_remove_edge_on_the_522_family(self, e):
+        fam, base, graphs = family(5, 2, 2)
+        having = np.array([e in h.edge_set for h in graphs])
+        upper = [h for h, x in zip(graphs, having) if x]
+        lower = [h for h, x in zip(graphs, having) if not x]
+        got = forward_counts(fam.restrict(having), base, "remove_edge",
+                             edge=e)
+        assert got.tolist() == iterated(upper, base, "remove_edge", True,
+                                        edge=e)
+        got = backward_counts(fam.restrict(~having), base, "remove_edge",
+                              edge=e)
+        assert got.tolist() == iterated(lower, base, "remove_edge", False,
+                                        edge=e)
+
+    @pytest.mark.parametrize("nkd, base_edges", [
+        ((6, 2, 2), [(1, 2)]),
+        ((7, 2, 2), []),
+        ((6, 3, 2), []),
+        ((9, 3, 2), [(3, 4, 5)]),
+    ])
+    def test_every_member_pair_degree(self, nkd, base_edges):
+        fam, base, graphs = family(*nkd, base_edges=base_edges)
+        forward = forward_counts(fam, base, "pair_degree", pair=(1, 2))
+        backward = backward_counts(fam, base, "pair_degree", pair=(1, 2))
+        assert forward.tolist() == iterated(graphs, base, "pair_degree",
+                                            True, pair=(1, 2))
+        assert backward.tolist() == iterated(graphs, base, "pair_degree",
+                                             False, pair=(1, 2))
+
+    @pytest.mark.parametrize("kind", ["pair_degree", "codegree"])
+    def test_class_totals_are_sums_of_single_graph_counts(self, kind):
+        fam, base, graphs = family(7, 2, 2)
+        stat = pair_stat(graphs, base, kind)
+        for level in np.unique(stat).tolist():
+            members = [h for h, s in zip(graphs, stat) if s == level]
+            for count in (forward_count, backward_count):
+                whole = count(fam.restrict(stat == level), base, kind,
+                              pair=(1, 2))
+                assert type(whole) is int
+                assert whole == sum(count(h, base, kind, pair=(1, 2))
+                                    for h in members)
+                # a plain sequence of graphs is the same batch
+                assert whole == count(members, base, kind, pair=(1, 2))
+
+    def test_four_uniform_rows_split_every_way(self):
+        # n = 16, k = 4: four disjoint rows, so rebuilding a move walks the
+        # (k-1)!^(k-1) splits of the column leftovers
+        h = Hypergraph(16, 4, [(1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12),
+                               (13, 14, 15, 16)])
+        g = Hypergraph(16, 4)
+        for kind, target in (("pair_degree", {"pair": (1, 2)}),
+                             ("remove_edge", {"edge": (1, 2, 3, 4)})):
+            moves = list(iter_forward_moves(h, g, kind, **target))
+            assert forward_count(h, g, kind, **target) == len(moves) == 1
+            there = apply_switch(h, moves[0])
+            assert backward_count(there, g, kind, **target) == \
+                sum(1 for _ in iter_backward_moves(there, g, kind, **target))
+            assert backward_count(there, g, kind, **target) > 0
+
+    def test_a_graph_past_64_vertices(self):
+        # vertex masks take two words at n = 70: a 2-regular graph made of
+        # one 20-cycle and ten 5-cycles, with one edge held fixed
+        cycles = [list(range(1, 21))] + [list(range(21 + 5 * i, 26 + 5 * i))
+                                         for i in range(10)]
+        h = Hypergraph(70, 2, [(c[i], c[(i + 1) % len(c)])
+                               for c in cycles for i in range(len(c))])
+        g = Hypergraph(70, 2, [(1, 2)])
+        assert residual_degrees(h, Params(70, 2, 2)).max() == 0
+        cases = [("pair_degree", {"pair": (2, 3)}),
+                 ("pair_degree", {"pair": (1, 69)}),
+                 ("codegree", {"pair": (69, 3)}),
+                 ("codegree", {"pair": (66, 67)}),
+                 ("remove_edge", {"edge": (69, 70)})]
+        for kind, target in cases:
+            assert forward_count(h, g, kind, **target) == \
+                iterated([h], g, kind, True, **target)[0]
+            if kind != "remove_edge":
+                assert backward_count(h, g, kind, **target) == \
+                    iterated([h], g, kind, False, **target)[0]
+        assert backward_count(h, g, "remove_edge", edge=(3, 70)) == \
+            iterated([h], g, "remove_edge", False, edge=(3, 70))[0] > 0
+        assert forward_count(h, g, "pair_degree", pair=(2, 3)) > 0
+
+    def test_no_edge_can_lead_when_n_equals_k(self):
+        # codegree needs W + {u} and W + {v} with |W| = k - 1 outside u, v
+        h, g = Hypergraph(3, 3, [(1, 2, 3)]), Hypergraph(3, 3)
+        for kind in ("pair_degree", "codegree"):
+            assert forward_count(h, g, kind, pair=(1, 2)) == 0
+            assert backward_count(g, g, kind, pair=(1, 2)) == 0
+            assert iterated([h], g, kind, True, pair=(1, 2)) == [0]
+            assert iterated([g], g, kind, False, pair=(1, 2)) == [0]
+
+    def test_members_of_mixed_sizes_are_rejected(self):
+        g = Hypergraph(5, 2)
+        mixed = [Hypergraph(5, 2, [(1, 2), (3, 4)]), Hypergraph(5, 2, [(1, 2)])]
+        for count in (forward_count, backward_count):
+            with pytest.raises(DomainError, match="different edge counts"):
+                count(mixed, g, "pair_degree", pair=(1, 2))
+
+    def test_a_member_without_g_is_rejected(self):
+        fam, base, graphs = family(5, 2, 2)
+        g = Hypergraph(5, 2, [(1, 2)])  # in some members, not all
+        assert 0 < sum((1, 2) in h.edge_set for h in graphs) < len(graphs)
+        for count in (forward_count, backward_count):
+            with pytest.raises(DomainError, match="subgraph"):
+                count(fam, g, "pair_degree", pair=(1, 3))
+            with pytest.raises(DomainError, match="subgraph"):
+                count(graphs, g, "pair_degree", pair=(1, 3))
+
+    def test_remove_edge_guards_hold_for_every_member(self):
+        fam, base, graphs = family(5, 2, 2)
+        with pytest.raises(DomainError, match="not in H"):
+            forward_count(fam, base, "remove_edge", edge=(1, 2))
+        with pytest.raises(DomainError, match="present in the target"):
+            backward_count(fam, base, "remove_edge", edge=(2, 1))
 
 
 class TestArgumentGuards:
