@@ -25,6 +25,7 @@ from .core import (
 from .oracle import (
     ExtensionFamily,
     OracleBudgetError,
+    PrefixTree,
     RatioIdentityReport,
     StateLaw,
     SwitchingClassSizes,

@@ -24,6 +24,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .core import (
     Params,
     complement_edges,
 )
-from .oracle import StateLaw, _family, extension_family
+from .oracle import StateLaw, extension_family, prefix_tree
 from .samplers import as_generator, sample_gnm, sample_regular
 
 
@@ -125,8 +126,7 @@ class CouplingConfig:
         return self._coupled_steps
 
 
-@dataclass(frozen=True)
-class CouplingStep:
+class CouplingStep(NamedTuple):
     """One exposure step.  Fields are None when the step does not draw them:
     past the coupled horizon there is no proposal, coin or verdict, and the
     excess_edge exists only on near-uniform steps with a failed coin."""
@@ -220,7 +220,8 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
     proposals and coins are independent of the resolutions, as the
     construction requires.  Each step takes one `StateLaw` (enumerated, or
     in mc mode estimated before the step resolves) for its verdict and its
-    excess draw.
+    excess draw; exact laws come from walking the `PrefixTree` of
+    (n, k, d) one child per exposed edge.
     """
     params = config.params
     n, k = params.n, params.k
@@ -232,8 +233,9 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
 
     eps = config.epsilon
     exact = config.p_mode == "exact"
-    family = (_family(params, frozenset(), config.oracle_budget) if exact
-              else None)
+    if exact:
+        tree = prefix_tree(params, config.oracle_budget)
+        node = tree.root
 
     # the regular side's exposure order; every edge is a pool edge, so the
     # final graph is built once without re-validating them
@@ -245,7 +247,7 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
 
     for t in range(params.M):
         if exact:
-            law = family.state(frozenset(regular_set), t)
+            law = node.law
         else:
             regular_graph = OrderedHypergraph._from_canonical(n, k, regular_seq)
             if t < cut:
@@ -293,6 +295,8 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
             )
         regular_seq.append(exposed)
         regular_set.add(exposed)
+        if exact and t + 1 < params.M:
+            node = tree.child(node, exposed)
         if t < cut and near and coin == 1:
             # the step-level guarantee: an accepted proposal under a
             # near-uniform verdict is on the regular side immediately after

@@ -48,6 +48,7 @@ from .oracle import (
     count_extensions,
     extension_family,
     node_budget,
+    prefix_tree,
     switching_class_sizes,
 )
 from .process import residual_report
@@ -68,8 +69,9 @@ KINDS = ("sample", "couple", "couple-gnp", "process-stats", "switching-verify",
 
 # families larger than this are not enumerated for coupling TV checks
 _TV_FAMILY_LIMIT = 20_000
-# nodes an mc-mode TV count may walk: families within the limit took 2 to 7
-# nodes per graph, so a walk past this is a family past the limit
+# nodes an mc-mode TV count may walk: it counts the U0 * M / C graphs through
+# one edge, at 2 to 9 nodes per graph in families within the limit, so a walk
+# past this is a family past the limit
 _TV_COUNT_NODES = 20 * _TV_FAMILY_LIMIT
 
 
@@ -242,9 +244,8 @@ def _run_couple(cfg: ExperimentConfig, gnp: bool):
     o = dict(cfg.options)
     cc = _couple_config(o)  # validated once, handed to every worker
     emit = bool(o.get("emit_traces"))
-    empty = OrderedHypergraph(cc.params.n, cc.params.k)
     if cc.p_mode == "exact":
-        extension_family(empty, cc.params)  # built once, before the fork
+        tree = prefix_tree(cc.params)  # built once, before the fork
     payloads = [(cc, o.get("p"), cfg.seed, i, gnp, emit)
                 for i in range(cfg.trials)]
     results = list(_parallel(_couple_worker, payloads, cfg.jobs))
@@ -260,21 +261,26 @@ def _run_couple(cfg: ExperimentConfig, gnp: bool):
     below = sum(1 for s in sizes if s < cc.m)
 
     tv_checks = None
-    budget = node_budget()
-    try:
-        # mc runs never list the family, so they only count it (a listing
-        # cut off by the budget would hold all its rows until the error),
-        # and no further than a family within the limit needs
-        size = (extension_family(empty, cc.params) if cc.p_mode == "exact"
-                else count_extensions(empty, cc.params, budget=min(
-                    budget, _TV_COUNT_NODES))).unordered_count
-    except OracleBudgetError as exc:
-        # the finished trials stand; only the uniformity check is dropped,
-        # silently when the count outran _TV_COUNT_NODES, which only a
-        # family past the limit does
-        size = 0
-        if budget < _TV_COUNT_NODES:
-            tv_checks = {"skipped": str(exc)}
+    if cc.p_mode == "exact":
+        size = tree.family_size
+    else:
+        # mc runs never list the family, so they only count the graphs
+        # through the first edge (1..k), no further than a family within
+        # the limit needs; U0 = C * U1 / M, as in `PrefixTree`
+        budget = node_budget()
+        first = OrderedHypergraph(cc.params.n, cc.params.k,
+                                  [tuple(range(1, cc.params.k + 1))])
+        try:
+            size = count_extensions(first, cc.params, budget=min(
+                budget, _TV_COUNT_NODES)).unordered_count
+        except OracleBudgetError as exc:
+            # the finished trials stand; only the uniformity check is
+            # dropped, silently when the count outran _TV_COUNT_NODES,
+            # which only a family past the limit does
+            size = 0
+            if budget < _TV_COUNT_NODES:
+                tv_checks = {"skipped": str(exc)}
+        size = size * cc.params.complete_count // M
     if 0 < size <= _TV_FAMILY_LIMIT:
         counts: dict = {}
         for r in results:

@@ -172,7 +172,6 @@ class ExtensionFamily:
     admissible: bool
     rows: np.ndarray | None = None
     nodes_used: int = 0
-    _states: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def base_size(self) -> int:
@@ -238,10 +237,8 @@ class ExtensionFamily:
 
     def state(self, edges: frozenset[Edge], t: int) -> StateLaw:
         """Exact next-edge law at the prefix state `edges` (t edges, the
-        base among them), memoized per state."""
-        hit = self._states.get(edges)
-        if hit is not None:
-            return hit
+        base among them), filtered afresh from every listed row; the
+        coupling walks a `PrefixTree` instead."""
         params = self.params
         if t >= params.M:
             raise DomainError("prefix already has M edges; no next edge exists")
@@ -253,11 +250,9 @@ class ExtensionFamily:
                                              bitorder="little").sum(axis=0)
                                for j in range(rows.shape[1])]).tolist()
         support = tuple(e for e in self._columns if e not in edges)
-        law = StateLaw.from_weights(
+        return StateLaw.from_weights(
             support, tuple(sums[self._columns[e]] for e in support),
             len(rows) * (params.M - t))
-        self._states[edges] = law
-        return law
 
 
 class _FocusBacktracker:
@@ -441,20 +436,14 @@ class _FamilyKey:
     budget: int | None = field(compare=False)
 
 
-# a few prefixes at a time: the coupling needs one family per (n, k, d), the
-# oracles one per prefix under study
+# a few prefixes at a time: the oracles need one family per prefix under
+# study (the coupling walks a `PrefixTree` instead)
 @lru_cache(maxsize=8)
 def _cached_family(key: _FamilyKey) -> ExtensionFamily:
     g = OrderedHypergraph._from_canonical(key.params.n, key.params.k,
                                           sorted(key.edges))
     return count_extensions(g, key.params, list_completions=True,
                             budget=key.budget)
-
-
-def _family(params: Params, edges: frozenset[Edge],
-            budget: int | None) -> ExtensionFamily:
-    """`extension_family` keyed by an edge set instead of a graph."""
-    return _cached_family(_FamilyKey(params, edges, budget))
 
 
 def extension_family(G: OrderedHypergraph, params: Params,
@@ -464,7 +453,213 @@ def extension_family(G: OrderedHypergraph, params: Params,
     `budget` is charged only when the family is built."""
     if G.n != params.n or G.k != params.k:
         raise DomainError("graph and params disagree on (n, k)")
-    return _family(params, frozenset(G.edge_set), budget)
+    return _cached_family(_FamilyKey(params, frozenset(G.edge_set), budget))
+
+
+# rows one column sum counts at a time
+_SUM_ROWS = 1 << 16
+# bytes of canonical row indices the nodes of one prefix tree hold at once
+_TREE_ROW_BYTES = _LIST_BYTES // 4
+# law weights the nodes of one prefix tree hold at once, at about 100 bytes
+# a weight with the rest of each node
+_TREE_WEIGHTS = 1 << 18
+
+
+class _PrefixNode:
+    """One prefix state of the exposure, with its exact next-edge law.
+
+    `frame` maps each pool column c to the canonical column of
+    σ_e^{-1}(c), where e is the first edge of the path that created the
+    node, and `cols` are the canonical columns of the state's other edges.
+    `rows` indexes the canonical rows that contain every column of `cols`
+    (int32), or is None when they are not held.
+    """
+
+    __slots__ = ("edges", "t", "frame", "cols", "law", "rows", "children")
+
+    def __init__(self, edges: frozenset[Edge], t: int, frame, cols,
+                 law: StateLaw) -> None:
+        self.edges = edges
+        self.t = t
+        self.frame = frame
+        self.cols = cols
+        self.law = law
+        self.rows = None
+        self.children: dict[Edge, _PrefixNode] = {}
+
+
+class PrefixTree:
+    """Exact next-edge laws at the prefix states of the exposure, read off
+    one listed family: the completions through the first edge (1..k).
+
+    The empty prefix is vertex-transitive, which gives three identities.
+    Every edge lies in the same number U1 of d-regular k-graphs, so the
+    root law is uniform with weight U1 on each of the C pool edges.
+    Counting each graph once per edge, U0 * M = C * U1, where U0 is the
+    family size.  The graphs through a first edge e are the canonical ones
+    relabelled by σ_e, which maps (1..k) onto e and the other vertices onto
+    the rest in increasing order.  So a state whose first edge is e has for
+    completions the canonical rows holding its other edges' canonical
+    columns, and its law is their column sums read back through σ_e: the
+    same `StateLaw` that `ExtensionFamily.state` gives on the empty prefix.
+
+    `child(node, e)` takes one exposure step.  A new child filters its
+    parent's rows with one packed-column test and sums their columns; a
+    state reached in another order reuses its node.  Row indices are held
+    within _TREE_ROW_BYTES, the least recently used dropped first (such a
+    node filters the canonical rows again on its own state), and laws
+    within _TREE_WEIGHTS weights, past which the tree is cut back to its
+    root.
+    """
+
+    def __init__(self, params: Params, budget: int | None = None) -> None:
+        n, k, M = params.n, params.k, params.M
+        first = tuple(range(1, k + 1))
+        fam = count_extensions(
+            OrderedHypergraph._from_canonical(n, k, [first]), params,
+            list_completions=True, budget=budget)
+        if not fam.admissible:
+            raise DomainError("no d-regular k-graph exists; next-edge law "
+                              "undefined")
+        self.params = params
+        self._column = fam._columns
+        pool = tuple(self._column)
+        size, rest = divmod(len(pool) * fam.unordered_count, M)
+        assert rest == 0, "U0 * M = C * U1 failed"
+        self.family_size = size
+        # the canonical rows byte column by byte column, for column tests
+        self._bytes = np.ascontiguousarray(fam.rows.T)
+        self._first_sums = self._column_sums(None)
+        u1 = fam.unordered_count
+        self.root = _PrefixNode(
+            frozenset(), 0, None, (),
+            StateLaw.from_weights(pool, (u1,) * len(pool), len(pool) * u1))
+        self._nodes: dict[frozenset[Edge], _PrefixNode] = {}
+        self._weights = 0
+        self._held: dict[_PrefixNode, None] = {}  # oldest first
+        self._held_bytes = 0
+
+    def child(self, node: _PrefixNode, e: Edge) -> _PrefixNode:
+        """The node of node's state plus the absent pool edge e."""
+        hit = node.children.get(e)
+        if hit is None:
+            if e in node.edges:
+                raise DomainError(f"{e} is already exposed")
+            edges = node.edges | {e}
+            hit = self._nodes.get(edges)
+            if hit is None:
+                hit = self._grow(node, e, edges)
+            node.children[e] = hit
+        return hit
+
+    def _grow(self, parent: _PrefixNode, e: Edge,
+              edges: frozenset[Edge]) -> _PrefixNode:
+        M = self.params.M
+        t = parent.t + 1
+        if t >= M:
+            raise DomainError("the state would hold all M edges; no next "
+                              "edge exists")
+        support = parent.law.support
+        try:
+            at = support.index(e)
+        except ValueError:
+            raise DomainError(f"{e} is not an absent pool edge") from None
+        support = support[:at] + support[at + 1:]
+        if parent.frame is None:
+            # a first edge: every canonical row completes it
+            frame, cols, rows = self._frame(e), (), None
+            count, sums = self._bytes.shape[1], self._first_sums
+        else:
+            frame = parent.frame
+            cols = parent.cols + (int(frame[self._column[e]]),)
+            rows = self._filter(self._rows(parent), cols[-1])
+            count, sums = len(rows), self._column_sums(rows)
+        if count == 0:
+            raise DomainError("prefix is inadmissible; next-edge law "
+                              "undefined")
+        absent = frame[[self._column[f] for f in support]]
+        law = StateLaw.from_weights(support, tuple(sums[absent].tolist()),
+                                    count * (M - t))
+        if self._weights + len(support) > _TREE_WEIGHTS:
+            self._cut()
+        node = _PrefixNode(edges, t, frame, cols, law)
+        self._nodes[edges] = node
+        self._weights += len(support)
+        if rows is not None and t + 1 < M:  # only nodes with children
+            self._hold(node, rows)
+        return node
+
+    def _frame(self, e: Edge) -> np.ndarray:
+        """Canonical column of σ_e^{-1}(f) for every pool column f."""
+        order = e + tuple(v for v in range(1, self.params.n + 1)
+                          if v not in e)
+        label = dict(zip(order, range(1, len(order) + 1)))
+        column = self._column
+        return np.array([column[tuple(sorted(map(label.__getitem__, f)))]
+                         for f in column])
+
+    def _filter(self, rows: np.ndarray | None, col: int) -> np.ndarray:
+        """The canonical rows among `rows` (None: all) holding column col."""
+        column, bit = self._bytes[col >> 3], 1 << (col & 7)
+        if rows is None:
+            return np.flatnonzero(column & bit).astype(np.int32)
+        return rows[(column[rows] & bit) != 0]
+
+    def _column_sums(self, rows: np.ndarray | None) -> np.ndarray:
+        """Column sums of the canonical rows `rows` (None: all), unpacked
+        _SUM_ROWS rows at a time."""
+        width, total = self._bytes.shape
+        sums = np.zeros(8 * width, dtype=np.int64)
+        for a in range(0, total if rows is None else len(rows), _SUM_ROWS):
+            block = (self._bytes[:, a:a + _SUM_ROWS] if rows is None
+                     else self._bytes[:, rows[a:a + _SUM_ROWS]])
+            sums += np.unpackbits(block.T, axis=1, bitorder="little").sum(
+                axis=0, dtype=np.int64)
+        return sums
+
+    def _rows(self, node: _PrefixNode) -> np.ndarray | None:
+        """Canonical rows completing node's state (None: all of them)."""
+        if node.rows is not None:
+            del self._held[node]
+            self._held[node] = None  # now the most recently used
+            return node.rows
+        rows = None
+        for col in node.cols:
+            rows = self._filter(rows, col)
+        if rows is not None:
+            self._hold(node, rows)
+        return rows
+
+    def _hold(self, node: _PrefixNode, rows: np.ndarray) -> None:
+        node.rows = rows
+        self._held[node] = None
+        self._held_bytes += rows.nbytes
+        while self._held_bytes > _TREE_ROW_BYTES:
+            old = next(iter(self._held))
+            del self._held[old]
+            self._held_bytes -= old.rows.nbytes
+            old.rows = None
+
+    def _cut(self) -> None:
+        """Drop every node below the root."""
+        self.root.children.clear()
+        self._nodes.clear()
+        self._weights = 0
+        for node in self._held:
+            node.rows = None
+        self._held.clear()
+        self._held_bytes = 0
+
+
+@lru_cache(maxsize=2)
+def _cached_tree(params: Params, budget: int | None) -> PrefixTree:
+    return PrefixTree(params, budget)
+
+
+def prefix_tree(params: Params, budget: int | None = None) -> PrefixTree:
+    """The `PrefixTree` of (n, k, d), built once per (params, budget) and
+    kept in a bounded least-recently-used cache."""
+    return _cached_tree(params, budget)
 
 
 def exact_next_edge_distribution(G: OrderedHypergraph, params: Params,

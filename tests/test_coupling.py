@@ -25,9 +25,14 @@ from hypercouple import (
     run_coupling_gnp,
     sample_gnm,
 )
-from hypercouple import coupling
+from hypercouple import coupling, oracle
 from hypercouple.coupling import BRANCHES, _draw_cumulative
-from hypercouple.oracle import StateLaw, extension_family
+from hypercouple.oracle import (
+    PrefixTree,
+    StateLaw,
+    extension_family,
+    prefix_tree,
+)
 from hypercouple.stats import tv_distance_uniform
 
 N6 = Params(6, 3, 2)
@@ -262,6 +267,132 @@ class TestIntegerVerdict:
         assert self.check(law, Fraction(1, 7), Fraction(6, 7))
         below = StateLaw.from_weights(support, (6, 9) + (7,) * 32 + (6,), 245)
         assert not self.check(below, Fraction(1, 8), Fraction(7, 8))
+
+
+def _walk(tree, edges):
+    """The tree node reached by exposing `edges` in the given order."""
+    node = tree.root
+    for e in edges:
+        node = tree.child(node, e)
+    return node
+
+
+class TestPrefixTree:
+    """The tree reads every law off the completions through (1..k); each
+    must equal the empty-prefix family's law at the same state."""
+
+    P733 = Params(7, 3, 3)
+
+    def test_every_state_of_632_in_two_orders(self):
+        pool = list(combinations(range(1, 7), 3))
+        # increasing order relabels through the least edge, decreasing
+        # through the greatest, so each state is reached in two frames
+        up, down = PrefixTree(N6), PrefixTree(N6)
+        seen = 0
+        for key, law in _all_state_laws(N6):
+            edges = [pool[c] for c in key]
+            assert _walk(up, edges).law == law
+            assert _walk(down, edges[::-1]).law == law
+            seen += 1
+        assert seen == 511
+
+    def test_every_fiftieth_state_of_733(self):
+        pool = list(combinations(range(1, 8), 3))
+        up, down = PrefixTree(self.P733), PrefixTree(self.P733)
+        seen = 0
+        for i, (key, law) in enumerate(_all_state_laws(self.P733)):
+            if i % 50:
+                continue
+            edges = [pool[c] for c in key]
+            assert _walk(up, edges).law == law
+            assert _walk(down, edges[::-1]).law == law
+            seen += 1
+        assert seen >= 4000
+
+    @pytest.mark.parametrize("nkd", [(6, 3, 2), (7, 3, 3), (8, 2, 3),
+                                     (9, 3, 2), (8, 4, 2)])
+    def test_family_size_is_c_u1_over_m(self, nkd):
+        # U0 * M = C * U1, both sides counted by the focus backtracker
+        p = Params(*nkd)
+        first = OrderedHypergraph(p.n, p.k, [tuple(range(1, p.k + 1))])
+        u1 = count_extensions(first, p).unordered_count
+        u0 = count_extensions(OrderedHypergraph(p.n, p.k), p).unordered_count
+        C = p.complete_count
+        assert u0 * p.M == C * u1
+        tree = PrefixTree(p)
+        assert tree.family_size == u0
+        pool = tuple(combinations(range(1, p.n + 1), p.k))
+        assert tree.root.law == StateLaw.from_weights(pool, (u1,) * C,
+                                                      u0 * p.M)
+
+    def test_orders_of_one_state_share_a_node(self):
+        tree = PrefixTree(self.P733)
+        a, b, c = (1, 2, 3), (4, 5, 6), (1, 4, 7)
+        node = _walk(tree, [a, b, c])
+        assert _walk(tree, [c, a, b]) is node
+        assert _walk(tree, [b, c, a]) is node
+        assert tree.child(_walk(tree, [a, b]), c) is node
+
+    def test_child_rejects_a_present_edge_the_last_step_no_family(self):
+        tree = PrefixTree(N6)
+        node = tree.child(tree.root, (1, 2, 3))
+        with pytest.raises(DomainError):
+            tree.child(node, (1, 2, 3))
+        full = count_extensions(OrderedHypergraph(6, 3), N6,
+                                list_completions=True).completions[0]
+        node = _walk(tree, full[:-1])
+        with pytest.raises(DomainError):
+            tree.child(node, full[-1])
+        with pytest.raises(DomainError):  # no 200-regular graph on 4 vertices
+            PrefixTree(Params(4, 2, 200))
+
+    def test_tree_is_cached_per_params_and_budget(self):
+        assert prefix_tree(N6) is prefix_tree(N6)
+        info = oracle._cached_tree.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 4
+
+    @pytest.mark.parametrize("row_bytes,weights", [
+        (1024, None), (None, 64), (0, 0)])
+    def test_small_caps_keep_every_law_of_couple_cold_traces(
+            self, monkeypatch, row_bytes, weights):
+        c = cfg(self.P733, Fraction(4, 7))
+        fam = extension_family(OrderedHypergraph(7, 3), self.P733)
+        oracle._cached_tree.cache_clear()
+        traces = [run_coupling(c, RngStream(71, (i,))) for i in range(8)]
+        reference = prefix_tree(self.P733)
+        if row_bytes is not None:
+            monkeypatch.setattr(oracle, "_TREE_ROW_BYTES", row_bytes)
+        if weights is not None:
+            monkeypatch.setattr(oracle, "_TREE_WEIGHTS", weights)
+        refiltered = []
+        real_rows = PrefixTree._rows
+
+        def spy(self, node):
+            refiltered.append(node.rows is None and bool(node.cols))
+            return real_rows(self, node)
+
+        monkeypatch.setattr(PrefixTree, "_rows", spy)
+        oracle._cached_tree.cache_clear()
+        tree = prefix_tree(self.P733)
+        for i, tr in enumerate(traces):
+            again = run_coupling(c, RngStream(71, (i,)))
+            assert again.steps == tr.steps
+            assert again.regular_final == tr.regular_final
+            order = tr.regular_final.edges
+            node, ref = tree.root, reference.root
+            for t in range(self.P733.M):
+                assert node.law == ref.law == fam.state(
+                    frozenset(order[:t]), t)
+                if t + 1 < self.P733.M:
+                    node = tree.child(node, order[t])
+                    ref = reference.child(ref, order[t])
+        if row_bytes is not None:
+            assert any(refiltered)  # some node lost its rows and refiltered
+            assert tree._held_bytes <= row_bytes
+        if weights is not None:
+            # cut back to the root whenever one more law would pass the cap
+            assert tree._weights <= max(weights, self.P733.complete_count)
+        oracle._cached_tree.cache_clear()
 
 
 class TestTraces:

@@ -304,6 +304,27 @@ class TestCliBoundary:
         assert budgets and all(b is not None and b <= cap for b in budgets)
         assert read_json(tmp_path / "c")["tv_checks"]["family_size"] == 75
 
+    def test_mc_tv_check_counts_the_first_edge_family(self, tmp_path,
+                                                      monkeypatch):
+        # (9,3,2): 8,730 graphs through (1,2,3) in 38,163 nodes, and
+        # 84 * 8,730 / 6 = 122,220 graphs in all, past the 20,000 limit
+        monkeypatch.delenv("HYPERCOUPLE_NODE_BUDGET", raising=False)
+        counted = []
+        real = experiments.count_extensions
+
+        def spy(G, params, *args, **kw):
+            fam = real(G, params, *args, **kw)
+            counted.append((G.edges, fam.unordered_count, fam.nodes_used))
+            return fam
+
+        monkeypatch.setattr(experiments, "count_extensions", spy)
+        out = tmp_path / "c"
+        assert main(["couple", "--n", "9", "--k", "3", "--d", "2",
+                     "--gamma", "0.5", "--p-mode", "mc:2", "--trials", "1",
+                     "--seed", "1", "--out", str(out)]) == 0
+        assert counted == [(((1, 2, 3),), 8730, 38163)]
+        assert read_json(out)["tv_checks"] is None
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
@@ -341,6 +362,8 @@ class TestTracedNames:
 
     def test_every_traced_callable_is_reached(self, tmp_path, monkeypatch):
         results: dict[str, list[type]] = {}
+        reached_by: dict[str, set[str]] = {}  # callable -> subcommands
+        current = [None]
         modules = [m for name, m in sys.modules.items()
                    if name == "hypercouple" or name.startswith("hypercouple.")]
         for owner, attr in self.TRACED:
@@ -349,6 +372,7 @@ class TestTracedNames:
             def spy(*args, _fn=original, _name=attr, **kwargs):
                 result = _fn(*args, **kwargs)
                 results.setdefault(_name, []).append(type(result))
+                reached_by.setdefault(_name, set()).add(current[0])
                 return result
 
             if isinstance(owner, type):
@@ -360,9 +384,15 @@ class TestTracedNames:
                         monkeypatch.setattr(mod, key, spy)
         # each benchmark round is a fresh process: nothing listed yet
         oracle._cached_family.cache_clear()
+        oracle._cached_tree.cache_clear()
         for i, argv in enumerate(self.RUNS):
+            current[0] = argv[0]
             assert main(argv + ["--seed", "1", "--jobs", "1",
                                 "--out", str(tmp_path / str(i))]) == 0
+        # the couple workloads' listing and traces are measured here
+        for name in ("count_extensions", "run_coupling", "generator"):
+            assert "couple" in reached_by.get(name, ()), (
+                f"the couple run never called {name}")
         for name in ("forward_count", "backward_count",
                      "switching_class_sizes", "count_extensions",
                      "run_coupling", "residual_report", "sample_regular",

@@ -3,8 +3,9 @@
 Each run's `summary.json` and `rows.csv` must hash to the digests below at
 `--jobs 1` and `--jobs 2`.  The digests were recorded before coupling traces
 and samplers stopped re-validating their pool edges, a change that keeps
-every draw.  A change that does alter a stream must say so in CHANGES.md
-and re-record the digests it moves.
+every draw; couple-932's before the exact laws came from a `PrefixTree`
+instead of the listed empty-prefix family.  A change that does alter a
+stream must say so in CHANGES.md and re-record the digests it moves.
 """
 
 import hashlib
@@ -30,6 +31,11 @@ GOLDEN = {
          "--gamma", "0.5714285714285714", "--trials", "8"],
         "1675b4ade78d7046265549a67d6018e845c647d4ade5da0fc6272a2666b763cd",
         "9a3a7048eb7211e8361e0521c1dc0ad0c11123a6b800742ad0df6c40b791bdcf"),
+    "couple-932": (
+        ["couple", "--n", "9", "--k", "3", "--d", "2", "--gamma", "0.5",
+         "--trials", "10"],
+        "73a324f6f1a1dee3ea35655a2f3a7334d9dbc3f42b0f5f8ebc8fb0c67ae130ba",
+        "1b0f72d8383557dda728fa4ecce0e031dc19b233ece9c455e528b4d0bfcc7e2b"),
     "process-60": (
         ["process-stats", "--n", "60", "--k", "3", "--d", "6",
          "--trials", "20"],
