@@ -150,9 +150,6 @@ class Hypergraph:
             raise DomainError("pair degree needs two distinct vertices")
         return sum(1 for e in self._edges if u in e and v in e)
 
-    def is_subgraph_of(self, other: "Hypergraph") -> bool:
-        return self._edges <= other._edges
-
 
 class OrderedHypergraph:
     """A simple k-graph whose edge order is significant.

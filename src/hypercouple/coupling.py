@@ -83,7 +83,6 @@ class CouplingConfig:
     epsilon: float | Fraction
     p_mode: str = "exact"
     mc_trials: int = 200
-    oracle_budget: int | None = None
     # derived once from the fields above
     _m: int = field(init=False, repr=False, compare=False)
     _coupled_steps: int = field(init=False, repr=False, compare=False)
@@ -124,6 +123,15 @@ class CouplingConfig:
     def coupled_steps(self) -> int:
         """The horizon (1-epsilon)*M up to which proposals are drawn."""
         return self._coupled_steps
+
+    @property
+    def accepted_yardsticks(self) -> tuple[float, float, float]:
+        """The accepted count is Binomial(coupled_steps, 1-eps): its mean
+        (1-eps)^2 M, its variance (1-eps)^2 eps M and the Chebyshev bound
+        k/(eps n d) on P(count < m), as floats."""
+        p, eps = self.params, float(self.epsilon)
+        return ((1 - eps) ** 2 * p.M, (1 - eps) ** 2 * eps * p.M,
+                p.k / (eps * p.n * p.d))
 
 
 class CouplingStep(NamedTuple):
@@ -180,8 +188,8 @@ class NearUniformityCheck:
 
 def check_near_uniformity(G: OrderedHypergraph, epsilon: float | Fraction,
                           params: Params, p_mode: str = "exact",
-                          mc_trials: int = 2000, rng=None,
-                          budget: int | None = None) -> NearUniformityCheck:
+                          mc_trials: int = 2000,
+                          rng=None) -> NearUniformityCheck:
     """Does every absent edge carry at least (1-epsilon) times the uniform
     probability under the regular process's next-edge law?
 
@@ -194,7 +202,7 @@ def check_near_uniformity(G: OrderedHypergraph, epsilon: float | Fraction,
     if len(G) >= params.M:
         raise DomainError("state already complete; no next edge exists")
     if p_mode == "exact":
-        fam = extension_family(G, params, budget)
+        fam = extension_family(G, params)
         law = fam.state(fam.base, len(G))
     elif p_mode == "mc":
         if rng is None:
@@ -234,7 +242,7 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
     eps = config.epsilon
     exact = config.p_mode == "exact"
     if exact:
-        tree = prefix_tree(params, config.oracle_budget)
+        tree = prefix_tree(params)
         node = tree.root
 
     # the regular side's exposure order; every edge is a pool edge, so the
@@ -416,15 +424,12 @@ class AcceptedSizeDiagnostics:
 
 def accepted_size_diagnostics(config: CouplingConfig,
                               traces: list[CouplingTrace]) -> AcceptedSizeDiagnostics:
-    """The accepted count is Binomial(coupled_steps, 1-eps): mean
-    (1-eps)^2 M, variance (1-eps)^2 eps M, and P(count < m) <= k/(eps n d)."""
+    """The traces' accepted counts against `config.accepted_yardsticks`."""
     if not traces:
         raise DomainError("no traces given")
-    params = config.params
     eps = float(config.epsilon)
     sizes = np.array([len(tr.accepted) for tr in traces], dtype=float)
-    expected_mean = (1 - eps) ** 2 * params.M
-    expected_var = (1 - eps) ** 2 * eps * params.M
+    expected_mean, expected_var, below_bound = config.accepted_yardsticks
     below = float(np.mean(sizes < config.m))
     sigma_mean = math.sqrt(expected_var / len(sizes))
     return AcceptedSizeDiagnostics(
@@ -433,8 +438,8 @@ def accepted_size_diagnostics(config: CouplingConfig,
         variance=float(sizes.var(ddof=1)) if len(sizes) > 1 else 0.0,
         expected_mean=expected_mean,
         expected_variance=expected_var,
-        mean_lower_bound=(1 - 2 * eps) * params.M,
+        mean_lower_bound=(1 - 2 * eps) * config.params.M,
         below_m_rate=below,
-        below_m_bound=params.k / (eps * params.n * params.d),
+        below_m_bound=below_bound,
         mean_z=(float(sizes.mean()) - expected_mean) / sigma_mean,
     )

@@ -133,7 +133,7 @@ def _digest(data: bytes) -> str:
 
 def _parallel(worker, payloads: list, jobs: int) -> Iterator:
     """Worker results in payload order, yielded as they are consumed.  Forked
-    workers inherit what the parent has enumerated (the family cache)."""
+    workers inherit what the parent has enumerated (the prefix tree)."""
     if jobs <= 1 or len(payloads) <= 1:
         yield from map(worker, payloads)
         return
@@ -255,8 +255,6 @@ def _run_couple(cfg: ExperimentConfig, gnp: bool):
     certain = all(r[2] for r in results)
     sizes = [float(r[3]) for r in results]
     fallback = sum(r[4] for r in results)
-    eps = float(cc.epsilon)
-    M = cc.params.M
     mean, var = _mean_var(sizes)
     below = sum(1 for s in sizes if s < cc.m)
 
@@ -280,7 +278,7 @@ def _run_couple(cfg: ExperimentConfig, gnp: bool):
             size = 0
             if budget < _TV_COUNT_NODES:
                 tv_checks = {"skipped": str(exc)}
-        size = size * cc.params.complete_count // M
+        size = size * cc.params.complete_count // cc.params.M
     if 0 < size <= _TV_FAMILY_LIMIT:
         counts: dict = {}
         for r in results:
@@ -291,11 +289,12 @@ def _run_couple(cfg: ExperimentConfig, gnp: bool):
             "tv_final_regular": round(tv_distance_uniform(counts, size), 6),
         }
 
+    mean_expected, var_expected, chebyshev = cc.accepted_yardsticks
     summary = {
         "kind": cfg.kind, "schema_version": SCHEMA_VERSION,
         "interval_method": "wilson-95",
         "n": cc.params.n, "k": cc.params.k, "d": cc.params.d,
-        "gamma": o["gamma"], "epsilon": eps, "m": cc.m,
+        "gamma": o["gamma"], "epsilon": float(cc.epsilon), "m": cc.m,
         "p_mode": cc.p_mode, "trials": cfg.trials,
         "contained_rate": _wilson_dict(contained, cfg.trials),
         "A_all_rate": _wilson_dict(near_all, cfg.trials),
@@ -303,9 +302,9 @@ def _run_couple(cfg: ExperimentConfig, gnp: bool):
         "fallback_rate": _wilson_dict(fallback, cfg.trials),
         "verdicts_certain": certain,
         "accepted_mean": round(mean, 6), "accepted_var": round(var, 6),
-        "accepted_mean_expected": (1 - eps) ** 2 * M,
-        "accepted_var_expected": (1 - eps) ** 2 * eps * M,
-        "chebyshev_bound_S_lt_m": cc.params.k / (eps * cc.params.n * cc.params.d),
+        "accepted_mean_expected": mean_expected,
+        "accepted_var_expected": var_expected,
+        "chebyshev_bound_S_lt_m": chebyshev,
         "tv_checks": tv_checks,
     }
     if gnp:

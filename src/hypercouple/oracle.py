@@ -6,7 +6,9 @@ Three enumeration routes are kept deliberately separate:
 
 * `count_extensions(..., list_completions=True)` lists unordered
   completions with one vectorised sweep over the edge pool in
-  lexicographic order;
+  lexicographic order, into the one column-major store of an
+  `ExtensionFamily`, whose column filter and column sum give every listed
+  count, every exact law and every `PrefixTree` node;
 * `count_extensions` without a listing counts them by focus-vertex
   backtracking (always satisfy the smallest deficient vertex first), the
   listing's independent second opinion;
@@ -152,25 +154,31 @@ class StateLaw:
         return hit
 
 
+# completions one column sum counts at a time
+_SUM_ROWS = 1 << 16
+
+
 @dataclass(eq=False)
 class ExtensionFamily:
     """Completions of a prefix G to a d-regular k-graph.
 
     `unordered_count` is the number of completion edge-sets; the ordered
     family (all ways to expose the remaining edges one by one) is larger by
-    a factor (M-t)!.  A listed family keeps one packed 0/1 row per
-    completion tail, in the lexicographic order of the tails: bit c of a
-    row (little-endian within each byte) is set iff the tail contains the
-    c-th edge of the lexicographic edge pool.  Every exact count below is
-    read off these rows: U(G+S) is the number of rows containing S, and the
-    next-edge weights are column sums over those rows.
+    a factor (M-t)!.  A listed family keeps its completion tails packed
+    column-major, in the lexicographic order of the tails: bit c & 7 of
+    `packed[c >> 3, i]` is set iff tail i contains the c-th edge of the
+    lexicographic edge pool.  Every exact count below goes through two
+    reads of `packed`: `with_column`, the completions holding one pool
+    edge, so U(G+S) is the number left after one filter per edge of S;
+    and `column_sums`, whose sums over those completions are the
+    next-edge weights.
     """
 
     params: Params
     base: frozenset[Edge]
     unordered_count: int
     admissible: bool
-    rows: np.ndarray | None = None
+    packed: np.ndarray | None = None
     nodes_used: int = 0
 
     @property
@@ -186,58 +194,85 @@ class ExtensionFamily:
         return {e: c for c, e in enumerate(
             combinations(range(1, self.params.n + 1), self.params.k))}
 
+    @property
+    def _listed(self) -> np.ndarray:
+        if self.packed is None:
+            raise DomainError("family was counted without listing completions")
+        return self.packed
+
+    def with_column(self, c: int, among: np.ndarray | None = None
+                    ) -> np.ndarray:
+        """Indices (int32, increasing) of the completions, among the
+        indices `among` (None: all), whose tail holds pool column c."""
+        column, bit = self._listed[c >> 3], 1 << (c & 7)
+        if among is None:
+            return np.flatnonzero(column & bit).astype(np.int32)
+        return among[(column[among] & bit) != 0]
+
+    def column_sums(self, among: np.ndarray | None = None) -> np.ndarray:
+        """How many of the completions `among` (None: all) hold each pool
+        column, unpacked _SUM_ROWS completions at a time."""
+        width, total = self._listed.shape
+        sums = np.zeros(8 * width, dtype=np.int64)
+        for a in range(0, total if among is None else len(among), _SUM_ROWS):
+            block = (self.packed[:, a:a + _SUM_ROWS] if among is None
+                     else self.packed[:, among[a:a + _SUM_ROWS]])
+            sums += np.unpackbits(block.T, axis=1, bitorder="little").sum(
+                axis=0, dtype=np.int64)
+        return sums
+
     @cached_property
     def tails(self) -> np.ndarray:
         """Pool columns of each completion tail: one increasing row of
-        M - t column indices per completion, in the rows' order."""
-        if self.rows is None:
-            raise DomainError("family was counted without listing completions")
-        bits = np.unpackbits(self.rows, axis=1, count=len(self._columns),
+        M - t column indices per completion, in the listing order."""
+        # unpacking a row-major copy is faster than unpacking the strided
+        # transposed view
+        rows = np.ascontiguousarray(self._listed.T)
+        bits = np.unpackbits(rows, axis=1, count=len(self._columns),
                              bitorder="little")
-        tails = np.nonzero(bits)[1].reshape(len(self.rows),
+        tails = np.nonzero(bits)[1].reshape(self.unordered_count,
                                             self.params.M - self.base_size)
         tails.flags.writeable = False
         return tails
 
     @property
     def completions(self) -> list[tuple[Edge, ...]] | None:
-        """Tails as lexicographically sorted edge tuples, in the rows'
+        """Tails as lexicographically sorted edge tuples, in the listing's
         lexicographic order; None when the family was only counted."""
-        if self.rows is None:
+        if self.packed is None:
             return None
         pool = tuple(self._columns)
         return [tuple(pool[c] for c in row) for row in self.tails.tolist()]
 
     def holds(self, e: Edge) -> np.ndarray:
         """Mask over the listed completions: does the tail contain edge e?"""
-        return (self.tails == self._columns[e]).any(axis=1)
+        mask = np.zeros(self.unordered_count, dtype=bool)
+        mask[self.with_column(self._columns[e])] = True
+        return mask
 
     def restrict(self, which) -> "ExtensionFamily":
         """The listed completions that `which` (a boolean mask or index
-        array over the rows) selects, as a family over the same base; it
+        array over them) selects, as a family over the same base; it
         shares this family's unpacked tails instead of unpacking again."""
         tails = self.tails[which]
         sub = ExtensionFamily(params=self.params, base=self.base,
                               unordered_count=len(tails),
                               admissible=self.admissible,
-                              rows=self.rows[which])
+                              packed=self.packed[:, which])
         sub.__dict__["tails"] = tails  # fills the cached property
         return sub
 
     def rows_with(self, edges) -> np.ndarray:
-        """Rows of the completions containing every edge of `edges` outside
-        the base; there are U(G + edges) of them."""
-        if self.rows is None:
-            raise DomainError("family was counted without listing completions")
-        rows = self.rows
+        """Indices of the completions containing every edge of `edges`
+        outside the base; there are U(G + edges) of them."""
+        rows = np.arange(self._listed.shape[1], dtype=np.int32)
         for e in set(edges) - self.base:
-            c = self._columns[e]
-            rows = rows[(rows[:, c >> 3] & (1 << (c & 7))) != 0]
+            rows = self.with_column(self._columns[e], rows)
         return rows
 
     def state(self, edges: frozenset[Edge], t: int) -> StateLaw:
         """Exact next-edge law at the prefix state `edges` (t edges, the
-        base among them), filtered afresh from every listed row; the
+        base among them), filtered afresh from every listed completion; the
         coupling walks a `PrefixTree` instead."""
         params = self.params
         if t >= params.M:
@@ -245,10 +280,7 @@ class ExtensionFamily:
         rows = self.rows_with(edges)
         if len(rows) == 0:
             raise DomainError("prefix is inadmissible; next-edge law undefined")
-        # column sums, one byte column at a time to keep the unpacking small
-        sums = np.concatenate([np.unpackbits(rows[:, j:j + 1], axis=1,
-                                             bitorder="little").sum(axis=0)
-                               for j in range(rows.shape[1])]).tolist()
+        sums = self.column_sums(rows).tolist()
         support = tuple(e for e in self._columns if e not in edges)
         return StateLaw.from_weights(
             support, tuple(sums[self._columns[e]] for e in support),
@@ -386,9 +418,7 @@ def _sweep_completions(n: int, k: int, residual: np.ndarray | None,
                 waiting += (len(R) - half) * row_bytes
                 R, B = R[:half].copy(), B[:half].copy()
         listed += B.tobytes()
-    rows = np.frombuffer(listed, dtype=np.uint8).reshape(-1, width)
-    rows.flags.writeable = False  # cached families are shared by every caller
-    return rows, nodes
+    return np.frombuffer(listed, dtype=np.uint8).reshape(-1, width), nodes
 
 
 def count_extensions(G: OrderedHypergraph, params: Params,
@@ -406,11 +436,13 @@ def count_extensions(G: OrderedHypergraph, params: Params,
     except InadmissiblePrefixError:
         residual = None
     base = frozenset(G.edge_set)
-    rows = None
+    packed = None
     if list_completions:
         rows, nodes = _sweep_completions(params.n, params.k, residual, base,
                                          node_budget(budget))
         count = len(rows)
+        packed = np.ascontiguousarray(rows.T)
+        packed.flags.writeable = False  # cached families are shared
     elif residual is None:  # a vertex overflows: nothing to walk
         count = nodes = 0
     else:
@@ -423,7 +455,7 @@ def count_extensions(G: OrderedHypergraph, params: Params,
         base=base,
         unordered_count=count,
         admissible=count > 0,
-        rows=rows,
+        packed=packed,
         nodes_used=nodes,
     )
 
@@ -456,8 +488,6 @@ def extension_family(G: OrderedHypergraph, params: Params,
     return _cached_family(_FamilyKey(params, frozenset(G.edge_set), budget))
 
 
-# rows one column sum counts at a time
-_SUM_ROWS = 1 << 16
 # bytes of canonical row indices the nodes of one prefix tree hold at once
 _TREE_ROW_BYTES = _LIST_BYTES // 4
 # law weights the nodes of one prefix tree hold at once, at about 100 bytes
@@ -471,8 +501,8 @@ class _PrefixNode:
     `frame` maps each pool column c to the canonical column of
     σ_e^{-1}(c), where e is the first edge of the path that created the
     node, and `cols` are the canonical columns of the state's other edges.
-    `rows` indexes the canonical rows that contain every column of `cols`
-    (int32), or is None when they are not held.
+    `rows` indexes the canonical completions that hold every column of
+    `cols` (int32), or is None when they are not held.
     """
 
     __slots__ = ("edges", "t", "frame", "cols", "law", "rows", "children")
@@ -490,7 +520,8 @@ class _PrefixNode:
 
 class PrefixTree:
     """Exact next-edge laws at the prefix states of the exposure, read off
-    one listed family: the completions through the first edge (1..k).
+    one listed `ExtensionFamily`, `family`: the completions through the
+    first edge (1..k).
 
     The empty prefix is vertex-transitive, which gives three identities.
     Every edge lies in the same number U1 of d-regular k-graphs, so the
@@ -499,37 +530,35 @@ class PrefixTree:
     family size.  The graphs through a first edge e are the canonical ones
     relabelled by σ_e, which maps (1..k) onto e and the other vertices onto
     the rest in increasing order.  So a state whose first edge is e has for
-    completions the canonical rows holding its other edges' canonical
+    completions the canonical ones holding its other edges' canonical
     columns, and its law is their column sums read back through σ_e: the
-    same `StateLaw` that `ExtensionFamily.state` gives on the empty prefix.
+    same `StateLaw` that the empty prefix's `ExtensionFamily.state` gives.
 
     `child(node, e)` takes one exposure step.  A new child filters its
-    parent's rows with one packed-column test and sums their columns; a
-    state reached in another order reuses its node.  Row indices are held
-    within _TREE_ROW_BYTES, the least recently used dropped first (such a
-    node filters the canonical rows again on its own state), and laws
-    within _TREE_WEIGHTS weights, past which the tree is cut back to its
-    root.
+    parent's completions with `family.with_column` and reads its weights
+    off `family.column_sums`; a state reached in another order reuses its
+    node.  Row indices are held within _TREE_ROW_BYTES, the least recently
+    used dropped first (such a node filters the canonical completions
+    again on its own state), and laws within _TREE_WEIGHTS weights, past
+    which the tree is cut back to its root.
     """
 
-    def __init__(self, params: Params, budget: int | None = None) -> None:
+    def __init__(self, params: Params) -> None:
         n, k, M = params.n, params.k, params.M
         first = tuple(range(1, k + 1))
         fam = count_extensions(
             OrderedHypergraph._from_canonical(n, k, [first]), params,
-            list_completions=True, budget=budget)
+            list_completions=True)
         if not fam.admissible:
             raise DomainError("no d-regular k-graph exists; next-edge law "
                               "undefined")
         self.params = params
-        self._column = fam._columns
-        pool = tuple(self._column)
+        self.family = fam
+        pool = tuple(fam._columns)
         size, rest = divmod(len(pool) * fam.unordered_count, M)
         assert rest == 0, "U0 * M = C * U1 failed"
         self.family_size = size
-        # the canonical rows byte column by byte column, for column tests
-        self._bytes = np.ascontiguousarray(fam.rows.T)
-        self._first_sums = self._column_sums(None)
+        self._first_sums = fam.column_sums()
         u1 = fam.unordered_count
         self.root = _PrefixNode(
             frozenset(), 0, None, (),
@@ -565,19 +594,20 @@ class PrefixTree:
         except ValueError:
             raise DomainError(f"{e} is not an absent pool edge") from None
         support = support[:at] + support[at + 1:]
+        fam, column = self.family, self.family._columns
         if parent.frame is None:
-            # a first edge: every canonical row completes it
+            # a first edge: σ_e maps every canonical completion onto one
             frame, cols, rows = self._frame(e), (), None
-            count, sums = self._bytes.shape[1], self._first_sums
+            count, sums = fam.unordered_count, self._first_sums
         else:
             frame = parent.frame
-            cols = parent.cols + (int(frame[self._column[e]]),)
-            rows = self._filter(self._rows(parent), cols[-1])
-            count, sums = len(rows), self._column_sums(rows)
+            cols = parent.cols + (int(frame[column[e]]),)
+            rows = fam.with_column(cols[-1], self._rows(parent))
+            count, sums = len(rows), fam.column_sums(rows)
         if count == 0:
             raise DomainError("prefix is inadmissible; next-edge law "
                               "undefined")
-        absent = frame[[self._column[f] for f in support]]
+        absent = frame[[column[f] for f in support]]
         law = StateLaw.from_weights(support, tuple(sums[absent].tolist()),
                                     count * (M - t))
         if self._weights + len(support) > _TREE_WEIGHTS:
@@ -594,38 +624,19 @@ class PrefixTree:
         order = e + tuple(v for v in range(1, self.params.n + 1)
                           if v not in e)
         label = dict(zip(order, range(1, len(order) + 1)))
-        column = self._column
+        column = self.family._columns
         return np.array([column[tuple(sorted(map(label.__getitem__, f)))]
                          for f in column])
 
-    def _filter(self, rows: np.ndarray | None, col: int) -> np.ndarray:
-        """The canonical rows among `rows` (None: all) holding column col."""
-        column, bit = self._bytes[col >> 3], 1 << (col & 7)
-        if rows is None:
-            return np.flatnonzero(column & bit).astype(np.int32)
-        return rows[(column[rows] & bit) != 0]
-
-    def _column_sums(self, rows: np.ndarray | None) -> np.ndarray:
-        """Column sums of the canonical rows `rows` (None: all), unpacked
-        _SUM_ROWS rows at a time."""
-        width, total = self._bytes.shape
-        sums = np.zeros(8 * width, dtype=np.int64)
-        for a in range(0, total if rows is None else len(rows), _SUM_ROWS):
-            block = (self._bytes[:, a:a + _SUM_ROWS] if rows is None
-                     else self._bytes[:, rows[a:a + _SUM_ROWS]])
-            sums += np.unpackbits(block.T, axis=1, bitorder="little").sum(
-                axis=0, dtype=np.int64)
-        return sums
-
     def _rows(self, node: _PrefixNode) -> np.ndarray | None:
-        """Canonical rows completing node's state (None: all of them)."""
+        """Canonical completions of node's state (None: all of them)."""
         if node.rows is not None:
             del self._held[node]
             self._held[node] = None  # now the most recently used
             return node.rows
         rows = None
         for col in node.cols:
-            rows = self._filter(rows, col)
+            rows = self.family.with_column(col, rows)
         if rows is not None:
             self._hold(node, rows)
         return rows
@@ -652,25 +663,25 @@ class PrefixTree:
 
 
 @lru_cache(maxsize=2)
-def _cached_tree(params: Params, budget: int | None) -> PrefixTree:
-    return PrefixTree(params, budget)
+def _cached_tree(params: Params) -> PrefixTree:
+    return PrefixTree(params)
 
 
-def prefix_tree(params: Params, budget: int | None = None) -> PrefixTree:
-    """The `PrefixTree` of (n, k, d), built once per (params, budget) and
-    kept in a bounded least-recently-used cache."""
-    return _cached_tree(params, budget)
+def prefix_tree(params: Params) -> PrefixTree:
+    """The `PrefixTree` of (n, k, d), built once per params and kept in a
+    bounded least-recently-used cache."""
+    return _cached_tree(params)
 
 
-def exact_next_edge_distribution(G: OrderedHypergraph, params: Params,
-                                 budget: int | None = None) -> dict[Edge, Fraction]:
+def exact_next_edge_distribution(G: OrderedHypergraph,
+                                 params: Params) -> dict[Edge, Fraction]:
     """Exact law of the next exposed edge given prefix G, as Fractions.
 
     For each absent edge e, P(e) = U(G+e) / (U(G) * (M-t)) where U counts
     unordered completions; the M-t orderings of each completion tail put
     each tail edge first equally often.  The values sum to 1 exactly.
     """
-    fam = extension_family(G, params, budget)
+    fam = extension_family(G, params)
     return fam.state(fam.base, len(G)).distribution()
 
 
@@ -795,8 +806,8 @@ def residual_multiset_permutations(G: OrderedHypergraph, params: Params) -> int:
     return total
 
 
-def exact_simplicity_probability(G: OrderedHypergraph, params: Params,
-                                 budget: int | None = None) -> Fraction:
+def exact_simplicity_probability(G: OrderedHypergraph,
+                                 params: Params) -> Fraction:
     """Exact probability that a uniform configuration extension of G is simple.
 
     Counts ordered simple tails T; each contributes (k!)^(M-t) vertex-copy
@@ -807,7 +818,7 @@ def exact_simplicity_probability(G: OrderedHypergraph, params: Params,
     t = len(G)
     counter = _SequentialTailCounter(params.n, params.k, residual,
                                      set(G.edge_set), params.M - t,
-                                     node_budget(budget))
+                                     node_budget())
     counter.run()
     block_orderings = math.factorial(params.k) ** (params.M - t)
     return Fraction(counter.count * block_orderings,
@@ -834,8 +845,8 @@ class RatioIdentityReport:
     equal: bool
 
 
-def verify_ratio_identity(G: OrderedHypergraph, e: Edge, f: Edge, params: Params,
-                          budget: int | None = None) -> RatioIdentityReport:
+def verify_ratio_identity(G: OrderedHypergraph, e: Edge, f: Edge,
+                          params: Params) -> RatioIdentityReport:
     """Check U(G+e)/U(G+f) == residual ratio times simplicity ratio, exactly.
 
     Requires f to extend G admissibly (nonzero count); e may be inadmissible,
@@ -846,7 +857,7 @@ def verify_ratio_identity(G: OrderedHypergraph, e: Edge, f: Edge, params: Params
     for name, edge in (("e", e), ("f", f)):
         if edge in G.edge_set:
             raise DomainError(f"edge {name}={edge} already present in G")
-    fam = extension_family(G, params, budget)
+    fam = extension_family(G, params)
     u_e = len(fam.rows_with({e}))
     u_f = len(fam.rows_with({f}))
     if u_f == 0:
@@ -857,15 +868,14 @@ def verify_ratio_identity(G: OrderedHypergraph, e: Edge, f: Edge, params: Params
     residual_ratio = Fraction(num, den)
     extension_ratio = Fraction(u_e, u_f)
     p_f = exact_simplicity_probability(
-        OrderedHypergraph(params.n, params.k, list(G.edges) + [f]), params, budget)
+        OrderedHypergraph(params.n, params.k, list(G.edges) + [f]), params)
     if num == 0:
         # e pushes some vertex past degree d: both sides vanish
         p_e = None
         rhs = Fraction(0)
     else:
         p_e = exact_simplicity_probability(
-            OrderedHypergraph(params.n, params.k, list(G.edges) + [e]),
-            params, budget)
+            OrderedHypergraph(params.n, params.k, list(G.edges) + [e]), params)
         rhs = residual_ratio * p_e / p_f
     return RatioIdentityReport(
         e=e, f=f,

@@ -171,11 +171,10 @@ def residual_report(params: Params, trials: int, rng,
                           exact_mean=exact_mean, exact_var=exact_var)
 
 
-def best_average_edge(G: OrderedHypergraph, params: Params,
-                      budget: int | None = None) -> Edge:
+def best_average_edge(G: OrderedHypergraph, params: Params) -> Edge:
     """Lexicographically least absent edge maximizing the completion count,
     i.e. an f whose extension is at least as completable as average."""
-    fam = extension_family(G, params, budget)
+    fam = extension_family(G, params)
     law = fam.state(fam.base, len(G))  # raises when nothing completes G
     # max keeps the first, i.e. lexicographically least, maximizer
     return law.support[max(range(len(law.support)),
@@ -221,15 +220,6 @@ class NicenessReport:
     @property
     def effective(self) -> int:
         return self.trials - self.degenerate
-
-    @property
-    def nice_rate(self) -> float:
-        return self.nice_count / self.effective if self.effective else 0.0
-
-    @property
-    def simple_given_nice(self) -> float:
-        return self.simple_nice_count / self.nice_count if self.nice_count \
-            else 0.0
 
     def event_rates(self) -> dict[str, float]:
         n = self.nice_count
@@ -291,7 +281,7 @@ def sample_mutual_pair(G: OrderedHypergraph, e: Edge, f: Edge, params: Params,
     return MutualSample(f_simple=f_simple, e_simple=e_simple, degenerate=False)
 
 
-def _switch_once(hp_edges: list[Edge], base_set: frozenset[Edge], e: Edge,
+def _switch_once(hp_edges: list[Edge], e: Edge,
                  us: tuple[int, ...], vs: tuple[int, ...], G_edges: list[Edge],
                  gen: np.random.Generator):
     """One randomized replacement switch on a sampled extension.
@@ -320,8 +310,7 @@ def _switch_once(hp_edges: list[Edge], base_set: frozenset[Edge], e: Edge,
 
 def mutual_simplicity_probe(G: OrderedHypergraph, e: Edge, f: Edge,
                             params: Params, trials: int, rng,
-                            c1: float = 1.0, c2: float = 1.0,
-                            budget: int | None = None) -> NicenessReport:
+                            c1: float = 1.0, c2: float = 1.0) -> NicenessReport:
     """Sample extensions of G+f and push each through the replacement switch
     toward G+e, recording niceness, the failure events and their per-graph
     bound expressions.
@@ -369,7 +358,7 @@ def mutual_simplicity_probe(G: OrderedHypergraph, e: Edge, f: Edge,
                     for u, v in zip(us, vs))
         nice = nice1 and nice2 and nice3
 
-        out = _switch_once(hp_edges, base_set, e, us, vs, G_edges, gen)
+        out = _switch_once(hp_edges, e, us, vs, G_edges, gen)
         if out is None:
             degenerate += 1
             continue

@@ -276,11 +276,6 @@ class SimplicityEstimate:
     ci_high: float
     exact: Fraction | None
 
-    def covers_exact(self) -> bool | None:
-        if self.exact is None:
-            return None
-        return self.ci_low <= self.exact <= self.ci_high
-
 
 def exact_simplicity_from_count(G: OrderedHypergraph, params: Params,
                                 budget: int | None = None) -> Fraction:

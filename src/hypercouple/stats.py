@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Iterable, Mapping
 
 
@@ -42,20 +41,3 @@ def tv_distance_uniform(counts: Mapping, categories: Iterable | int) -> float:
         raise ValueError(f"observations outside the category set: {len(extra)}")
     u = 1.0 / len(cats)
     return 0.5 * sum(abs(counts.get(c, 0) / total - u) for c in cats)
-
-
-def tv_distance(counts: Mapping, law: Mapping) -> float:
-    """Total variation distance between empirical frequencies and a law given
-    as category -> probability."""
-    total = sum(counts.values())
-    if total <= 0:
-        raise ValueError("no observations")
-    extra = set(counts) - set(law)
-    if extra:
-        raise ValueError(f"observations outside the law's support: {len(extra)}")
-    return 0.5 * sum(abs(counts.get(c, 0) / total - float(p))
-                     for c, p in law.items())
-
-
-def empirical_counts(values: Iterable) -> Counter:
-    return Counter(values)

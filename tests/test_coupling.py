@@ -99,8 +99,8 @@ class TestDerivedConstants:
         assert checked > 100
 
     def test_config_pickles_compares_and_hashes_as_before(self):
-        c = cfg(Params(7, 3, 3), 0.5714285714285714, oracle_budget=10**6)
-        same = cfg(Params(7, 3, 3), Fraction(4, 7), oracle_budget=10**6)
+        c = cfg(Params(7, 3, 3), 0.5714285714285714, mc_trials=300)
+        same = cfg(Params(7, 3, 3), Fraction(4, 7), mc_trials=300)
         back = pickle.loads(pickle.dumps(c))
         assert back == c == same
         assert hash(back) == hash(c) == hash(same)
@@ -108,7 +108,7 @@ class TestDerivedConstants:
         assert c != cfg(Params(7, 3, 3), Fraction(4, 7), p_mode="mc")
         # the derived constants stay out of equality, hashing and repr
         assert hash(c) == hash((c.params, c.gamma, c.epsilon, c.p_mode,
-                                c.mc_trials, c.oracle_budget))
+                                c.mc_trials))
         assert "_m=" not in repr(c) and "_coupled_steps=" not in repr(c)
 
 
@@ -346,7 +346,32 @@ class TestPrefixTree:
         with pytest.raises(DomainError):  # no 200-regular graph on 4 vertices
             PrefixTree(Params(4, 2, 200))
 
-    def test_tree_is_cached_per_params_and_budget(self):
+    def test_tree_reads_its_laws_from_its_family(self, monkeypatch):
+        tree = PrefixTree(self.P733)
+        fam = tree.family
+        assert type(fam) is oracle.ExtensionFamily
+        assert fam.base == {(1, 2, 3)} and fam.packed is not None
+        # the family's store is the only copy of the completions
+        assert not any(isinstance(v, np.ndarray) and v.dtype == np.uint8
+                       for v in vars(tree).values())
+        edges = [(1, 4, 5), (2, 4, 6), (3, 6, 7)]
+        law = extension_family(OrderedHypergraph(7, 3), self.P733).state(
+            frozenset(edges), 3)
+        reads = []
+        for name in ("with_column", "column_sums"):
+            real = getattr(oracle.ExtensionFamily, name)
+
+            def spy(self, *args, _name=name, _real=real, **kw):
+                assert self is fam
+                reads.append(_name)
+                return _real(self, *args, **kw)
+
+            monkeypatch.setattr(oracle.ExtensionFamily, name, spy)
+        assert _walk(tree, edges).law == law
+        # the first edge reuses the first sums; each later one filters once
+        assert reads == ["with_column", "column_sums"] * 2
+
+    def test_tree_is_cached_per_params(self):
         assert prefix_tree(N6) is prefix_tree(N6)
         info = oracle._cached_tree.cache_info()
         assert info.maxsize is not None and info.maxsize <= 4

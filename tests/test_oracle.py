@@ -11,6 +11,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from hypercouple import oracle
@@ -285,12 +286,65 @@ class TestFamilyAgainstCounter:
             assert oracle._cached_family.cache_info().currsize <= info.maxsize
 
 
+class TestColumnReads:
+    """A listed family's two reads of its column-major store,
+    `with_column` and `column_sums`, agree with `holds` and with the
+    unpacked tails at every pool column, on a whole family and on one
+    `restrict`ed pair-degree class of it."""
+
+    P = Params(9, 3, 2)
+
+    def families(self):
+        g = OrderedHypergraph(9, 3, [(3, 4, 5)])
+        fam = extension_family(g, self.P)
+        values = np.array(switching_class_sizes(g, 1, 2, "pair_degree",
+                                                self.P).values)
+        level = values == 1
+        assert 0 < level.sum() < len(values)
+        return fam, fam.restrict(level), np.flatnonzero(level)
+
+    def test_every_read_counts_each_column_alike(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_SUM_ROWS", 1000)  # several chunks
+        fam, level, _ = self.families()
+        pool = list(combinations(range(1, 10), 3))
+        for f in (fam, level):
+            sums = f.column_sums()
+            assert not sums[len(pool):].any()  # the padding bits are clear
+            for c, e in enumerate(pool):
+                held = f.with_column(c)
+                assert (len(held) == sums[c] == f.holds(e).sum()
+                        == (f.tails == c).any(axis=1).sum())
+                assert np.array_equal(held, np.flatnonzero(f.holds(e)))
+                if e not in f.base:  # base edges lie in every completion
+                    assert len(f.rows_with({e})) == len(held)
+
+    def test_restrict_selects_the_same_completions(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_SUM_ROWS", 1000)
+        fam, level, idx = self.families()
+        assert level.packed.shape == (fam.packed.shape[0], len(idx))
+        every = fam.completions
+        assert level.completions == [every[i] for i in idx]
+        among = idx.astype(np.int32)
+        assert np.array_equal(level.column_sums(), fam.column_sums(among))
+        for c in range(self.P.complete_count):
+            assert np.array_equal(
+                idx[level.with_column(c)], fam.with_column(c, among))
+
+    def test_counted_family_has_no_reads(self):
+        fam = count_extensions(OrderedHypergraph(6, 3), Params(6, 3, 2))
+        assert fam.packed is None and fam.completions is None
+        for read in (fam.column_sums, lambda: fam.with_column(0),
+                     lambda: fam.tails):
+            with pytest.raises(DomainError):
+                read()
+
+
 class TestListingSweep:
     def test_overfull_prefix_lists_no_rows(self):
         p = Params(6, 3, 2)
         g = OrderedHypergraph(6, 3, [(1, 2, 3), (1, 4, 5), (1, 2, 6)])
         fam = count_extensions(g, p, list_completions=True)
-        assert fam.rows.shape == (0, math.ceil(p.complete_count / 8))
+        assert fam.packed.shape == (math.ceil(p.complete_count / 8), 0)
         assert not fam.admissible and fam.unordered_count == 0
 
     def test_complete_prefix_lists_one_empty_tail(self):
@@ -299,7 +353,7 @@ class TestListingSweep:
                                 list_completions=True).completions[0]
         fam = count_extensions(OrderedHypergraph(6, 3, full), p,
                                list_completions=True)
-        assert fam.rows.shape == (1, 3) and not fam.rows.any()
+        assert fam.packed.shape == (3, 1) and not fam.packed.any()
         assert fam.completions == [()] and fam.unordered_count == 1
 
     def test_unreachable_degree_lists_nothing(self):

@@ -5,8 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypercouple.stats import (
-    empirical_counts,
-    tv_distance,
     tv_distance_uniform,
     wilson_interval,
 )
@@ -59,18 +57,8 @@ class TestTvDistance:
         with pytest.raises(ValueError):
             tv_distance_uniform({}, 2)
 
-    def test_general_law(self):
-        counts = {"a": 75, "b": 25}
-        law = {"a": 0.5, "b": 0.5}
-        assert tv_distance(counts, law) == pytest.approx(0.25)
-        assert tv_distance(counts, {"a": 0.75, "b": 0.25}) == 0.0
-
     @given(st.dictionaries(st.sampled_from("abcdef"), st.integers(1, 50),
                            min_size=1))
     def test_bounds(self, counts):
         d = tv_distance_uniform(counts, list("abcdef"))
         assert 0.0 <= d <= 1.0
-
-
-def test_empirical_counts_is_a_counter():
-    assert empirical_counts("aab") == {"a": 2, "b": 1}
