@@ -18,12 +18,17 @@ count of a target H' is the number of (source graph, move) pairs that land
 on H'.  One vectorised kernel per direction counts them (`forward_counts`,
 `backward_counts`, totalled by `forward_count` and `backward_count`) for a
 single graph, a sequence of graphs or a whole class at once, given as a
-listed `ExtensionFamily` restricted to the class's rows.  The iterators
-`iter_forward_moves` and `iter_backward_moves` list the moves one at a time;
-they are the kernels' independent second opinion, and the tests hold the
-two to equal counts member by member.  Both ends of the double-counting
-identity sum over the same set of moves, so the totals agree exactly on
-enumerated families.
+listed `ExtensionFamily` restricted to the class's rows.  Members have
+equally many pool edges (edges outside G), so a kernel grows partial moves
+one pool position per numpy step and reads, per chunk of members, which
+positions share no vertex and, backward, each position's code for each
+candidate row 1: the index of the one row-1 vertex it meets, else -1.
+A row 1 with a vertex that no position meets alone is dropped before the
+walk.  The iterators `iter_forward_moves` and `iter_backward_moves` list
+the moves one at a time; they are the kernels' independent second opinion,
+and the tests hold the two to equal counts member by member.  Both ends of
+the double-counting identity sum over the same set of moves, so the totals
+agree exactly on enumerated families.
 """
 
 from __future__ import annotations
@@ -380,20 +385,13 @@ def _pair_degree_reconstructions(gu: Edge, gv: Edge, others: tuple[Edge, ...],
 
 
 # ------------------------------------------------------------ class counts --
-#
-# Every member of a listed family has the same number of pool edges, so each
-# choice the enumerators above make is a fixed choice of pool positions.  The
-# kernels below make those choices for a whole class at once: a frontier of
-# partial moves grows one pool edge per numpy step (np.nonzero keeps the
-# survivors of a vertex-mask test), and the last step tests the full k-by-k
-# matrices.  Counts equal the iterators' move counts member by member.
 
 # a single graph, a sequence of graphs with equally many edges, or a listed
 # family (each completion together with the family's base)
 Members = AnyGraph | Sequence[AnyGraph] | oracle.ExtensionFamily
 
-# partial moves times their widest per-move temporary, per numpy step: keeps
-# every temporary of the kernels to a few MB
+# members times their cells (a row of `present`, L·m codes, m·m·W mask words)
+# or partial moves times their widest temporary, per step: a few MB at most
 _CELLS = 1 << 18
 
 
@@ -403,7 +401,6 @@ class _EdgeTable(NamedTuple):
 
     vertices: np.ndarray  # (C, k): edge c's vertices, increasing
     masks: np.ndarray     # (C, W) uint64: edge c's vertex mask
-    bits: np.ndarray      # (n+1, W) uint64: the mask of one vertex
     weights: np.ndarray   # (k, n+1): comb(n - x, k - i)
 
     def rank(self, edges: np.ndarray) -> np.ndarray:
@@ -423,7 +420,7 @@ def _edge_table(n: int, k: int) -> _EdgeTable:
     weights = np.array([[math.comb(n - y, k - i) for y in range(n + 1)]
                         for i in range(k)], dtype=np.int64)
     return _EdgeTable(vertices, np.bitwise_or.reduce(bits[vertices], axis=1),
-                      bits, weights)
+                      weights)
 
 
 class _Leads(NamedTuple):
@@ -463,20 +460,12 @@ def _leads(n: int, k: int, kind: str, target: tuple[int, ...]) -> _Leads:
     return _Leads(rows, ranks, anchor_ranks, slots, clash)
 
 
-@lru_cache(maxsize=4)
-def _orders(k: int) -> np.ndarray:
-    """The (k-1)! orders in which one column hands its k-1 leftovers to
-    rows 2..k."""
-    return np.array(list(permutations(range(k - 1))), dtype=np.intp)
-
-
 class _Front(NamedTuple):
-    """Partial moves, one per row."""
+    """Partial moves, one per row; `_walk` looks up what they cover by `pos`."""
 
     member: np.ndarray  # (S,): member of the chunk
     lead: np.ndarray    # (S,): row of the lead table standing as row 1
     pos: np.ndarray     # (S, j): pool positions chosen so far
-    used: np.ndarray    # (S, W): vertices the chosen edges cover
 
 
 def _pool_rows(H: Members,
@@ -517,10 +506,16 @@ def _walk(front: _Front, steps, finish, counts: np.ndarray,
     """Grow every partial move through `steps`, then add `finish`'s number of
     completed moves per partial move to its member's count.
 
-    A step adds one pool edge: any position the step allows that is disjoint
-    from the edges chosen so far.  The walk is depth first over blocks of at
-    most _CELLS // width partial moves.
+    A step adds one pool edge: any position the step allows that the chunk's
+    disjointness table (row i·m + p: the positions of member i sharing no
+    vertex with its position p) marks apart from every position chosen so
+    far.  The walk is depth first over blocks of _CELLS // width moves.
     """
+    if not len(front.member):  # nothing to grow: skip the table
+        return
+    c, m = pool.shape
+    masks = table.masks[pool]                                  # (c, m, W)
+    apart = ~(masks[:, :, None] & masks[:, None]).any(axis=3).reshape(c * m, m)
     block = max(1, _CELLS // width)
     stack = [(front, 0)]
     while stack:
@@ -529,13 +524,12 @@ def _walk(front: _Front, steps, finish, counts: np.ndarray,
             stack.extend((_Front(*(a[lo:lo + block] for a in front)), j)
                          for lo in range(0, len(front.member), block))
         elif j < len(steps):
-            masks = table.masks[pool[front.member]]            # (S, m, W)
-            ok = steps[j](front, masks) & ~(
-                masks & front.used[:, None, :]).any(axis=2)
-            s, q = np.nonzero(ok)
+            ok = steps[j](front)
+            for p in front.member * m + front.pos.T:
+                ok = ok & np.take(apart, p, axis=0)
+            s, q = np.divmod(np.flatnonzero(ok), m)
             stack.append((_Front(front.member[s], front.lead[s],
-                                 np.column_stack([front.pos[s], q]),
-                                 front.used[s] | masks[s, q]), j + 1))
+                                 np.column_stack([front.pos[s], q])), j + 1))
         else:
             counts += np.bincount(front.member, weights=finish(front),
                                   minlength=len(counts)).astype(np.int64)
@@ -554,29 +548,24 @@ def _forward_block(table: _EdgeTable, leads: _Leads, pool: np.ndarray,
                    present: np.ndarray, counts: np.ndarray) -> None:
     """Forward moves out of each member of a chunk.
 
-    Row 1 is a lead edge of the member's pool whose anchor, if any, is in
-    the member; rows 2..k are pool edges in increasing pool order, pairwise
-    disjoint and disjoint from row 1; no column may be an edge of the member
-    (a column meets every row once, so it is never a removed row).
+    Row 1 is a lead edge of the member's pool (first in `pos`) whose anchor,
+    if any, is in the member; rows 2..k are pool edges in increasing pool
+    order, pairwise disjoint and disjoint from row 1; no column may be an
+    edge of the member (a column meets every row once, so it is not a row).
     """
     c, m = pool.shape
     lead = leads.slots[pool]                                   # (c, m)
     anchor = leads.anchors[lead]
     ok = (lead >= 0) & ((anchor < 0) | present[np.arange(c)[:, None], anchor])
     member, first = np.nonzero(ok)
-    front = _Front(member, lead[member, first],
-                   np.empty((len(member), 0), dtype=np.intp),
-                   table.masks[pool[member, first]])
+    front = _Front(member, lead[member, first], first[:, None])
 
-    def later(front, masks):
-        if front.pos.shape[1] == 0:
-            return True
-        return np.arange(m) > front.pos[:, -1:]
+    def later(front):  # rows 2..k in increasing pool order
+        return np.arange(m) > front.pos[:, 1:].max(axis=1, initial=-1)[:, None]
 
     def finish(front):
-        rows = np.concatenate(
-            [leads.rows[front.lead][:, None],
-             table.vertices[pool[front.member[:, None], front.pos]]], axis=1)
+        rows = table.vertices[pool[front.member[:, None], front.pos]]
+        rows[:, 0] = leads.rows[front.lead]      # row 1 in its column order
         cols = np.sort(rows.transpose(0, 2, 1), axis=2)
         legal = ~present[front.member[:, None], table.rank(cols)].any(axis=1)
         if leads.clash:
@@ -585,38 +574,51 @@ def _forward_block(table: _EdgeTable, leads: _Leads, pool: np.ndarray,
         return legal
 
     k = leads.rows.shape[1]
-    _walk(front, [later] * (k - 1), finish, counts, table, pool,
-          m * table.masks.shape[1] + k * k)
+    _walk(front, [later] * (k - 1), finish, counts, table, pool, k * (m + k))
+
+
+def _backward_leads(table: _EdgeTable, leads: _Leads, pool: np.ndarray,
+                    present: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (member, lead) pairs a backward walk starts from, and the chunk's
+    codes: (L·c, m) int8, row l·c + i giving each pool position of member i
+    the j at which it meets lead l's row 1 alone, else -1 (also for l's
+    anchor).  A pair is kept when row 1 is absent, its anchor (if any)
+    present and every row-1 vertex met alone: else no column could stand."""
+    seen = np.zeros(len(table.vertices), dtype=bool)
+    seen[pool] = True
+    edges = np.flatnonzero(seen)               # the chunk's E distinct edges
+    local = np.cumsum(seen)[pool] - 1                          # (c, m)
+    has = (table.vertices[edges][:, :, None, None] == leads.rows).any(axis=1)
+    alone = (has.sum(axis=2) == 1) & (edges[:, None] != leads.anchors)
+    bit = (has & alone[:, :, None]) @ (1 << np.arange(has.shape[2]))  # (E, L)
+    met = np.bitwise_or.reduce(np.take(bit, local.T, axis=0), axis=0)
+    anchors = leads.anchors
+    ok = ~present[:, leads.ranks] & ((anchors < 0) | present[:, anchors])
+    code = np.where(alone, has.argmax(axis=2), -1).astype(np.int8).T
+    rows = np.take(code, local, axis=1)                        # (L, c, m)
+    return (*np.nonzero(ok & (met == (1 << has.shape[2]) - 1)),
+            rows.reshape(len(code) * len(pool), pool.shape[1]))
 
 
 def _backward_block(table: _EdgeTable, leads: _Leads, pool: np.ndarray,
                     present: np.ndarray, counts: np.ndarray) -> None:
     """(source, move) pairs landing on each member of a chunk.
 
-    Row 1 is a lead edge absent from the member whose anchor, if any, is in
-    it; column j is a pool edge that meets row 1 exactly in its j-th vertex
-    and is not the anchor; columns are pairwise disjoint.  Every split of
-    the column leftovers into rows 2..k that increase along the columns and
-    are absent from the member then completes one pair.
+    Row 1 and the member are a pair `_backward_leads` keeps; column j is a
+    pool edge of code j for row 1; columns are pairwise disjoint.  Every
+    split of the column leftovers into rows 2..k that increase along the
+    columns and are absent from the member then completes one pair.
     """
-    m = pool.shape[1]
+    c, m = pool.shape
     k = leads.rows.shape[1]
-    anchors = leads.anchors
-    ok = ~present[:, leads.ranks] & ((anchors < 0) | present[:, anchors])
-    member, lead = np.nonzero(ok)
-    front = _Front(member, lead, np.empty((len(member), 0), dtype=np.intp),
-                   np.zeros((len(member), table.masks.shape[1]),
-                            dtype=np.uint64))
-    lead_masks = table.masks[leads.ranks]
-    orders = _orders(k)
+    member, lead, code = _backward_leads(table, leads, pool, present)
+    front = _Front(member, lead, np.empty((len(member), 0), dtype=np.intp))
+    # the (k-1)! orders in which a column hands its leftovers to rows 2..k
+    orders = np.array(list(permutations(range(k - 1))), dtype=np.intp)
 
     def column(j):
-        def meets_row1_at_j(front, masks):
-            meet = masks & lead_masks[front.lead][:, None, :]
-            at_j = table.bits[leads.rows[front.lead, j]][:, None, :]
-            return ((meet == at_j).all(axis=2)
-                    & (pool[front.member] != anchors[front.lead][:, None]))
-        return meets_row1_at_j
+        return lambda front: np.take(code, front.lead * c + front.member,
+                                     axis=0) == j
 
     def finish(front):
         cols = table.vertices[pool[front.member[:, None], front.pos]]
@@ -640,7 +642,7 @@ def _backward_block(table: _EdgeTable, leads: _Leads, pool: np.ndarray,
         return found
 
     _walk(front, [column(j) for j in range(k)], finish, counts, table, pool,
-          max(m * table.masks.shape[1], len(orders) * k * k))
+          max(k * m, len(orders) * k * k))
 
 
 def _counts(H: Members, G: AnyGraph, kind: str, edge: Edge | None,
@@ -665,16 +667,14 @@ def _counts(H: Members, G: AnyGraph, kind: str, edge: Edge | None,
     else:
         if pair is None:
             raise DomainError(f"{kind} switching needs pair=")
-        if pair[0] == pair[1]:
-            raise DomainError("pair must name two distinct vertices")
         oracle.check_pair(*pair, G.n)
         target = tuple(pair)
     leads = _leads(G.n, G.k, kind, target)
     counts = np.zeros(len(pool), dtype=np.int64)
     if not len(leads.ranks):  # no edge can stand as row 1 (codegree, n = k)
         return counts
-    size = len(table.vertices)
-    step = max(1, _CELLS // (size + pool.shape[1] + len(leads.ranks)))
+    size, (m, w) = len(table.vertices), (pool.shape[1], table.masks.shape[1])
+    step = max(1, _CELLS // (size + m * (len(leads.ranks) + m * w)))
     for lo in range(0, len(pool), step):
         part = pool[lo:lo + step]
         present = np.zeros((len(part), size), dtype=bool)

@@ -9,10 +9,6 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hypercouple"
 
-# `switchings._walk` calls every step as step(front, masks), so a step that
-# needs only the front still takes masks
-FIXED_BY_CALLER = {("switchings.py", "later", "masks")}
-
 
 def unread_parameters(source: str) -> list[tuple[str, str]]:
     """(function, parameter) for every parameter, other than self and cls,
@@ -44,6 +40,5 @@ def test_finder_sees_a_parameter_only_a_nested_function_reads():
 def test_every_parameter_in_the_package_is_read():
     unread = [f"{path.name}: {func}({param})"
               for path in sorted(PACKAGE.glob("*.py"))
-              for func, param in unread_parameters(path.read_text())
-              if (path.name, func, param) not in FIXED_BY_CALLER]
+              for func, param in unread_parameters(path.read_text())]
     assert not unread, "parameters nothing reads:\n" + "\n".join(unread)

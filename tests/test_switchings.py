@@ -21,6 +21,7 @@ from hypercouple import (
     switching_class_sizes,
     tail_profile,
 )
+from hypercouple import switchings
 from hypercouple.switchings import (
     apply_switch,
     backward_counts,
@@ -211,6 +212,51 @@ class TestKernelAgainstIterators:
                                             True, pair=(1, 2))
         assert backward.tolist() == iterated(graphs, base, "pair_degree",
                                              False, pair=(1, 2))
+
+    @pytest.mark.parametrize("kind", ["pair_degree", "codegree"])
+    def test_small_chunks_split_the_family(self, kind, monkeypatch):
+        # a few members per chunk and a few partial moves per walk block, so
+        # the per-chunk tables are rebuilt many times within one call
+        monkeypatch.setattr(switchings, "_CELLS", 1 << 10)
+        fam, base, graphs = family(9, 3, 2, base_edges=[(3, 4, 5)])
+        for forward, counts in ((True, forward_counts),
+                                (False, backward_counts)):
+            assert counts(fam, base, kind, pair=(1, 2)).tolist() == \
+                iterated(graphs, base, kind, forward, pair=(1, 2))
+
+    @pytest.mark.parametrize("kind", ["pair_degree", "codegree"])
+    def test_backward_walk_starts_only_from_completable_leads(self, kind):
+        # a (member, row 1) pair is walked only when row 1 is absent, its
+        # anchor present, and every row-1 vertex has a pool edge meeting
+        # row 1 there alone (not the anchor); a dropped pair has no move
+        fam, base, graphs = family(9, 3, 2, base_edges=[(3, 4, 5)])
+        table, pool, fixed = switchings._pool_rows(fam, base)
+        leads = switchings._leads(9, 3, kind, (1, 2))
+        present = np.zeros((len(pool), len(table.vertices)), dtype=bool)
+        present[:, fixed] = True
+        present[np.arange(len(pool))[:, None], pool] = True
+        member, lead, _ = switchings._backward_leads(table, leads, pool,
+                                                     present)
+        kept = set(zip(member.tolist(), lead.tolist()))
+        rows = [tuple(r) for r in leads.rows.tolist()]
+        anchors = [tuple(table.vertices[a].tolist()) if a >= 0 else None
+                   for a in leads.anchors]
+        started, expected = set(), set()
+        for i, h in enumerate(graphs):
+            own = h.edge_set - base.edge_set
+            for j, (row1, anchor) in enumerate(zip(rows, anchors)):
+                if tuple(sorted(row1)) in h.edge_set or (
+                        anchor is not None and anchor not in h.edge_set):
+                    continue
+                started.add((i, j))
+                if all(any(set(g) & set(row1) == {x} and g != anchor
+                           for g in own) for x in row1):
+                    expected.add((i, j))
+        assert kept == expected < started
+        for i, h in enumerate(graphs):
+            for _, move in iter_backward_moves(h, base, kind, pair=(1, 2)):
+                j = rows.index(move.rows[0])
+                assert move.anchor == anchors[j] and (i, j) in kept
 
     @pytest.mark.parametrize("kind", ["pair_degree", "codegree"])
     def test_class_totals_are_sums_of_single_graph_counts(self, kind):
