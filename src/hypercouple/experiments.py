@@ -402,13 +402,17 @@ def _run_switching_verify(cfg: ExperimentConfig):
         values = np.array(sizes.values, dtype=np.int64)
         rows = [("class", "size", "forward_sum", "backward_sum")]
         balanced = True
-        for ell, size in sorted(sizes.unordered_sizes.items()):
-            fsum = forward_count(fam.restrict(values == ell), base, kind,
-                                 pair=pair)
-            bsum = backward_count(fam.restrict(values == ell - 1), base,
-                                  kind, pair=pair)
-            balanced &= fsum == bsum
-            rows.append((ell, size, fsum, bsum))
+        # class ell is counted forward, then backward as class ell + 1's
+        # lower neighbour, so each class is restricted once
+        lower = fam.restrict(values == sizes.bottom - 1)
+        for ell in range(sizes.bottom, sizes.top + 1):
+            upper = fam.restrict(values == ell)
+            if ell in sizes.unordered_sizes:
+                fsum = forward_count(upper, base, kind, pair=pair)
+                bsum = backward_count(lower, base, kind, pair=pair)
+                balanced &= fsum == bsum
+                rows.append((ell, sizes.unordered_sizes[ell], fsum, bsum))
+            lower = upper
         interval = {"bottom": sizes.bottom, "top": sizes.top,
                     "is_interval": sizes.is_interval}
     summary = {

@@ -194,6 +194,16 @@ class ExtensionFamily:
         return {e: c for c, e in enumerate(
             combinations(range(1, self.params.n + 1), self.params.k))}
 
+    def _column(self, e: Edge) -> int:
+        """Pool column of edge e, which must be an increasing k-tuple of
+        vertices 1..n."""
+        try:
+            return self._columns[e]
+        except KeyError:
+            raise DomainError(f"{e} is not an edge of the pool: "
+                              f"{self.params.k} increasing vertices of "
+                              f"1..{self.params.n}") from None
+
     @property
     def _listed(self) -> np.ndarray:
         if self.packed is None:
@@ -230,8 +240,9 @@ class ExtensionFamily:
         rows = np.ascontiguousarray(self._listed.T)
         bits = np.unpackbits(rows, axis=1, count=len(self._columns),
                              bitorder="little")
-        tails = np.nonzero(bits)[1].reshape(self.unordered_count,
-                                            self.params.M - self.base_size)
+        columns = np.broadcast_to(np.arange(bits.shape[1]), bits.shape)
+        tails = columns[bits.view(bool)].reshape(
+            self.unordered_count, self.params.M - self.base_size)
         tails.flags.writeable = False
         return tails
 
@@ -247,7 +258,7 @@ class ExtensionFamily:
     def holds(self, e: Edge) -> np.ndarray:
         """Mask over the listed completions: does the tail contain edge e?"""
         mask = np.zeros(self.unordered_count, dtype=bool)
-        mask[self.with_column(self._columns[e])] = True
+        mask[self.with_column(self._column(e))] = True
         return mask
 
     def restrict(self, which) -> "ExtensionFamily":
@@ -267,7 +278,7 @@ class ExtensionFamily:
         outside the base; there are U(G + edges) of them."""
         rows = np.arange(self._listed.shape[1], dtype=np.int32)
         for e in set(edges) - self.base:
-            rows = self.with_column(self._columns[e], rows)
+            rows = self.with_column(self._column(e), rows)
         return rows
 
     def state(self, edges: frozenset[Edge], t: int) -> StateLaw:
@@ -344,25 +355,44 @@ class _FocusBacktracker:
                 r[w] += 1
 
 
-# a sweep frontier longer than this is halved, the second half waiting on a
-# stack, so the sweep runs depth-first over chunks of bounded size
+# a sweep chunk holding more live tails than this is sorted and halved, the
+# second half waiting on a stack, so the sweep runs depth-first over chunks
+# of bounded size
 _SWEEP_ROWS = 1 << 14
-# bytes a listing may hold at once: listed rows, waiting chunks and frontier
+# bytes a listing may hold at once: listed tails, waiting chunks and the
+# current chunk, its spare capacity included
 _LIST_BYTES = 1 << 28
+
+
+def _in_order(bits: np.ndarray, which: np.ndarray,
+              reversed_bytes: np.ndarray) -> np.ndarray:
+    """The rows `which` of the packed tail bits `bits` (one byte per eight
+    pool columns), in the lexicographic order of their tails.
+
+    Of two tails that agree on every pool column before c and differ at c,
+    the one holding c comes first; so with the bits of each byte reversed
+    (pool column 8j as the top bit of byte j) the byte rows sort
+    descending."""
+    keys = reversed_bytes[bits[which]]
+    return which[np.lexsort(keys.T[::-1])[::-1]]
 
 
 def _sweep_completions(n: int, k: int, residual: np.ndarray | None,
                        base: frozenset[Edge],
                        budget: int) -> tuple[np.ndarray, int]:
-    """List the completion tails as packed rows, in lexicographic order.
+    """List the completion tails, packed column-major (one byte row per
+    eight pool columns), in lexicographic order.
 
-    One pass over the edge pool in lexicographic order: a frontier row is a
-    partial tail (residual degrees and packed tail bits).  At a free pool
-    edge, every row with positive residuals at all its vertices gets an
-    include-child just before it, so rows stay in the lexicographic order of
-    their tails; a row whose residual at some vertex exceeds the free edges
-    still to come through that vertex is dropped.  Each include-child is one
-    node charged to `budget`; holding more than _LIST_BYTES raises.
+    One pass over the edge pool in lexicographic order, a chunk of partial
+    tails at a time.  A chunk row is one tail: a 1 while it lives, its
+    residual degrees at vertices 1..n, then its packed tail bits.  At a
+    free pool edge, every live tail with positive residuals at all the
+    edge's vertices gets an include-child appended after the chunk's rows,
+    and a tail whose residual at some vertex exceeds the free edges still
+    to come through that vertex dies.  Dead rows are compacted away once
+    they are half the chunk; a sort restores the lexicographic order when a
+    chunk is halved and when it is listed.  Each include-child is one node
+    charged to `budget`; holding more than _LIST_BYTES raises.
     """
     pool = np.array(list(combinations(range(1, n + 1), k)), dtype=np.intp)
     width = (len(pool) + 7) // 8
@@ -371,54 +401,80 @@ def _sweep_completions(n: int, k: int, residual: np.ndarray | None,
     np.put_along_axis(incidence, pool, 1, axis=1)
     incidence[~free] = 0
     through = incidence.sum(axis=0)
-    # later[c, v]: free pool edges after edge c that contain vertex v
-    later = through - np.cumsum(incidence, axis=0)
     if residual is None or (residual > through).any():
         # a vertex overflows, or cannot reach degree d: nothing to list
-        return np.zeros((0, width), dtype=np.uint8), 0
-    start = residual.astype(np.min_scalar_type(residual.max()))
-    row_bytes = start.nbytes + width
-    listed = bytearray()
-    stack = [(0, start[None, :], np.zeros((1, width), dtype=np.uint8))]
-    waiting = row_bytes
-    nodes = 0
+        return np.zeros((width, 0), dtype=np.uint8), 0
+    dtype = np.min_scalar_type(max(1, residual.max()))
+    # later[c, v]: free pool edges after edge c that contain vertex v, at
+    # most what the residual type holds
+    later = np.minimum(through - np.cumsum(incidence, axis=0),
+                       np.iinfo(dtype).max).astype(dtype)
+    # the columns a step reads: the live flag, then the edge's residuals
+    read = np.column_stack([np.zeros(len(pool), dtype=np.intp), pool])
+    reversed_bytes = np.packbits(np.unpackbits(
+        np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1,
+        bitorder="little").ravel()
+    start = np.zeros((1, n + 1 + width), dtype=dtype)
+    start[0, :n + 1] = residual
+    start[0, 0] = 1
+    row_bytes = start.nbytes
+    listed, held, waiting, nodes = [], 0, row_bytes, 0
+    stack = [(0, start)]
+
+    def hold(rows: int) -> None:
+        if held + waiting + rows * row_bytes > _LIST_BYTES:
+            raise OracleBudgetError(
+                f"listing would hold more than {_LIST_BYTES} bytes of "
+                f"rows; this family is too large to list")
+
     while stack:
-        c0, R, B = stack.pop()
-        waiting -= len(R) * row_bytes
+        c0, chunk = stack.pop()
+        size, dead = len(chunk), 0
+        waiting -= size * row_bytes
         for c in range(c0, len(pool)):
             if not free[c]:
                 continue
             e = pool[c]
-            at_e = R[:, e]
-            take = (at_e > 0).all(axis=1)
-            keep = (at_e <= later[c, e]).all(axis=1)
-            born = int(np.count_nonzero(take))
-            if not born and keep.all():
+            at = chunk[:size, read[c]]
+            take = np.flatnonzero((at > 0).all(axis=1))
+            die = np.flatnonzero((at[:, 1:] > later[c, e]).any(axis=1)
+                                 & (at[:, 0] > 0))
+            born = len(take)
+            if not born and not len(die):
                 continue
             nodes += born
             if nodes > budget:
                 raise _budget_error(budget)
-            copies = take.astype(np.intp) + keep
-            size = int(copies.sum())
-            if (len(listed) + waiting + (len(R) + size) * row_bytes
-                    > _LIST_BYTES):
-                raise OracleBudgetError(
-                    f"listing would hold more than {_LIST_BYTES} bytes of "
-                    f"rows; this family is too large to list")
-            first = (np.cumsum(copies) - copies)[take]
-            R = np.repeat(R, copies, axis=0)
-            B = np.repeat(B, copies, axis=0)
-            R[first[:, None], e] -= 1
-            B[first, c >> 3] |= np.uint8(1 << (c & 7))
-            if len(R) == 0:
-                break
-            if len(R) > _SWEEP_ROWS:
-                half = len(R) // 2
-                stack.append((c + 1, R[half:].copy(), B[half:].copy()))
-                waiting += (len(R) - half) * row_bytes
-                R, B = R[:half].copy(), B[:half].copy()
-        listed += B.tobytes()
-    return np.frombuffer(listed, dtype=np.uint8).reshape(-1, width), nodes
+            end = size + born
+            if end > len(chunk):
+                hold(2 * end)
+                grown = np.empty((2 * end, chunk.shape[1]), dtype=dtype)
+                grown[:size] = chunk[:size]
+                chunk = grown
+            kids = chunk[size:end]
+            np.take(chunk, take, axis=0, out=kids)
+            kids[:, e] -= 1
+            kids[:, n + 1 + (c >> 3)] |= 1 << (c & 7)
+            chunk[die, 0] = 0
+            size, dead = end, dead + len(die)
+            if 2 * dead > size or size - dead > _SWEEP_ROWS:
+                live = np.flatnonzero(chunk[:size, 0])
+                if len(live) > _SWEEP_ROWS:
+                    live = _in_order(chunk[:, n + 1:], live, reversed_bytes)
+                    live, rest = np.array_split(live, 2)
+                    hold(len(chunk) + len(rest))
+                    stack.append((c + 1, chunk[rest]))
+                    waiting += len(rest) * row_bytes
+                size, dead = len(live), 0
+                chunk[:size] = chunk[live]
+                if not size:
+                    break
+        bits = chunk[:, n + 1:]
+        tails = bits[_in_order(bits, np.flatnonzero(chunk[:size, 0]),
+                               reversed_bytes)].T.astype(np.uint8, copy=False)
+        held += tails.nbytes
+        listed.append(tails)
+    return np.concatenate(listed, axis=1), nodes
 
 
 def count_extensions(G: OrderedHypergraph, params: Params,
@@ -438,10 +494,9 @@ def count_extensions(G: OrderedHypergraph, params: Params,
     base = frozenset(G.edge_set)
     packed = None
     if list_completions:
-        rows, nodes = _sweep_completions(params.n, params.k, residual, base,
-                                         node_budget(budget))
-        count = len(rows)
-        packed = np.ascontiguousarray(rows.T)
+        packed, nodes = _sweep_completions(params.n, params.k, residual,
+                                           base, node_budget(budget))
+        count = packed.shape[1]
         packed.flags.writeable = False  # cached families are shared
     elif residual is None:  # a vertex overflows: nothing to walk
         count = nodes = 0

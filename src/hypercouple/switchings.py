@@ -474,9 +474,13 @@ def _pool_rows(H: Members,
     increasing row of pool indices, and G's pool indices."""
     n, k = G.n, G.k
     table = _edge_table(n, k)
+    fixed = table.rank(np.array(sorted(G.edge_set), dtype=np.intp
+                                ).reshape(-1, k))
     if isinstance(H, oracle.ExtensionFamily):
         if (H.params.n, H.params.k) != (n, k):
             raise DomainError("H and G disagree on (n, k)")
+        if H.base == G.edge_set:  # the tails are the pools already
+            return table, H.tails, fixed
         base = table.rank(np.array(sorted(H.base), dtype=np.intp
                                    ).reshape(-1, k))
         members = np.hstack([np.broadcast_to(base, (len(H.tails), len(base))),
@@ -491,8 +495,6 @@ def _pool_rows(H: Members,
             raise DomainError(f"members have different edge counts {sorted(sizes)}")
         edges = np.array([sorted(g.edge_set) for g in graphs], dtype=np.intp)
         members = table.rank(edges.reshape(len(graphs), max(sizes, default=0), k))
-    fixed = table.rank(np.array(sorted(G.edge_set), dtype=np.intp
-                                ).reshape(-1, k))
     inside = np.isin(members, fixed)
     if (inside.sum(axis=1) != len(fixed)).any():
         raise DomainError("G must be a subgraph of H")

@@ -7,6 +7,7 @@ backtracking counter to independent combinatorics.
 """
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -330,6 +331,17 @@ class TestColumnReads:
             assert np.array_equal(
                 idx[level.with_column(c)], fam.with_column(c, among))
 
+    @pytest.mark.parametrize("edge", [(2, 1, 3), (1, 2, 10), (1, 2)])
+    def test_an_edge_outside_the_pool_is_named(self, edge):
+        # unsorted, past n, and of the wrong size: one column lookup names
+        # the edge for every read that takes one
+        fam = extension_family(OrderedHypergraph(9, 3, [(3, 4, 5)]), self.P)
+        reads = (lambda: fam.rows_with({edge}), lambda: fam.holds(edge),
+                 lambda: fam.state(fam.base | {edge}, 2))
+        for read in reads:
+            with pytest.raises(DomainError, match=re.escape(str(edge))):
+                read()
+
     def test_counted_family_has_no_reads(self):
         fam = count_extensions(OrderedHypergraph(6, 3), Params(6, 3, 2))
         assert fam.packed is None and fam.completions is None
@@ -340,6 +352,49 @@ class TestColumnReads:
 
 
 class TestListingSweep:
+    # (n, k, d), prefix, completions, include-children charged to the budget
+    LISTINGS = [
+        ((9, 3, 2), [(3, 4, 5)], 8730, 27648),
+        ((7, 3, 3), [(1, 2, 3)], 2241, 12926),
+        ((7, 3, 3), [], 11205, 61480),
+        ((8, 2, 3), [], 19355, 106376),
+    ]
+
+    @pytest.mark.parametrize("nkd,edges,rows,nodes", LISTINGS)
+    def test_listing_charges_one_node_per_include_child(self, nkd, edges,
+                                                        rows, nodes):
+        # pinned, so the budget a listing is charged cannot drift
+        p = Params(*nkd)
+        g = OrderedHypergraph(p.n, p.k, edges)
+        fam = count_extensions(g, p, list_completions=True, budget=nodes)
+        assert (fam.unordered_count, fam.nodes_used) == (rows, nodes)
+        with pytest.raises(OracleBudgetError, match=str(nodes - 1)):
+            count_extensions(g, p, list_completions=True, budget=nodes - 1)
+
+    @pytest.mark.parametrize("nkd,edges", [((9, 3, 2), [(3, 4, 5)]),
+                                           ((8, 2, 3), [])])
+    def test_small_chunks_list_the_same_rows(self, nkd, edges, monkeypatch):
+        # 64 live tails a chunk: the sweep halves and sorts chunks many times
+        # over, and must still list the same rows, in the same order, for
+        # the same nodes
+        p = Params(*nkd)
+        g = OrderedHypergraph(p.n, p.k, edges)
+        whole = count_extensions(g, p, list_completions=True)
+        sorts = []
+        real = oracle._in_order
+
+        def spy(*args):
+            sorts.append(len(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_SWEEP_ROWS", 64)
+        monkeypatch.setattr(oracle, "_in_order", spy)
+        split = count_extensions(g, p, list_completions=True)
+        assert split.packed.shape == whole.packed.shape
+        assert split.packed.tobytes() == whole.packed.tobytes()
+        assert split.nodes_used == whole.nodes_used
+        assert len(sorts) > 2 * whole.unordered_count // 128
+
     def test_overfull_prefix_lists_no_rows(self):
         p = Params(6, 3, 2)
         g = OrderedHypergraph(6, 3, [(1, 2, 3), (1, 4, 5), (1, 2, 6)])

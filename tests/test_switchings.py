@@ -224,6 +224,29 @@ class TestKernelAgainstIterators:
             assert counts(fam, base, kind, pair=(1, 2)).tolist() == \
                 iterated(graphs, base, kind, forward, pair=(1, 2))
 
+    @pytest.mark.parametrize("fixed", [[(3, 4, 5)], []])
+    @pytest.mark.parametrize("kind, target", [
+        ("pair_degree", {"pair": (1, 2)}),
+        ("codegree", {"pair": (1, 2)}),
+        ("remove_edge", {"edge": (1, 2, 6)}),
+    ])
+    def test_a_family_counts_as_its_members_do(self, kind, target, fixed):
+        # G is the family's base: the kernels read its tails as the pools;
+        # G strictly inside the base: they rank every member's edges, as
+        # they do for the same members passed as graphs
+        fam, _, graphs = family(9, 3, 2, base_edges=[(3, 4, 5)])
+        g = OrderedHypergraph(9, 3, fixed)
+        assert (switchings._pool_rows(fam, g)[1] is fam.tails) == bool(fixed)
+        having = (fam.holds(target["edge"]) if kind == "remove_edge"
+                  else np.ones(len(graphs), dtype=bool))
+        lower = ~having if kind == "remove_edge" else having
+        for counts, which in ((forward_counts, having),
+                              (backward_counts, lower)):
+            members = [h for h, x in zip(graphs, which) if x]
+            got = counts(fam.restrict(which), g, kind, **target)
+            assert got.tolist() == counts(members, g, kind, **target).tolist()
+            assert got.sum() > 0
+
     @pytest.mark.parametrize("kind", ["pair_degree", "codegree"])
     def test_backward_walk_starts_only_from_completable_leads(self, kind):
         # a (member, row 1) pair is walked only when row 1 is absent, its
