@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -83,6 +84,56 @@ def make_edge(vertices: Iterable[int], n: int | None = None,
     return e
 
 
+class EdgePool:
+    """The comb(n, k) possible edges on 1..n in lexicographic order: the one
+    numbering of edges that every module reads, edge c of `edges` being pool
+    column c.  Get one through `edge_pool`.
+
+    `vertices` (C, k) holds each edge's vertices, increasing; `masks`
+    (C, W) uint64 each edge's vertex set, vertex x at bit x & 63 of word
+    x >> 6, so no bound on n is assumed.  Both are read-only.
+    """
+
+    def __init__(self, n: int, k: int) -> None:
+        self.n, self.k = n, k
+        self.edges: tuple[Edge, ...] = tuple(combinations(range(1, n + 1), k))
+        self._index = {e: c for c, e in enumerate(self.edges)}
+        self.vertices = np.array(self.edges, dtype=np.intp).reshape(
+            len(self.edges), k)
+        x = np.arange(n + 1)
+        bits = np.zeros((n + 1, (n + 64) // 64), dtype=np.uint64)
+        bits[x, x >> 6] = np.left_shift(np.uint64(1), (x & 63).astype(np.uint64))
+        self.masks = np.bitwise_or.reduce(bits[self.vertices], axis=1)
+        self.vertices.flags.writeable = self.masks.flags.writeable = False
+        # _weights[i, x] = comb(n - x, k - i): the pool edges that agree
+        # with an edge before its i-th vertex x and pass x there
+        self._weights = np.array([[math.comb(n - y, k - i) for y in x]
+                                  for i in range(k)], dtype=np.int64)
+
+    def column(self, e: Edge) -> int:
+        """Pool column of edge e, which must be an increasing k-tuple of
+        vertices 1..n."""
+        try:
+            return self._index[e]
+        except KeyError:
+            raise DomainError(f"{e} is not an edge of the pool: {self.k} "
+                              f"increasing vertices of 1..{self.n}") from None
+
+    def rank(self, edges: np.ndarray) -> np.ndarray:
+        """Pool column of each increasing k-tuple of 1..n along the last
+        axis of `edges` (unchecked): C - 1 less the pool edges after it."""
+        return (len(self.edges) - 1
+                - self._weights[np.arange(self.k), edges].sum(axis=-1))
+
+
+# the oracles and the switching kernels work at one or two sizes at a time
+@lru_cache(maxsize=4)
+def edge_pool(n: int, k: int) -> EdgePool:
+    """The `EdgePool` of (n, k), built once per size and kept in a bounded
+    least-recently-used cache."""
+    return EdgePool(n, k)
+
+
 class Hypergraph:
     """A simple k-graph: a set of k-element edges on vertex set 1..n.
 
@@ -103,7 +154,7 @@ class Hypergraph:
 
     @classmethod
     def complete(cls, n: int, k: int) -> "Hypergraph":
-        return cls(n, k, combinations(range(1, n + 1), k))
+        return cls(n, k, edge_pool(n, k).edges)
 
     @property
     def edge_set(self) -> set[Edge]:
@@ -290,7 +341,7 @@ def residual_degrees(G: AnyGraph, params: Params) -> np.ndarray:
 def complement_edges(G: AnyGraph) -> Iterator[Edge]:
     """Possible edges absent from G, in lexicographic order."""
     present = G.edge_set
-    for e in combinations(range(1, G.n + 1), G.k):
+    for e in edge_pool(G.n, G.k).edges:
         if e not in present:
             yield e
 

@@ -42,7 +42,7 @@ from .coupling import (
     run_coupling,
     run_coupling_gnp,
 )
-from .hamilton import hamiltonicity_sweep
+from .hamilton import _check_cycle_shape, hamiltonicity_sweep
 from .oracle import (
     OracleBudgetError,
     count_extensions,
@@ -437,6 +437,7 @@ def _sweep_worker(payload):
 def _run_hamilton_sweep(cfg: ExperimentConfig):
     o = cfg.options
     n, k, ell = o["n"], o["k"], o["ell"]
+    _check_cycle_shape(n, k, ell)
     d_values = o["d_values"]
     for d in d_values:
         Params(n, k, d)

@@ -34,6 +34,25 @@ def cycle_edges(order: tuple[int, ...], k: int, ell: int) -> tuple[Edge, ...]:
     )
 
 
+def _check_cycle_shape(n: int, k: int, ell: int) -> None:
+    """Reject a shape (n, k, ell) that no spanning ell-overlapping cycle
+    has: ell outside 1..k-1, a stride k - ell that does not divide n, or
+    n < 2k - ell."""
+    if not 1 <= ell <= k - 1:
+        raise DomainError(f"overlap ell={ell} outside 1..{k - 1}")
+    s = k - ell
+    if n % s:
+        raise DomainError(
+            f"no {ell}-overlapping Hamilton cycle can exist: stride "
+            f"{s} does not divide n={n}"
+        )
+    if n < 2 * k - ell:
+        raise DomainError(
+            f"n={n} < 2k-ell={2 * k - ell}: consecutive windows would "
+            "overlap in more than ell vertices"
+        )
+
+
 @dataclass(frozen=True)
 class CycleCertificate:
     """A spanning ell-overlapping cycle given by its vertex order.
@@ -49,16 +68,7 @@ class CycleCertificate:
 
     def __post_init__(self) -> None:
         n = len(self.order)
-        if not 1 <= self.ell <= self.k - 1:
-            raise DomainError(f"overlap ell={self.ell} outside 1..k-1")
-        s = self.k - self.ell
-        if n % s:
-            raise DomainError(f"stride {s} does not divide n={n}")
-        if n < 2 * self.k - self.ell:
-            raise DomainError(
-                f"n={n} < 2k-ell={2 * self.k - self.ell}: consecutive windows"
-                " would overlap in more than ell vertices"
-            )
+        _check_cycle_shape(n, self.k, self.ell)
         if sorted(self.order) != list(range(1, n + 1)):
             raise DomainError("order must list each of 1..n exactly once")
 
@@ -204,16 +214,7 @@ def find_hamilton_cycle(H: Hypergraph, ell: int,
                         budget: int | None = None) -> SearchResult:
     """Exhaustive certificate search; `none` is definitive, `unknown` means
     the node budget ran out first."""
-    if not 1 <= ell <= H.k - 1:
-        raise DomainError(f"overlap ell={ell} outside 1..{H.k - 1}")
-    s = H.k - ell
-    if H.n % s:
-        raise DomainError(
-            f"no {ell}-overlapping Hamilton cycle can exist: stride "
-            f"{s} does not divide n={H.n}"
-        )
-    if H.n < 2 * H.k - ell:
-        raise DomainError(f"n={H.n} < 2k-ell={2 * H.k - ell}")
+    _check_cycle_shape(H.n, H.k, ell)
     searcher = _Searcher(H, ell, node_budget(budget))
     try:
         cert = searcher.run()
@@ -234,13 +235,7 @@ def naive_hamiltonian(H: Hypergraph, ell: int) -> bool:
     so fixing any vertex's position would skip whole equivalence classes.
     Usable up to n about 8.
     """
-    if not 1 <= ell <= H.k - 1:
-        raise DomainError(f"overlap ell={ell} outside 1..{H.k - 1}")
-    s = H.k - ell
-    if H.n % s:
-        raise DomainError(f"stride {s} does not divide n={H.n}")
-    if H.n < 2 * H.k - ell:
-        raise DomainError(f"n={H.n} < 2k-ell={2 * H.k - ell}")
+    _check_cycle_shape(H.n, H.k, ell)
     for perm in permutations(range(1, H.n + 1)):
         if all(e in H.edge_set for e in cycle_edges(perm, H.k, ell)):
             return True
@@ -268,9 +263,7 @@ def hamiltonicity_sweep(n: int, k: int, ell: int, d_values: list[int],
     found over all trials (unknowns reported, not folded into none) with a
     Wilson 95% interval.
     """
-    s = k - ell
-    if n % s:
-        raise DomainError(f"stride {s} does not divide n={n}")
+    _check_cycle_shape(n, k, ell)
     points = []
     for d in d_values:
         params = Params(n, k, d)

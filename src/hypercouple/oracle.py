@@ -36,9 +36,11 @@ import numpy as np
 from .core import (
     DomainError,
     Edge,
+    EdgePool,
     InadmissiblePrefixError,
     OrderedHypergraph,
     Params,
+    edge_pool,
     make_edge,
     residual_degrees,
 )
@@ -189,20 +191,10 @@ class ExtensionFamily:
     def ordered_count(self) -> int:
         return self.unordered_count * math.factorial(self.params.M - self.base_size)
 
-    @cached_property
-    def _columns(self) -> dict[Edge, int]:
-        return {e: c for c, e in enumerate(
-            combinations(range(1, self.params.n + 1), self.params.k))}
-
-    def _column(self, e: Edge) -> int:
-        """Pool column of edge e, which must be an increasing k-tuple of
-        vertices 1..n."""
-        try:
-            return self._columns[e]
-        except KeyError:
-            raise DomainError(f"{e} is not an edge of the pool: "
-                              f"{self.params.k} increasing vertices of "
-                              f"1..{self.params.n}") from None
+    @property
+    def pool(self) -> EdgePool:
+        """The edge pool whose columns `packed` holds."""
+        return edge_pool(self.params.n, self.params.k)
 
     @property
     def _listed(self) -> np.ndarray:
@@ -238,7 +230,7 @@ class ExtensionFamily:
         # unpacking a row-major copy is faster than unpacking the strided
         # transposed view
         rows = np.ascontiguousarray(self._listed.T)
-        bits = np.unpackbits(rows, axis=1, count=len(self._columns),
+        bits = np.unpackbits(rows, axis=1, count=len(self.pool.edges),
                              bitorder="little")
         columns = np.broadcast_to(np.arange(bits.shape[1]), bits.shape)
         tails = columns[bits.view(bool)].reshape(
@@ -252,13 +244,13 @@ class ExtensionFamily:
         lexicographic order; None when the family was only counted."""
         if self.packed is None:
             return None
-        pool = tuple(self._columns)
+        pool = self.pool.edges
         return [tuple(pool[c] for c in row) for row in self.tails.tolist()]
 
     def holds(self, e: Edge) -> np.ndarray:
         """Mask over the listed completions: does the tail contain edge e?"""
         mask = np.zeros(self.unordered_count, dtype=bool)
-        mask[self.with_column(self._column(e))] = True
+        mask[self.with_column(self.pool.column(e))] = True
         return mask
 
     def restrict(self, which) -> "ExtensionFamily":
@@ -278,7 +270,7 @@ class ExtensionFamily:
         outside the base; there are U(G + edges) of them."""
         rows = np.arange(self._listed.shape[1], dtype=np.int32)
         for e in set(edges) - self.base:
-            rows = self.with_column(self._column(e), rows)
+            rows = self.with_column(self.pool.column(e), rows)
         return rows
 
     def state(self, edges: frozenset[Edge], t: int) -> StateLaw:
@@ -292,9 +284,10 @@ class ExtensionFamily:
         if len(rows) == 0:
             raise DomainError("prefix is inadmissible; next-edge law undefined")
         sums = self.column_sums(rows).tolist()
-        support = tuple(e for e in self._columns if e not in edges)
+        pool = self.pool.edges
         return StateLaw.from_weights(
-            support, tuple(sums[self._columns[e]] for e in support),
+            tuple(e for e in pool if e not in edges),
+            tuple(w for e, w in zip(pool, sums) if e not in edges),
             len(rows) * (params.M - t))
 
 
@@ -377,7 +370,7 @@ def _in_order(bits: np.ndarray, which: np.ndarray,
     return which[np.lexsort(keys.T[::-1])[::-1]]
 
 
-def _sweep_completions(n: int, k: int, residual: np.ndarray | None,
+def _sweep_completions(pool: EdgePool, residual: np.ndarray | None,
                        base: frozenset[Edge],
                        budget: int) -> tuple[np.ndarray, int]:
     """List the completion tails, packed column-major (one byte row per
@@ -394,11 +387,12 @@ def _sweep_completions(n: int, k: int, residual: np.ndarray | None,
     chunk is halved and when it is listed.  Each include-child is one node
     charged to `budget`; holding more than _LIST_BYTES raises.
     """
-    pool = np.array(list(combinations(range(1, n + 1), k)), dtype=np.intp)
-    width = (len(pool) + 7) // 8
-    free = np.array([e not in base for e in map(tuple, pool.tolist())])
-    incidence = np.zeros((len(pool), n + 1), dtype=np.int64)
-    np.put_along_axis(incidence, pool, 1, axis=1)
+    n, edges = pool.n, pool.vertices
+    width = (len(edges) + 7) // 8
+    free = np.ones(len(edges), dtype=bool)
+    free[[pool.column(e) for e in base]] = False
+    incidence = np.zeros((len(edges), n + 1), dtype=np.int64)
+    np.put_along_axis(incidence, edges, 1, axis=1)
     incidence[~free] = 0
     through = incidence.sum(axis=0)
     if residual is None or (residual > through).any():
@@ -410,7 +404,7 @@ def _sweep_completions(n: int, k: int, residual: np.ndarray | None,
     later = np.minimum(through - np.cumsum(incidence, axis=0),
                        np.iinfo(dtype).max).astype(dtype)
     # the columns a step reads: the live flag, then the edge's residuals
-    read = np.column_stack([np.zeros(len(pool), dtype=np.intp), pool])
+    read = np.column_stack([np.zeros(len(edges), dtype=np.intp), edges])
     reversed_bytes = np.packbits(np.unpackbits(
         np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1,
         bitorder="little").ravel()
@@ -431,10 +425,10 @@ def _sweep_completions(n: int, k: int, residual: np.ndarray | None,
         c0, chunk = stack.pop()
         size, dead = len(chunk), 0
         waiting -= size * row_bytes
-        for c in range(c0, len(pool)):
+        for c in range(c0, len(edges)):
             if not free[c]:
                 continue
-            e = pool[c]
+            e = edges[c]
             at = chunk[:size, read[c]]
             take = np.flatnonzero((at > 0).all(axis=1))
             die = np.flatnonzero((at[:, 1:] > later[c, e]).any(axis=1)
@@ -494,8 +488,8 @@ def count_extensions(G: OrderedHypergraph, params: Params,
     base = frozenset(G.edge_set)
     packed = None
     if list_completions:
-        packed, nodes = _sweep_completions(params.n, params.k, residual,
-                                           base, node_budget(budget))
+        packed, nodes = _sweep_completions(edge_pool(params.n, params.k),
+                                           residual, base, node_budget(budget))
         count = packed.shape[1]
         packed.flags.writeable = False  # cached families are shared
     elif residual is None:  # a vertex overflows: nothing to walk
@@ -609,7 +603,7 @@ class PrefixTree:
                               "undefined")
         self.params = params
         self.family = fam
-        pool = tuple(fam._columns)
+        pool = fam.pool.edges
         size, rest = divmod(len(pool) * fam.unordered_count, M)
         assert rest == 0, "U0 * M = C * U1 failed"
         self.family_size = size
@@ -649,20 +643,20 @@ class PrefixTree:
         except ValueError:
             raise DomainError(f"{e} is not an absent pool edge") from None
         support = support[:at] + support[at + 1:]
-        fam, column = self.family, self.family._columns
+        fam, pool = self.family, self.family.pool
         if parent.frame is None:
             # a first edge: σ_e maps every canonical completion onto one
             frame, cols, rows = self._frame(e), (), None
             count, sums = fam.unordered_count, self._first_sums
         else:
             frame = parent.frame
-            cols = parent.cols + (int(frame[column[e]]),)
+            cols = parent.cols + (int(frame[pool.column(e)]),)
             rows = fam.with_column(cols[-1], self._rows(parent))
             count, sums = len(rows), fam.column_sums(rows)
         if count == 0:
             raise DomainError("prefix is inadmissible; next-edge law "
                               "undefined")
-        absent = frame[[column[f] for f in support]]
+        absent = np.delete(frame, [pool.column(f) for f in edges])
         law = StateLaw.from_weights(support, tuple(sums[absent].tolist()),
                                     count * (M - t))
         if self._weights + len(support) > _TREE_WEIGHTS:
@@ -676,12 +670,13 @@ class PrefixTree:
 
     def _frame(self, e: Edge) -> np.ndarray:
         """Canonical column of σ_e^{-1}(f) for every pool column f."""
-        order = e + tuple(v for v in range(1, self.params.n + 1)
-                          if v not in e)
-        label = dict(zip(order, range(1, len(order) + 1)))
-        column = self.family._columns
-        return np.array([column[tuple(sorted(map(label.__getitem__, f)))]
-                         for f in column])
+        n, pool = self.params.n, self.family.pool
+        # label[v] = σ_e^{-1}(v): e's vertices go to 1..k, the rest follow
+        # in increasing order
+        label = np.zeros(n + 1, dtype=np.intp)
+        label[list(e) + [v for v in range(1, n + 1) if v not in e]] = \
+            np.arange(1, n + 1)
+        return pool.rank(np.sort(label[pool.vertices], axis=1))
 
     def _rows(self, node: _PrefixNode) -> np.ndarray | None:
         """Canonical completions of node's state (None: all of them)."""
@@ -777,20 +772,20 @@ def switching_class_sizes(G: OrderedHypergraph, u: int, v: int, kind: str,
     check_pair(u, v, params.n)
     fam = extension_family(G, params, budget)
     orderings = math.factorial(params.M - len(G))
-    columns = fam._columns
-    tails = fam.tails
+    pool, tails = fam.pool, fam.tails
+    has_u = (pool.vertices == u).any(axis=1)
+    has_v = (pool.vertices == v).any(axis=1)
     if kind == "pair_degree":
-        through = np.array([u in e and v in e for e in columns], dtype=bool)
-        values = through[tails].sum(axis=1)
+        values = (has_u & has_v)[tails].sum(axis=1)
     else:
         # a tail edge W+{v} counts when its swap W+{u} lies in G or in the
         # same tail; -1 marks edges that have no swap (u in e, or v not)
-        swap = np.array([columns[tuple(sorted(set(e) - {v} | {u}))]
-                         if v in e and u not in e else -1 for e in columns])
-        in_base = np.zeros(len(columns) + 1, dtype=bool)  # [-1] stays False
-        in_base[[columns[e] for e in G.edge_set]] = True
+        swap = np.where(has_v & ~has_u, pool.rank(np.sort(np.where(
+            pool.vertices == v, u, pool.vertices), axis=1)), -1)
+        in_base = np.zeros(len(pool.edges) + 1, dtype=bool)  # [-1] stays False
+        in_base[[pool.column(e) for e in G.edge_set]] = True
         # tails rows are increasing, so row * C + column is sorted overall
-        which = np.arange(len(tails))[:, None] * len(columns)
+        which = np.arange(len(tails))[:, None] * len(pool.edges)
         keys = (which + tails).ravel()
         swapped = swap[tails]
         wanted = which + swapped

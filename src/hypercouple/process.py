@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .core import (
     OrderedHypergraph,
     Params,
     codegree_rel,
+    is_simple,
     make_edge,
 )
 from .oracle import extension_family
@@ -270,15 +271,9 @@ def sample_mutual_pair(G: OrderedHypergraph, e: Edge, f: Edge, params: Params,
         i, j = spots[int(gen.integers(len(spots)))]
         tail[i][j] = u
     base_e = OrderedHypergraph(params.n, params.k, list(G.edges) + [e])
-    seen = set(base_e.edge_set)
-    e_simple = True
-    for block in tail:
-        key = tuple(sorted(block))
-        if len(set(key)) < params.k or key in seen:
-            e_simple = False
-            break
-        seen.add(key)
-    return MutualSample(f_simple=f_simple, e_simple=e_simple, degenerate=False)
+    return MutualSample(f_simple=f_simple,
+                        e_simple=is_simple(chain(base_e, tail)),
+                        degenerate=False)
 
 
 def _switch_once(hp_edges: list[Edge], e: Edge,
@@ -383,8 +378,7 @@ def mutual_simplicity_probe(G: OrderedHypergraph, e: Edge, f: Edge,
                 counts[v] = counts.get(v, 0) + 1
         assert all(counts.get(v, 0) == params.d for v in range(1, params.n + 1)), \
             "replacement switch broke d-regularity"
-        simple = (len(set(final)) == len(final)
-                  and all(len(set(edge)) == params.k for edge in final))
+        simple = is_simple(final)
         if nice1 and not simple:
             assert e1 or e2 or e3 or e4 or resurrect, \
                 "non-simple switch escaped every recorded event"

@@ -18,17 +18,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .core import (
     DomainError,
-    Edge,
     MultiEdge,
     OrderedHypergraph,
     Hypergraph,
     Params,
+    complement_edges,
+    edge_pool,
+    is_simple,
     residual_degrees,
 )
 from . import oracle
@@ -69,11 +71,6 @@ def as_generator(rng) -> np.random.Generator:
     raise DomainError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
-def all_edges(n: int, k: int) -> list[Edge]:
-    """Every possible edge in lexicographic order.  Desk scale only."""
-    return list(combinations(range(1, n + 1), k))
-
-
 def sample_gnm(n: int, k: int, m: int, rng) -> OrderedHypergraph:
     """Uniform m-edge k-graph with a uniform edge order.
 
@@ -81,7 +78,7 @@ def sample_gnm(n: int, k: int, m: int, rng) -> OrderedHypergraph:
     output doubles as a trajectory of the sequential uniform process.
     """
     gen = as_generator(rng)
-    pool = all_edges(n, k)
+    pool = list(edge_pool(n, k).edges)
     total = len(pool)
     if not 0 <= m <= total:
         raise DomainError(f"m={m} outside 0..{total}")
@@ -96,7 +93,7 @@ def sample_gnp(n: int, k: int, p: float, rng) -> Hypergraph:
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p={p} outside [0, 1]")
     gen = as_generator(rng)
-    pool = all_edges(n, k)
+    pool = edge_pool(n, k).edges
     mask = gen.random(len(pool)) < p
     return Hypergraph(n, k, [e for e, keep in zip(pool, mask) if keep])
 
@@ -109,14 +106,7 @@ class MultiExtension:
     tail: tuple[MultiEdge, ...]
 
     def is_simple(self) -> bool:
-        seen = set(self.base.edge_set)
-        for block in self.tail:
-            if any(block[i] == block[i + 1] for i in range(len(block) - 1)):
-                return False
-            if block in seen:
-                return False
-            seen.add(block)
-        return True
+        return is_simple(chain(self.base, self.tail))
 
 
 def _residual_vector(G: OrderedHypergraph, params: Params) -> np.ndarray:
@@ -251,15 +241,10 @@ def sample_regular(G: OrderedHypergraph, params: Params, rng,
 
 def _sample_regular_complement(params: Params, gen: np.random.Generator) -> OrderedHypergraph:
     d_comp = params.max_degree - params.d
-    pool = all_edges(params.n, params.k)
-    if d_comp == 0:
-        kept = pool
-    else:
-        comp = sample_regular(
-            OrderedHypergraph(params.n, params.k),
-            Params(params.n, params.k, d_comp), gen)
-        absent = comp.edge_set
-        kept = [e for e in pool if e not in absent]
+    comp = OrderedHypergraph(params.n, params.k)
+    if d_comp:
+        comp = sample_regular(comp, Params(params.n, params.k, d_comp), gen)
+    kept = list(complement_edges(comp))
     order = gen.permutation(len(kept))
     return OrderedHypergraph._from_canonical(params.n, params.k,
                                              [kept[i] for i in order])

@@ -46,10 +46,12 @@ from .core import (
     AnyGraph,
     DomainError,
     Edge,
+    EdgePool,
     Hypergraph,
     OrderedHypergraph,
     Params,
     codegree_rel,
+    edge_pool,
     make_edge,
     residual_degrees,
 )
@@ -395,34 +397,6 @@ Members = AnyGraph | Sequence[AnyGraph] | oracle.ExtensionFamily
 _CELLS = 1 << 18
 
 
-class _EdgeTable(NamedTuple):
-    """The lexicographic edge pool of (n, k) as arrays; W = ceil((n+1)/64)
-    words hold a vertex mask, so no bound on n is assumed."""
-
-    vertices: np.ndarray  # (C, k): edge c's vertices, increasing
-    masks: np.ndarray     # (C, W) uint64: edge c's vertex mask
-    weights: np.ndarray   # (k, n+1): comb(n - x, k - i)
-
-    def rank(self, edges: np.ndarray) -> np.ndarray:
-        """Pool index of each increasing k-tuple along the last axis."""
-        k = len(self.weights)
-        return (len(self.vertices) - 1
-                - self.weights[np.arange(k), edges].sum(axis=-1))
-
-
-@lru_cache(maxsize=4)
-def _edge_table(n: int, k: int) -> _EdgeTable:
-    vertices = np.array(list(combinations(range(1, n + 1), k)),
-                        dtype=np.intp)
-    x = np.arange(n + 1)
-    bits = np.zeros((n + 1, (n + 64) // 64), dtype=np.uint64)
-    bits[x, x >> 6] = np.left_shift(np.uint64(1), (x & 63).astype(np.uint64))
-    weights = np.array([[math.comb(n - y, k - i) for y in range(n + 1)]
-                        for i in range(k)], dtype=np.int64)
-    return _EdgeTable(vertices, np.bitwise_or.reduce(bits[vertices], axis=1),
-                      weights)
-
-
 class _Leads(NamedTuple):
     """The edges that may stand as row 1 of a move of one kind and target."""
 
@@ -435,15 +409,14 @@ class _Leads(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _leads(n: int, k: int, kind: str, target: tuple[int, ...]) -> _Leads:
-    table = _edge_table(n, k)
+    table = edge_pool(n, k)
     anchors: list[Edge] = []
     clash = 0
     if kind == "remove_edge":
         rows = [target]
     elif kind == "pair_degree":
         u, v = target
-        rows = [e for e in combinations(range(1, n + 1), k)
-                if u in e and v in e]
+        rows = [e for e in table.edges if u in e and v in e]
     else:
         u, v = target
         rest = [x for x in range(1, n + 1) if x not in target]
@@ -469,11 +442,11 @@ class _Front(NamedTuple):
 
 
 def _pool_rows(H: Members,
-               G: AnyGraph) -> tuple[_EdgeTable, np.ndarray, np.ndarray]:
-    """The edge table, each member's pool (its edges outside G) as an
+               G: AnyGraph) -> tuple[EdgePool, np.ndarray, np.ndarray]:
+    """The edge pool, each member's pool (its edges outside G) as an
     increasing row of pool indices, and G's pool indices."""
     n, k = G.n, G.k
-    table = _edge_table(n, k)
+    table = edge_pool(n, k)
     fixed = table.rank(np.array(sorted(G.edge_set), dtype=np.intp
                                 ).reshape(-1, k))
     if isinstance(H, oracle.ExtensionFamily):
@@ -504,7 +477,7 @@ def _pool_rows(H: Members,
 
 
 def _walk(front: _Front, steps, finish, counts: np.ndarray,
-          table: _EdgeTable, pool: np.ndarray, width: int) -> None:
+          table: EdgePool, pool: np.ndarray, width: int) -> None:
     """Grow every partial move through `steps`, then add `finish`'s number of
     completed moves per partial move to its member's count.
 
@@ -537,7 +510,7 @@ def _walk(front: _Front, steps, finish, counts: np.ndarray,
                                   minlength=len(counts)).astype(np.int64)
 
 
-def _clashes(table: _EdgeTable, present: np.ndarray, member: np.ndarray,
+def _clashes(table: EdgePool, present: np.ndarray, member: np.ndarray,
              rest: np.ndarray, u: int) -> np.ndarray:
     """Codegree's extra exclusion: is rest + u, when it is a k-set, an edge
     of the member?  `rest` holds column 1 without v."""
@@ -546,7 +519,7 @@ def _clashes(table: _EdgeTable, present: np.ndarray, member: np.ndarray,
     return free & present[member, np.where(free, table.rank(clash), 0)]
 
 
-def _forward_block(table: _EdgeTable, leads: _Leads, pool: np.ndarray,
+def _forward_block(table: EdgePool, leads: _Leads, pool: np.ndarray,
                    present: np.ndarray, counts: np.ndarray) -> None:
     """Forward moves out of each member of a chunk.
 
@@ -579,7 +552,7 @@ def _forward_block(table: _EdgeTable, leads: _Leads, pool: np.ndarray,
     _walk(front, [later] * (k - 1), finish, counts, table, pool, k * (m + k))
 
 
-def _backward_leads(table: _EdgeTable, leads: _Leads, pool: np.ndarray,
+def _backward_leads(table: EdgePool, leads: _Leads, pool: np.ndarray,
                     present: np.ndarray) -> tuple[np.ndarray, ...]:
     """The (member, lead) pairs a backward walk starts from, and the chunk's
     codes: (L·c, m) int8, row l·c + i giving each pool position of member i
@@ -602,7 +575,7 @@ def _backward_leads(table: _EdgeTable, leads: _Leads, pool: np.ndarray,
             rows.reshape(len(code) * len(pool), pool.shape[1]))
 
 
-def _backward_block(table: _EdgeTable, leads: _Leads, pool: np.ndarray,
+def _backward_block(table: EdgePool, leads: _Leads, pool: np.ndarray,
                     present: np.ndarray, counts: np.ndarray) -> None:
     """(source, move) pairs landing on each member of a chunk.
 

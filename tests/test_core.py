@@ -1,7 +1,10 @@
-"""Container, parameter, and serialization invariants."""
+"""Container, parameter, edge pool and serialization invariants."""
 
+import ast
 import math
 from collections import Counter
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,9 @@ from hypercouple import (
     residual_degrees,
     write_edge_list,
 )
+from hypercouple.core import edge_pool
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hypercouple"
 
 
 @st.composite
@@ -69,6 +75,87 @@ class TestEdges:
         assert is_simple([(1, 2), (2, 3)])
         assert not is_simple([(1, 2), (2, 1)])
         assert not is_simple([(1, 1)])
+
+
+def pool_enumerations(source: str) -> list[str]:
+    """The definitions (as dotted names) holding a call
+    `combinations(range(1, ...), ...)`: an enumeration of an edge pool."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id",
+                                getattr(child.func, "attr", None))
+                    == "combinations"
+                    and child.args and isinstance(child.args[0], ast.Call)
+                    and getattr(child.args[0].func, "id", None) == "range"
+                    and child.args[0].args
+                    and isinstance(child.args[0].args[0], ast.Constant)
+                    and child.args[0].args[0].value == 1):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+class TestEdgePool:
+    """`core.edge_pool` is the one numbering of the possible edges: every
+    module reads pool columns through it."""
+
+    @pytest.mark.parametrize("n,k", [(6, 3), (9, 3), (8, 2), (5, 5),
+                                     (64, 2), (70, 3)])
+    def test_columns_are_the_lexicographic_order(self, n, k):
+        pool = edge_pool(n, k)
+        assert pool.edges == tuple(combinations(range(1, n + 1), k))
+        size = len(pool.edges)
+        assert pool.vertices.tolist() == [list(e) for e in pool.edges]
+        assert np.array_equal(pool.rank(pool.vertices), np.arange(size))
+        assert [pool.column(e) for e in pool.edges] == list(range(size))
+        assert not pool.vertices.flags.writeable
+
+    @pytest.mark.parametrize("n,k", [(9, 3), (63, 2), (64, 2), (70, 3)])
+    def test_masks_hold_the_vertex_sets(self, n, k):
+        # vertex x is bit x & 63 of word x >> 6: two words from n = 64 on
+        pool = edge_pool(n, k)
+        words = pool.masks.shape[1]
+        assert pool.masks.shape == (len(pool.edges), (n + 64) // 64)
+        bits = np.unpackbits(pool.masks.astype("<u8").view(np.uint8),
+                             axis=1, bitorder="little").view(bool)
+        expected = np.zeros((len(pool.edges), 64 * words), dtype=bool)
+        expected[np.arange(len(pool.edges))[:, None], pool.vertices] = True
+        assert np.array_equal(bits, expected)
+        assert not pool.masks.flags.writeable
+
+    def test_pool_is_cached_per_size_within_a_bound(self):
+        assert edge_pool(7, 3) is edge_pool(7, 3)
+        bound = edge_pool.cache_info().maxsize
+        assert bound is not None and bound <= 4
+        for n in range(4, 4 + bound + 2):
+            edge_pool(n, 2)
+        assert edge_pool.cache_info().currsize <= bound
+
+    def test_only_the_pool_enumerates_the_pool(self):
+        # a second enumeration is a second numbering that may drift apart
+        found = [f"{path.name}: {where}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for where in pool_enumerations(path.read_text())]
+        assert found == ["core.py: EdgePool.__init__"]
+
+    def test_finder_sees_every_spelling_of_a_pool_enumeration(self):
+        source = ("class A:\n"
+                  "    def f(self, n, k):\n"
+                  "        return itertools.combinations(range(1, n+1), k)\n"
+                  "def g(G):\n"
+                  "    return [e for e in combinations(range(1, G.n + 1), 2)]\n"
+                  "def h(s):\n"
+                  "    return combinations(range(s), 2), combinations(s, 3)\n")
+        assert pool_enumerations(source) == ["A.f", "g"]
 
 
 class TestContainers:

@@ -325,6 +325,20 @@ class TestPrefixTree:
         assert tree.root.law == StateLaw.from_weights(pool, (u1,) * C,
                                                       u0 * p.M)
 
+    @pytest.mark.parametrize("nkd", [(7, 3, 3), (8, 2, 3)])
+    def test_frame_relabels_every_pool_edge(self, nkd):
+        # reference: relabel each pool edge f through σ_e^{-1} and look the
+        # sorted image up in a dict of the pool
+        p = Params(*nkd)
+        pool = list(combinations(range(1, p.n + 1), p.k))
+        column = {f: c for c, f in enumerate(pool)}
+        tree = PrefixTree(p)
+        for e in pool:
+            order = e + tuple(v for v in range(1, p.n + 1) if v not in e)
+            label = dict(zip(order, range(1, p.n + 1)))
+            assert tree._frame(e).tolist() == [
+                column[tuple(sorted(label[v] for v in f))] for f in pool]
+
     def test_orders_of_one_state_share_a_node(self):
         tree = PrefixTree(self.P733)
         a, b, c = (1, 2, 3), (4, 5, 6), (1, 4, 7)

@@ -13,8 +13,8 @@ from hypercouple import (
     run_experiment,
     validate_gamma_epsilon,
 )
-from hypercouple import (coupling, experiments, oracle, process, samplers,
-                         switchings)
+from hypercouple import (coupling, experiments, hamilton, oracle, process,
+                         samplers, switchings)
 from hypercouple.experiments import (
     _parse_p_mode,
     config_from_args,
@@ -231,10 +231,24 @@ class TestCliBoundary:
         ["process-stats", "--n", "9", "--k", "3", "--d", "2", "--a", "-1"],
         ["switching-verify", "--n", "6", "--k", "3", "--d", "2",
          "--switch-kind", "pair_degree", "--u", "1", "--v", "9"],
+        ["hamilton-sweep", "--n", "6", "--k", "3", "--ell", "3",
+         "--d-list", "3"],
     ])
     def test_bad_or_missing_options_exit_two(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("n,k,ell", [(6, 3, 4), (3, 3, 2)])
+    def test_bad_cycle_shape_is_rejected_before_any_sample(
+            self, n, k, ell, monkeypatch, capsys):
+        # stride k - ell = -1 divides every n; n = 3 < 2k - ell = 4
+        drawn = []
+        monkeypatch.setattr(hamilton, "sample_regular",
+                            lambda *args: drawn.append(args))
+        assert main(["hamilton-sweep", "--n", str(n), "--k", str(k),
+                     "--ell", str(ell), "--d-list", "1"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not drawn
 
     @pytest.mark.parametrize("edge, rc", [
         ("2,1", 0), ("1,1", 2), ("1,9", 2), ("0,3", 2), ("1,2,3", 2),

@@ -331,13 +331,15 @@ class TestColumnReads:
             assert np.array_equal(
                 idx[level.with_column(c)], fam.with_column(c, among))
 
-    @pytest.mark.parametrize("edge", [(2, 1, 3), (1, 2, 10), (1, 2)])
+    @pytest.mark.parametrize("edge", [(2, 1, 3), (1, 2, 10), (1, 2),
+                                      (0, 1, 2), (1, 2, 3, 4)])
     def test_an_edge_outside_the_pool_is_named(self, edge):
-        # unsorted, past n, and of the wrong size: one column lookup names
-        # the edge for every read that takes one
+        # unsorted, out of 1..n, and of the wrong size: the pool's one
+        # column lookup names the edge for every read that takes one
         fam = extension_family(OrderedHypergraph(9, 3, [(3, 4, 5)]), self.P)
         reads = (lambda: fam.rows_with({edge}), lambda: fam.holds(edge),
-                 lambda: fam.state(fam.base | {edge}, 2))
+                 lambda: fam.state(fam.base | {edge}, 2),
+                 lambda: fam.pool.column(edge))
         for read in reads:
             with pytest.raises(DomainError, match=re.escape(str(edge))):
                 read()
