@@ -130,7 +130,9 @@ class EdgePool:
 @lru_cache(maxsize=4)
 def edge_pool(n: int, k: int) -> EdgePool:
     """The `EdgePool` of (n, k), built once per size and kept in a bounded
-    least-recently-used cache."""
+    least-recently-used cache; n >= k >= 2, as for every graph."""
+    if k < 2 or n < k:
+        raise DomainError(f"need n >= k >= 2, got n={n}, k={k}")
     return EdgePool(n, k)
 
 

@@ -34,7 +34,6 @@ from .core import (
     OrderedHypergraph,
     Params,
     format_edge_list,
-    make_edge,
 )
 from .coupling import (
     CouplingConfig,
@@ -44,12 +43,14 @@ from .coupling import (
 )
 from .hamilton import _check_cycle_shape, hamiltonicity_sweep
 from .oracle import (
+    KINDS as SWITCHING_KINDS,
     OracleBudgetError,
     count_extensions,
     extension_family,
     node_budget,
     prefix_tree,
     switching_class_sizes,
+    switching_target,
 )
 from .process import residual_report
 from .samplers import (
@@ -374,14 +375,9 @@ def _run_switching_verify(cfg: ExperimentConfig):
     kind = o["switch_kind"]
     base = OrderedHypergraph(params.n, params.k, o.get("base_edges", []))
     u, v = o.get("u", 0), o.get("v", 0)
-    if kind == "remove_edge":
-        if not o.get("edge"):
-            raise DomainError("remove_edge needs --edge")
-        edge = make_edge(o["edge"], params.n, params.k)
-        if edge in base:
-            raise DomainError("--edge lies in the fixed base prefix")
-    else:
-        pair = (u, v)
+    target = switching_target(kind, params.n, params.k, edge=o.get("edge"),
+                              pair=(u, v))
+    if kind != "remove_edge":
         sizes = switching_class_sizes(base, u, v, kind, params)
     fam = extension_family(base, params)
     if not fam.admissible:
@@ -389,10 +385,10 @@ def _run_switching_verify(cfg: ExperimentConfig):
 
     # each class goes to the counting kernels whole, as a restricted family
     if kind == "remove_edge":
-        having = fam.holds(edge)
+        having = fam.holds(target)
         upper, lower = fam.restrict(having), fam.restrict(~having)
-        fsum = forward_count(upper, base, kind, edge=edge)
-        bsum = backward_count(lower, base, kind, edge=edge)
+        fsum = forward_count(upper, base, kind, edge=target)
+        bsum = backward_count(lower, base, kind, edge=target)
         rows = [("class", "size", "forward_sum", "backward_sum"),
                 (1, upper.unordered_count, fsum, None),
                 (0, lower.unordered_count, None, bsum)]
@@ -408,8 +404,8 @@ def _run_switching_verify(cfg: ExperimentConfig):
         for ell in range(sizes.bottom, sizes.top + 1):
             upper = fam.restrict(values == ell)
             if ell in sizes.unordered_sizes:
-                fsum = forward_count(upper, base, kind, pair=pair)
-                bsum = backward_count(lower, base, kind, pair=pair)
+                fsum = forward_count(upper, base, kind, pair=target)
+                bsum = backward_count(lower, base, kind, pair=target)
                 balanced &= fsum == bsum
                 rows.append((ell, sizes.unordered_sizes[ell], fsum, bsum))
             lower = upper
@@ -657,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--switch-kind", dest="switch_kind", required=True,
-                    choices=("remove_edge", "pair_degree", "codegree"))
+                    choices=SWITCHING_KINDS)
     sp.add_argument("--u", type=int, default=0)
     sp.add_argument("--v", type=int, default=0)
     sp.add_argument("--edge", type=str, default=None,

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -47,6 +48,8 @@ from .core import (
 
 DEFAULT_NODE_BUDGET = 100_000_000
 ENV_NODE_BUDGET = "HYPERCOUPLE_NODE_BUDGET"
+
+T = TypeVar("T")
 
 
 class OracleBudgetError(RuntimeError):
@@ -80,18 +83,56 @@ def node_budget(override: int | None = None) -> int:
 EXACT_MODES = ("auto", "never", "require")
 
 
-def check_exact_mode(exact: str) -> None:
-    """Reject an `exact=` value other than 'auto', 'never' or 'require'."""
+def exact_or_none(exact: str, compute: Callable[[], T]) -> T | None:
+    """The exact value `compute()` under exact='auto' or 'require', None
+    under 'never'.  An exhausted node budget gives None under 'auto' and
+    raises under 'require'; any other `exact=` value is rejected."""
     if exact not in EXACT_MODES:
         raise DomainError(f"exact must be one of {EXACT_MODES}, got {exact!r}")
+    if exact == "never":
+        return None
+    try:
+        return compute()
+    except OracleBudgetError:
+        if exact == "require":
+            raise
+        return None
 
 
-def check_pair(u: int, v: int, n: int) -> None:
-    """Reject a marked pair that is not two distinct vertices of 1..n."""
+KINDS = ("remove_edge", "pair_degree", "codegree")
+
+
+def switching_target(kind: str, n: int, k: int, edge: Edge | None = None,
+                     pair: tuple[int, int] | None = None) -> tuple[int, ...]:
+    """The one check of a switching request on (n, k): its target, the
+    canonical edge for remove_edge, else the marked pair (u, v) of two
+    distinct vertices of 1..n."""
+    if kind not in KINDS:
+        raise DomainError(f"unknown switching kind {kind!r}")
+    if kind == "remove_edge":
+        if edge is None:
+            raise DomainError("remove_edge switching needs edge=")
+        return make_edge(edge, n, k)
+    if pair is None:
+        raise DomainError(f"{kind} switching needs pair=")
+    u, v = pair
     if u == v:
-        raise DomainError("statistic needs two distinct vertices")
+        raise DomainError("pair must name two distinct vertices")
     if not (1 <= u <= n and 1 <= v <= n):
         raise DomainError(f"vertices u={u}, v={v} must lie in 1..{n}")
+    return u, v
+
+
+def check_edge_presence(e: Edge, forward: bool, fixed: bool, held) -> None:
+    """remove_edge's presence rule: forward, edge e lies outside the fixed
+    prefix G and in every member; backward, in neither G nor any member.
+    `fixed` says whether G holds e, `held[i]` whether member i does."""
+    if forward and fixed:
+        raise DomainError(f"edge {e} lies in the fixed prefix G")
+    if forward and not np.all(held):
+        raise DomainError(f"edge {e} is not in H")
+    if not forward and (fixed or np.any(held)):
+        raise DomainError(f"edge {e} is present in the target graph")
 
 
 @dataclass(frozen=True)
@@ -713,14 +754,10 @@ class PrefixTree:
 
 
 @lru_cache(maxsize=2)
-def _cached_tree(params: Params) -> PrefixTree:
-    return PrefixTree(params)
-
-
 def prefix_tree(params: Params) -> PrefixTree:
     """The `PrefixTree` of (n, k, d), built once per params and kept in a
     bounded least-recently-used cache."""
-    return _cached_tree(params)
+    return PrefixTree(params)
 
 
 def exact_next_edge_distribution(G: OrderedHypergraph,
@@ -767,9 +804,7 @@ def switching_class_sizes(G: OrderedHypergraph, u: int, v: int, kind: str,
     kind "codegree" counts (k-1)-sets W with W+{u} in the full graph H and
     W+{v} in H\\G.
     """
-    if kind not in ("pair_degree", "codegree"):
-        raise DomainError(f"unknown switching statistic kind {kind!r}")
-    check_pair(u, v, params.n)
+    switching_target(kind, params.n, params.k, pair=(u, v))
     fam = extension_family(G, params, budget)
     orderings = math.factorial(params.M - len(G))
     pool, tails = fam.pool, fam.tails

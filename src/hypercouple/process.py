@@ -242,6 +242,19 @@ class MutualSample:
     degenerate: bool
 
 
+def _switch_setup(G: OrderedHypergraph, e: Edge, f: Edge, params: Params
+                  ) -> tuple[Edge, tuple[int, ...], tuple[int, ...],
+                             OrderedHypergraph]:
+    """Canonical e, the vertices u_i of f\\e and v_i of e\\f in increasing
+    order, and the base G+f, for edges e and f both absent from G."""
+    e = make_edge(e, params.n, params.k)
+    f = make_edge(f, params.n, params.k)
+    if e in G.edge_set or f in G.edge_set:
+        raise DomainError("e and f must be absent from G")
+    return (e, tuple(sorted(set(f) - set(e))), tuple(sorted(set(e) - set(f))),
+            OrderedHypergraph(params.n, params.k, list(G.edges) + [f]))
+
+
 def sample_mutual_pair(G: OrderedHypergraph, e: Edge, f: Edge, params: Params,
                        rng) -> MutualSample:
     """Couple the raw extensions of G+f and G+e on one permutation draw.
@@ -251,14 +264,8 @@ def sample_mutual_pair(G: OrderedHypergraph, e: Edge, f: Edge, params: Params,
     on G+e yields a draw with exactly the law of G+e's extension, so the
     two simplicity indicators estimate both probabilities jointly.
     """
-    e = make_edge(e, params.n, params.k)
-    f = make_edge(f, params.n, params.k)
-    if e in G.edge_set or f in G.edge_set:
-        raise DomainError("e and f must be absent from G")
+    e, us, vs, base_f = _switch_setup(G, e, f, params)
     gen = as_generator(rng)
-    us = tuple(sorted(set(f) - set(e)))
-    vs = tuple(sorted(set(e) - set(f)))
-    base_f = OrderedHypergraph(params.n, params.k, list(G.edges) + [f])
     draw = sample_multi_extension(base_f, params, gen)
     f_simple = draw.is_simple()
     tail = [list(block) for block in draw.tail]
@@ -315,18 +322,12 @@ def mutual_simplicity_probe(G: OrderedHypergraph, e: Edge, f: Edge,
     result is d-regular as a multigraph, and when e was absent from the
     sample a non-simple result implies one of the five recorded events.
     """
-    e = make_edge(e, params.n, params.k)
-    f = make_edge(f, params.n, params.k)
-    if e in G.edge_set or f in G.edge_set:
-        raise DomainError("e and f must be absent from G")
+    e, us, vs, base = _switch_setup(G, e, f, params)
     if trials < 1:
         raise DomainError("trials must be positive")
     gen = as_generator(rng)
-    us = tuple(sorted(set(f) - set(e)))
-    vs = tuple(sorted(set(e) - set(f)))
     s = len(vs)
     t = len(G)
-    base = OrderedHypergraph(params.n, params.k, list(G.edges) + [f])
     base_set = frozenset(base.edge_set)
     G_edges = list(G.edges)
     tau = (params.M - (t + 1)) / params.M

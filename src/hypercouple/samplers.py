@@ -293,17 +293,11 @@ def simplicity_probability(G: OrderedHypergraph, params: Params, trials: int,
     instance is small enough to count (exact='auto'|'never'|'require')."""
     if trials < 1:
         raise DomainError("trials must be positive")
-    oracle.check_exact_mode(exact)
+    value = oracle.exact_or_none(exact, lambda: exact_simplicity_from_count(
+        G, params, budget=exact_budget))
     _, successes, _ = _configuration_rejection(G, params, as_generator(rng),
                                                trials, first=False)
     p_hat = successes / trials
     low, high = wilson_interval(successes, trials)
-    value: Fraction | None = None
-    if exact != "never":
-        try:
-            value = exact_simplicity_from_count(G, params, budget=exact_budget)
-        except oracle.OracleBudgetError:
-            if exact == "require":
-                raise
     return SimplicityEstimate(trials=trials, successes=successes, p_hat=p_hat,
                               ci_low=low, ci_high=high, exact=value)

@@ -25,10 +25,14 @@ positions share no vertex and, backward, each position's code for each
 candidate row 1: the index of the one row-1 vertex it meets, else -1.
 A row 1 with a vertex that no position meets alone is dropped before the
 walk.  The iterators `iter_forward_moves` and `iter_backward_moves` list
-the moves one at a time; they are the kernels' independent second opinion,
-and the tests hold the two to equal counts member by member.  Both ends of
-the double-counting identity sum over the same set of moves, so the totals
-agree exactly on enumerated families.
+the moves one at a time, each from one loop over the (row 1, anchor) pairs
+it lists itself; they are the kernels' independent second opinion, and the
+tests hold the two to equal counts member by member.  Only the argument
+check is shared: every entry point resolves its request through
+`oracle.switching_target` (kind, edge, pair) and remove_edge's presence
+rule `oracle.check_edge_presence`, so both give the same error on bad
+input.  Both ends of the double-counting identity sum over the same set of
+moves, so the totals agree exactly on enumerated families.
 """
 
 from __future__ import annotations
@@ -58,8 +62,6 @@ from .core import (
 from . import oracle
 from .samplers import as_generator, sample_regular
 from .stats import wilson_interval
-
-KINDS = ("remove_edge", "pair_degree", "codegree")
 
 
 class IllegalSwitchError(DomainError):
@@ -121,10 +123,6 @@ def apply_switch(H: AnyGraph, move: SwitchingMove) -> Hypergraph:
     return out
 
 
-def _columns(rows: tuple[tuple[int, ...], ...]) -> tuple[Edge, ...]:
-    return tuple(tuple(sorted(col)) for col in zip(*rows))
-
-
 def _check_pool_args(H: AnyGraph, G: AnyGraph) -> list[Edge]:
     if (H.n, H.k) != (G.n, G.k):
         raise DomainError("H and G disagree on (n, k)")
@@ -148,73 +146,52 @@ def _iter_disjoint_sets(pool: list[Edge], count: int, blocked: set[int],
             yield (e,) + rest
 
 
+def _iter_row_ones(kind: str, target: tuple[int, ...], n: int,
+                   k: int) -> Iterator[tuple[tuple[int, ...], Edge | None]]:
+    """Every (row 1 in its column order, anchor) a move of this kind and
+    target may start from, listed from the vertex set alone."""
+    if kind == "remove_edge":
+        yield target, None
+        return
+    u, v = target
+    rest = [x for x in range(1, n + 1) if x not in target]
+    if kind == "pair_degree":
+        for w in combinations(rest, k - 2):
+            yield tuple(sorted(w + target)), None
+        return
+    for w in combinations(rest, k - 1):
+        yield (v,) + w, tuple(sorted(w + (u,)))
+
+
+def _barred(move: SwitchingMove, u: int, source: set[Edge]) -> bool:
+    """Codegree's extra exclusion: (column 1 - v) + u is an edge of the
+    source graph (never when u lies in column 1: then it has k - 1 vertices)."""
+    v = move.rows[0][0]
+    return tuple(sorted(set(move.added[0]) - {v} | {u})) in source
+
+
 def iter_forward_moves(H: AnyGraph, G: AnyGraph, kind: str, *,
                        edge: Edge | None = None,
                        pair: tuple[int, int] | None = None) -> Iterator[SwitchingMove]:
     """Yield every legal switching move out of H of the given kind."""
-    if kind not in KINDS:
-        raise DomainError(f"unknown switching kind {kind!r}")
+    target = oracle.switching_target(kind, H.n, H.k, edge=edge, pair=pair)
     pool = _check_pool_args(H, G)
-    k = H.k
     h_set = H.edge_set
-
     if kind == "remove_edge":
-        if edge is None:
-            raise DomainError("remove_edge switching needs edge=")
-        e = tuple(sorted(edge))
-        if e not in h_set:
-            raise DomainError(f"edge {e} is not in H")
-        if e in G.edge_set:
-            raise DomainError(f"edge {e} lies in the fixed prefix G")
-        rest_pool = [g for g in pool if g != e]
-        for others in _iter_disjoint_sets(rest_pool, k - 1, set(e)):
-            rows = (e,) + others
-            if _forward_legal(rows, h_set):
-                yield SwitchingMove(rows=rows)
-        return
-
-    if pair is None:
-        raise DomainError(f"{kind} switching needs pair=")
-    u, v = pair
-    if u == v:
-        raise DomainError("pair must name two distinct vertices")
-
-    if kind == "pair_degree":
-        for e1 in pool:
-            if u not in e1 or v not in e1:
-                continue
-            rest_pool = [g for g in pool if g != e1]
-            for others in _iter_disjoint_sets(rest_pool, k - 1, set(e1)):
-                rows = (e1,) + others
-                if _forward_legal(rows, h_set):
-                    yield SwitchingMove(rows=rows)
-        return
-
-    # codegree: anchor e_0 = W + {u} stays, e_1 = W + {v} leads the matrix
+        oracle.check_edge_presence(target, True, target in G.edge_set,
+                                   [target in h_set])
     pool_set = set(pool)
-    for e0 in sorted(h_set):
-        if u not in e0 or v in e0:
+    for row1, anchor in _iter_row_ones(kind, target, H.n, H.k):
+        e1 = tuple(sorted(row1))
+        if e1 not in pool_set or (anchor is not None and anchor not in h_set):
             continue
-        w_part = tuple(sorted(set(e0) - {u}))
-        e1 = tuple(sorted(w_part + (v,)))
-        if e1 not in pool_set or e1 == e0:
-            continue
-        row1 = (v,) + w_part
         rest_pool = [g for g in pool if g != e1]
-        for others in _iter_disjoint_sets(rest_pool, k - 1, set(e1)):
-            rows = (row1,) + others
-            if not _forward_legal(rows, h_set):
-                continue
-            col1 = _columns(rows)[0]
-            clash = tuple(sorted(set(col1) - {v} | {u}))
-            if len(clash) == k and clash in h_set:
-                continue
-            yield SwitchingMove(rows=rows, anchor=e0)
-
-
-def _forward_legal(rows: tuple[tuple[int, ...], ...], h_set: set[Edge]) -> bool:
-    removed = {tuple(sorted(r)) for r in rows}
-    return all(col not in h_set or col in removed for col in _columns(rows))
+        for others in _iter_disjoint_sets(rest_pool, H.k - 1, set(e1)):
+            move = SwitchingMove(rows=(row1,) + others, anchor=anchor)
+            # a column meets every row once, so it is never a removed row
+            if h_set.isdisjoint(move.added) and (
+                    anchor is None or not _barred(move, target[0], h_set)):
+                yield move
 
 
 def _iter_increasing_partitions(
@@ -252,48 +229,27 @@ def iter_backward_moves(Hp: AnyGraph, G: AnyGraph, kind: str, *,
     The count of these pairs is the backward count b(Hp); summed over an
     enumerated family it equals the summed forward counts exactly.
     """
-    if kind not in KINDS:
-        raise DomainError(f"unknown switching kind {kind!r}")
+    target = oracle.switching_target(kind, Hp.n, Hp.k, edge=edge, pair=pair)
     pool = _check_pool_args(Hp, G)
-    k = Hp.k
     hp_set = Hp.edge_set
-    g_set = G.edge_set
+    if kind == "remove_edge":
+        oracle.check_edge_presence(target, False, target in G.edge_set,
+                                   [target in hp_set])
 
-    def emit(cols: tuple[Edge, ...], rows: tuple[tuple[int, ...], ...],
+    def row_ok(row: tuple[int, ...]) -> bool:  # rows 2..k are increasing
+        return row not in hp_set
+
+    def emit(rows: tuple[tuple[int, ...], ...],
              anchor: Edge | None) -> tuple[Hypergraph, SwitchingMove]:
         move = SwitchingMove(rows=rows, anchor=anchor)
-        source = Hypergraph(Hp.n, k)
-        source._edges = (hp_set - set(cols)) | set(move.removed)
+        source = Hypergraph(Hp.n, Hp.k)
+        source._edges = (hp_set - set(move.added)) | set(move.removed)
         if __debug__:
             assert apply_switch(source, move).edge_set == hp_set
         return source, move
 
-    if kind == "remove_edge":
-        if edge is None:
-            raise DomainError("remove_edge switching needs edge=")
-        e = tuple(sorted(edge))
-        if e in hp_set:
-            raise DomainError(f"edge {e} is present in the target graph")
-        if e in g_set:
-            raise DomainError(f"edge {e} lies in the fixed prefix G")
-        candidates = [[g for g in pool if set(g) & set(e) == {w}] for w in e]
-
-        def row_ok(row: tuple[int, ...]) -> bool:
-            return row not in hp_set and row not in g_set
-
-        for cols in _iter_column_choices(candidates):
-            rems = tuple(frozenset(set(c) - {w}) for c, w in zip(cols, e))
-            for partition in _iter_increasing_partitions(rems, row_ok):
-                yield emit(cols, (e,) + partition, None)
-        return
-
-    if pair is None:
-        raise DomainError(f"{kind} switching needs pair=")
-    u, v = pair
-    if u == v:
-        raise DomainError("pair must name two distinct vertices")
-
     if kind == "pair_degree":
+        u, v = target
         cu = [g for g in pool if u in g and v not in g]
         cv = [g for g in pool if v in g and u not in g]
         rest = [g for g in pool if u not in g and v not in g]
@@ -302,38 +258,26 @@ def iter_backward_moves(Hp: AnyGraph, G: AnyGraph, kind: str, *,
                 if set(gu) & set(gv):
                     continue
                 blocked = set(gu) | set(gv)
-                for others in _iter_disjoint_sets(rest, k - 2, blocked):
+                for others in _iter_disjoint_sets(rest, Hp.k - 2, blocked):
                     yield from _pair_degree_reconstructions(
-                        gu, gv, others, u, v, hp_set, g_set, emit)
+                        gu, gv, others, u, v, row_ok, emit)
         return
 
-    # codegree
-    for e0 in sorted(hp_set):
-        if u not in e0 or v in e0:
+    # column j is a pool edge meeting row 1 at its j-th vertex alone; the
+    # anchor stays in both graphs, so it is no column
+    for row1, anchor in _iter_row_ones(kind, target, Hp.n, Hp.k):
+        if not row_ok(tuple(sorted(row1))) or (
+                anchor is not None and anchor not in hp_set):
             continue
-        w_part = tuple(sorted(set(e0) - {u}))
-        e1 = tuple(sorted(w_part + (v,)))
-        if e1 in hp_set or e1 in g_set:
-            continue
-        row1 = (v,) + w_part
-        candidates = [[g for g in pool if set(g) & set(e1) == {x} and g != e0]
-                      for x in row1]
-
-        def row_ok(row: tuple[int, ...]) -> bool:
-            return row not in hp_set and row not in g_set
-
+        candidates = [[g for g in pool if set(g) & set(row1) == {x}
+                       and g != anchor] for x in row1]
         for cols in _iter_column_choices(candidates):
             rems = tuple(frozenset(set(c) - {x}) for c, x in zip(cols, row1))
-            clash = tuple(sorted(set(cols[0]) - {v} | {u}))
-            clash_size_ok = len(clash) == k
             for partition in _iter_increasing_partitions(rems, row_ok):
-                if clash_size_ok:
-                    rows_set = {tuple(sorted(r)) for r in partition}
-                    in_source = (clash in hp_set and clash not in cols) \
-                        or clash in rows_set or clash == e1
-                    if in_source:
-                        continue
-                yield emit(cols, (row1,) + partition, e0)
+                source, move = emit((row1,) + partition, anchor)
+                if anchor is None or not _barred(move, target[0],
+                                                 source.edge_set):
+                    yield source, move
 
 
 def _iter_column_choices(candidates: list[list[Edge]],
@@ -354,11 +298,9 @@ def _iter_column_choices(candidates: list[list[Edge]],
 
 
 def _pair_degree_reconstructions(gu: Edge, gv: Edge, others: tuple[Edge, ...],
-                                 u: int, v: int, hp_set: set[Edge],
-                                 g_set: set[Edge], emit) -> Iterator:
+                                 u: int, v: int, row_ok, emit) -> Iterator:
     """Rebuild row 1 through (u, v), order the columns by it, then partition
     the leftovers into increasing rows."""
-    cols_unordered = [gu, gv] + list(others)
     free_cols = list(others)
 
     def choose_free(idx: int, picks: tuple[int, ...]) -> Iterator:
@@ -369,21 +311,16 @@ def _pair_degree_reconstructions(gu: Edge, gv: Edge, others: tuple[Edge, ...],
             yield from choose_free(idx + 1, picks + (x,))
 
     for picks in choose_free(0, ()):
-        row1_vertices = (u, v) + picks
-        row1 = tuple(sorted(row1_vertices))
-        if row1 in hp_set or row1 in g_set:
+        row1 = tuple(sorted((u, v) + picks))
+        if not row_ok(row1):
             continue
         carrier = {u: gu, v: gv}
         for x, col in zip(picks, free_cols):
             carrier[x] = col
         ordered_cols = tuple(carrier[x] for x in row1)
         rems = tuple(frozenset(set(c) - {x}) for c, x in zip(ordered_cols, row1))
-
-        def row_ok(row: tuple[int, ...]) -> bool:
-            return row not in hp_set and row not in g_set
-
         for partition in _iter_increasing_partitions(rems, row_ok):
-            yield emit(ordered_cols, (row1,) + partition, None)
+            yield emit((row1,) + partition, None)
 
 
 # ------------------------------------------------------------ class counts --
@@ -623,27 +560,12 @@ def _backward_block(table: EdgePool, leads: _Leads, pool: np.ndarray,
 def _counts(H: Members, G: AnyGraph, kind: str, edge: Edge | None,
             pair: tuple[int, int] | None, kernel) -> np.ndarray:
     """Validate the arguments, then run `kernel` over chunks of members."""
-    if kind not in KINDS:
-        raise DomainError(f"unknown switching kind {kind!r}")
+    target = oracle.switching_target(kind, G.n, G.k, edge=edge, pair=pair)
     table, pool, fixed = _pool_rows(H, G)
     if kind == "remove_edge":
-        if edge is None:
-            raise DomainError("remove_edge switching needs edge=")
-        target = make_edge(edge, G.n, G.k)
         e = table.rank(np.array(target))
-        held = (pool == e).any(axis=1)
-        if kernel is _forward_block:
-            if e in fixed:
-                raise DomainError(f"edge {target} lies in the fixed prefix G")
-            if not held.all():
-                raise DomainError(f"edge {target} is not in H")
-        elif e in fixed or held.any():
-            raise DomainError(f"edge {target} is present in the target graph")
-    else:
-        if pair is None:
-            raise DomainError(f"{kind} switching needs pair=")
-        oracle.check_pair(*pair, G.n)
-        target = tuple(pair)
+        oracle.check_edge_presence(target, kernel is _forward_block,
+                                   e in fixed, (pool == e).any(axis=1))
     leads = _leads(G.n, G.k, kind, target)
     counts = np.zeros(len(pool), dtype=np.int64)
     if not len(leads.ranks):  # no edge can stand as row 1 (codegree, n = k)
@@ -716,7 +638,14 @@ def edge_probability(G: OrderedHypergraph, e: Edge, params: Params, trials: int,
         raise DomainError(f"edge {e} already lies in G")
     if trials < 1:
         raise DomainError("trials must be positive")
-    oracle.check_exact_mode(exact)
+
+    def ratio() -> Fraction | None:  # no completions: the sampler raises
+        fam = oracle.extension_family(G, params, exact_budget)
+        if fam.unordered_count:
+            return Fraction(len(fam.rows_with({e})), fam.unordered_count)
+        return None
+
+    value = oracle.exact_or_none(exact, ratio)
     gen = as_generator(rng)
     successes = 0
     for _ in range(trials):
@@ -725,16 +654,6 @@ def edge_probability(G: OrderedHypergraph, e: Edge, params: Params, trials: int,
             successes += 1
     p_hat = successes / trials
     low, high = wilson_interval(successes, trials)
-    value: Fraction | None = None
-    if exact != "never":
-        try:
-            fam = oracle.extension_family(G, params, exact_budget)
-            if fam.unordered_count == 0:
-                raise DomainError("G is inadmissible")
-            value = Fraction(len(fam.rows_with({e})), fam.unordered_count)
-        except oracle.OracleBudgetError:
-            if exact == "require":
-                raise
     tau = 1.0 - len(G) / params.M
     scale = tau * params.d / params.n ** (params.k - 1)
     return EdgeProbabilityEstimate(
@@ -777,10 +696,7 @@ def tail_profile(G: OrderedHypergraph, u: int, v: int, kind: str, params: Params
                  exact_budget: int = 2_000_000) -> TailEstimate:
     """Distribution of a pair statistic over uniform regular extensions of G,
     exactly via enumeration when feasible, otherwise by sampling."""
-    if kind not in ("pair_degree", "codegree"):
-        raise DomainError(f"unknown statistic kind {kind!r}")
-    oracle.check_pair(u, v, params.n)
-    oracle.check_exact_mode(exact)
+    oracle.switching_target(kind, params.n, params.k, pair=(u, v))
     residual = residual_degrees(G, params)
     tau = 1.0 - len(G) / params.M
     if kind == "pair_degree":
@@ -789,20 +705,14 @@ def tail_profile(G: OrderedHypergraph, u: int, v: int, kind: str, params: Params
         threshold = c * tau * params.d ** 2 / params.n ** (params.k - 1)
     hypothesis_ok = bool(residual.max() <= 2 * tau * params.d)
 
-    sizes: dict[int, int] | None = None
-    dist: dict[int, float] = {}
+    classes = oracle.exact_or_none(exact, lambda: oracle.switching_class_sizes(
+        G, u, v, kind, params, budget=exact_budget))
+    sizes = None if classes is None else classes.sizes
     used_trials = 0
-    if exact != "never":
-        try:
-            classes = oracle.switching_class_sizes(G, u, v, kind, params,
-                                                   budget=exact_budget)
-            sizes = classes.sizes
-            total = classes.total_ordered
-            dist = {s: cnt / total for s, cnt in sorted(sizes.items())}
-        except oracle.OracleBudgetError:
-            if exact == "require":
-                raise
-    if sizes is None:
+    if classes is not None:
+        dist = {s: cnt / classes.total_ordered
+                for s, cnt in sorted(sizes.items())}
+    else:
         if trials < 1 or rng is None:
             raise DomainError("sampling route needs trials >= 1 and an rng")
         gen = as_generator(rng)

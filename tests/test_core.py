@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -77,9 +78,9 @@ class TestEdges:
         assert not is_simple([(1, 1)])
 
 
-def pool_enumerations(source: str) -> list[str]:
-    """The definitions (as dotted names) holding a call
-    `combinations(range(1, ...), ...)`: an enumeration of an edge pool."""
+def definitions_holding(source: str, accepts) -> list[str]:
+    """The definitions (as dotted names) holding a node that `accepts`,
+    once per such node."""
     found = []
 
     def visit(node, scope):
@@ -88,20 +89,56 @@ def pool_enumerations(source: str) -> list[str]:
                                   ast.AsyncFunctionDef)):
                 visit(child, scope + [child.name])
                 continue
-            if (isinstance(child, ast.Call)
-                    and getattr(child.func, "id",
-                                getattr(child.func, "attr", None))
-                    == "combinations"
-                    and child.args and isinstance(child.args[0], ast.Call)
-                    and getattr(child.args[0].func, "id", None) == "range"
-                    and child.args[0].args
-                    and isinstance(child.args[0].args[0], ast.Constant)
-                    and child.args[0].args[0].value == 1):
+            if accepts(child):
                 found.append(".".join(scope))
             visit(child, scope)
 
     visit(ast.parse(source), [])
     return found
+
+
+def pool_enumerations(source: str) -> list[str]:
+    """The definitions holding a call `combinations(range(1, ...), ...)`:
+    an enumeration of an edge pool."""
+    return definitions_holding(source, lambda node: (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        == "combinations"
+        and node.args and isinstance(node.args[0], ast.Call)
+        and getattr(node.args[0].func, "id", None) == "range"
+        and node.args[0].args
+        and isinstance(node.args[0].args[0], ast.Constant)
+        and node.args[0].args[0].value == 1))
+
+
+# what a check of a switching request says when it refuses one
+REQUEST_REFUSAL = re.compile(
+    r"unknown (switching|statistic)|needs (--)?(edge|pair)")
+SWITCHING_KINDS = {"remove_edge", "pair_degree", "codegree"}
+
+
+def switching_request_checks(source: str) -> list[str]:
+    """The definitions holding a raise of a switching-request refusal (an
+    unknown kind, a missing edge or pair) or a test `kind in KINDS` (or in
+    a literal of switching kinds): a second check of a switching request."""
+    def refuses(node):
+        return isinstance(node, ast.Raise) and node.exc is not None and any(
+            isinstance(x, ast.Constant) and isinstance(x.value, str)
+            and REQUEST_REFUSAL.search(x.value) for x in ast.walk(node.exc))
+
+    def tests_kind(node):
+        if not (isinstance(node, ast.Compare)
+                and getattr(node.left, "id", None) == "kind"
+                and isinstance(node.ops[0], (ast.In, ast.NotIn))):
+            return False
+        kinds = node.comparators[0]
+        if isinstance(kinds, (ast.Tuple, ast.List, ast.Set)):
+            return {getattr(x, "value", None)
+                    for x in kinds.elts} <= SWITCHING_KINDS
+        return getattr(kinds, "id", getattr(kinds, "attr", None)) == "KINDS"
+
+    return definitions_holding(
+        source, lambda node: refuses(node) or tests_kind(node))
 
 
 class TestEdgePool:
@@ -147,6 +184,11 @@ class TestEdgePool:
                  for where in pool_enumerations(path.read_text())]
         assert found == ["core.py: EdgePool.__init__"]
 
+    @pytest.mark.parametrize("n,k", [(4, 1), (3, 0), (2, 3), (0, 2)])
+    def test_pool_needs_n_at_least_k_at_least_2(self, n, k):
+        with pytest.raises(DomainError, match="need n >= k >= 2"):
+            edge_pool(n, k)
+
     def test_finder_sees_every_spelling_of_a_pool_enumeration(self):
         source = ("class A:\n"
                   "    def f(self, n, k):\n"
@@ -156,6 +198,47 @@ class TestEdgePool:
                   "def h(s):\n"
                   "    return combinations(range(s), 2), combinations(s, 3)\n")
         assert pool_enumerations(source) == ["A.f", "g"]
+
+
+class TestOneSwitchingRequest:
+    """`oracle.switching_target` is the one check of a switching request:
+    no other definition refuses a kind, an edge or a pair."""
+
+    def test_only_the_resolver_checks_a_switching_request(self):
+        found = [f"{path.name}: {where}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for where in switching_request_checks(path.read_text())]
+        assert set(found) == {"oracle.py: switching_target"}
+
+    def test_finder_sees_the_earlier_copies(self):
+        # each copy the resolver replaced, abridged, and three look-alikes
+        # that check something else
+        source = (
+            "def iter_forward_moves(H, G, kind, edge=None, pair=None):\n"
+            "    if kind not in KINDS:\n"
+            "        raise DomainError(f'unknown switching kind {kind!r}')\n"
+            "    if pair is None:\n"
+            "        raise DomainError(f'{kind} switching needs pair=')\n"
+            "def _counts(H, G, kind, edge, pair, kernel):\n"
+            "    if edge is None:\n"
+            "        raise DomainError('remove_edge switching needs edge=')\n"
+            "def switching_class_sizes(G, u, v, kind, params):\n"
+            "    if kind not in ('pair_degree', 'codegree'):\n"
+            "        raise DomainError(\n"
+            "            f'unknown switching statistic kind {kind!r}')\n"
+            "def _run_switching_verify(cfg):\n"
+            "    if not cfg.options.get('edge'):\n"
+            "        raise DomainError('remove_edge needs --edge')\n"
+            "class ExperimentConfig:\n"
+            "    def check(self):\n"
+            "        if self.kind not in KINDS:\n"
+            "            raise DomainError('sampling route needs trials')\n"
+            "def pair_degree(u, v):\n"
+            "    raise DomainError('pair degree needs two distinct vertices')\n")
+        assert switching_request_checks(source) == [
+            "iter_forward_moves", "iter_forward_moves", "iter_forward_moves",
+            "_counts", "switching_class_sizes", "switching_class_sizes",
+            "_run_switching_verify"]
 
 
 class TestContainers:

@@ -387,7 +387,7 @@ class TestPrefixTree:
 
     def test_tree_is_cached_per_params(self):
         assert prefix_tree(N6) is prefix_tree(N6)
-        info = oracle._cached_tree.cache_info()
+        info = oracle.prefix_tree.cache_info()
         assert info.maxsize is not None and info.maxsize <= 4
 
     @pytest.mark.parametrize("row_bytes,weights", [
@@ -396,7 +396,7 @@ class TestPrefixTree:
             self, monkeypatch, row_bytes, weights):
         c = cfg(self.P733, Fraction(4, 7))
         fam = extension_family(OrderedHypergraph(7, 3), self.P733)
-        oracle._cached_tree.cache_clear()
+        oracle.prefix_tree.cache_clear()
         traces = [run_coupling(c, RngStream(71, (i,))) for i in range(8)]
         reference = prefix_tree(self.P733)
         if row_bytes is not None:
@@ -411,7 +411,7 @@ class TestPrefixTree:
             return real_rows(self, node)
 
         monkeypatch.setattr(PrefixTree, "_rows", spy)
-        oracle._cached_tree.cache_clear()
+        oracle.prefix_tree.cache_clear()
         tree = prefix_tree(self.P733)
         for i, tr in enumerate(traces):
             again = run_coupling(c, RngStream(71, (i,)))
@@ -431,7 +431,7 @@ class TestPrefixTree:
         if weights is not None:
             # cut back to the root whenever one more law would pass the cap
             assert tree._weights <= max(weights, self.P733.complete_count)
-        oracle._cached_tree.cache_clear()
+        oracle.prefix_tree.cache_clear()
 
 
 class TestTraces:

@@ -224,6 +224,7 @@ class TestCliBoundary:
         ["sample", "--n", "6", "--k", "3"],
         ["sample", "--n", "6", "--k", "3", "--model", "gnm"],
         ["sample", "--n", "6", "--k", "3", "--model", "gnp"],
+        ["sample", "--n", "4", "--k", "1", "--model", "gnm", "--m", "2"],
         ["couple", "--n", "6", "--k", "3", "--d", "2", "--gamma", "0.75",
          "--p-mode", "mc:x"],
         ["couple", "--n", "6", "--k", "3", "--d", "2", "--gamma", "0.75",
@@ -398,7 +399,7 @@ class TestTracedNames:
                         monkeypatch.setattr(mod, key, spy)
         # each benchmark round is a fresh process: nothing listed yet
         oracle._cached_family.cache_clear()
-        oracle._cached_tree.cache_clear()
+        oracle.prefix_tree.cache_clear()
         for i, argv in enumerate(self.RUNS):
             current[0] = argv[0]
             assert main(argv + ["--seed", "1", "--jobs", "1",

@@ -1,5 +1,7 @@
 """Switching moves: mechanics, statistic drops, and exact double counting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -383,6 +385,59 @@ class TestArgumentGuards:
             forward_count(h, g, "remove_edge", edge=(3, 4))  # not in H
         with pytest.raises(DomainError):
             forward_count(Hypergraph(5, 2), h, "pair_degree", pair=(1, 2))
+
+
+def refusal(call) -> str:
+    """The message of the DomainError `call` raises."""
+    with pytest.raises(DomainError) as info:
+        call()
+    return str(info.value)
+
+
+class TestOneSwitchingRequest:
+    """Every entry point checks a switching request through
+    `oracle.switching_target`, so the iterators, the kernels and the class
+    sizes refuse bad input with one message."""
+
+    H = Hypergraph(5, 2, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    G = Hypergraph(5, 2, [(4, 5)])
+
+    # sides: the directions that refuse the request, forward f, backward b
+    @pytest.mark.parametrize("kind, target, sides, message", [
+        ("frobnicate", {"pair": (1, 2)}, "fb", "unknown switching kind"),
+        ("remove_edge", {"pair": (1, 2)}, "fb", "needs edge="),
+        ("codegree", {"edge": (1, 2)}, "fb", "needs pair="),
+        ("pair_degree", {"pair": (1, 1)}, "fb", "two distinct vertices"),
+        ("codegree", {"pair": (0, 2)}, "fb", r"must lie in 1\.\.5"),
+        ("pair_degree", {"pair": (1, 6)}, "fb", r"must lie in 1\.\.5"),
+        ("remove_edge", {"edge": (1, 1)}, "fb", "repeated vertex"),
+        ("remove_edge", {"edge": (1, 2, 3)}, "fb", "expected k=2"),
+        ("remove_edge", {"edge": (1, 9)}, "fb", "leaves the vertex range"),
+        ("remove_edge", {"edge": (3, 1)}, "f", r"\(1, 3\) is not in H"),
+        ("remove_edge", {"edge": (4, 5)}, "f", "lies in the fixed prefix"),
+        ("remove_edge", {"edge": (2, 1)}, "b", "present in the target"),
+        ("remove_edge", {"edge": (4, 5)}, "b", "present in the target"),
+    ])
+    def test_every_entry_point_gives_one_message(self, kind, target, sides,
+                                                 message):
+        H, G = self.H, self.G
+        calls = []
+        if "f" in sides:
+            calls += [lambda: list(iter_forward_moves(H, G, kind, **target)),
+                      lambda: forward_count(H, G, kind, **target)]
+        if "b" in sides:
+            calls += [lambda: list(iter_backward_moves(H, G, kind, **target)),
+                      lambda: backward_count(H, G, kind, **target)]
+        if kind != "remove_edge" and "pair" in target:
+            (u, v), base = target["pair"], OrderedHypergraph(5, 2)
+            params = Params(5, 2, 2)
+            calls += [
+                lambda: switching_class_sizes(base, u, v, kind, params),
+                lambda: tail_profile(base, u, v, kind, params, RngStream(0),
+                                     trials=5, exact="never")]
+        said = {refusal(call) for call in calls}
+        assert len(said) == 1
+        assert re.search(message, said.pop())
 
 
 class TestProbesAgainstOracle:
