@@ -2,8 +2,9 @@
 
 Every experiment is a (kind, options, seed, trials, jobs) tuple.  Trials are
 independent: trial i draws all of its randomness from the stream
-(seed, (i,)), so results do not depend on how trials are spread over worker
-processes, and aggregation walks trials in index order so floating-point
+(seed, (i,)), which `RngStream.trials` seeds for every trial in one pass in
+the parent process, so results do not depend on how trials are spread over
+worker processes, and aggregation walks trials in index order so floating-point
 reductions are width-independent.  Data outputs (summary.json, rows.csv,
 *.edges) are byte-deterministic for a fixed config and seed; wall-clock time
 and output digests live only in manifest.json, which is the one file allowed
@@ -89,6 +90,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise DomainError(f"unknown experiment kind {self.kind!r}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
         if self.jobs < 1:
@@ -159,8 +162,7 @@ def _wilson_dict(successes: int, trials: int) -> dict:
 # ---------------------------------------------------------------- sample ---
 
 def _sample_worker(payload) -> str:
-    model, n, k, d, m, p, seed, idx = payload
-    rng = RngStream(seed, (idx,))
+    model, n, k, d, m, p, rng = payload
     if model == "regular":
         g = sample_regular(OrderedHypergraph(n, k), Params(n, k, d),
                            rng.generator())
@@ -184,8 +186,8 @@ def _run_sample(cfg: ExperimentConfig) -> tuple[dict, list, list[tuple[str, byte
         Params(n, k, o["d"])
     elif model == "gnm" and not 0 <= o["m"] <= math.comb(n, k):
         raise DomainError(f"m={o['m']} outside 0..C(n,k)")
-    payloads = [(model, n, k, o.get("d"), o.get("m"), o.get("p"),
-                 cfg.seed, i) for i in range(cfg.trials)]
+    payloads = [(model, n, k, o.get("d"), o.get("m"), o.get("p"), rng)
+                for rng in RngStream.trials(cfg.seed, cfg.trials)]
     texts = list(_parallel(_sample_worker, payloads, cfg.jobs))
     files = [(f"sample_{i:04d}.edges", t.encode("ascii"))
              for i, t in enumerate(texts)]
@@ -225,8 +227,7 @@ def _couple_config(o: dict) -> CouplingConfig:
 
 
 def _couple_worker(payload):
-    cc, p, seed, idx, gnp, emit = payload
-    rng = RngStream(seed, (idx,))
+    cc, p, rng, gnp, emit = payload
     if gnp:
         tr = run_coupling_gnp(cc, rng, p=p)
         base = tr.base
@@ -247,8 +248,8 @@ def _run_couple(cfg: ExperimentConfig, gnp: bool):
     emit = bool(o.get("emit_traces"))
     if cc.p_mode == "exact":
         tree = prefix_tree(cc.params)  # built once, before the fork
-    payloads = [(cc, o.get("p"), cfg.seed, i, gnp, emit)
-                for i in range(cfg.trials)]
+    payloads = [(cc, o.get("p"), rng, gnp, emit)
+                for rng in RngStream.trials(cfg.seed, cfg.trials)]
     results = list(_parallel(_couple_worker, payloads, cfg.jobs))
 
     contained = sum(r[0] for r in results)
@@ -337,15 +338,16 @@ def _run_couple(cfg: ExperimentConfig, gnp: bool):
 # --------------------------------------------------------- process-stats ---
 
 def _process_worker(payload):
-    params, seed, idx, a = payload
-    return residual_report(params, 1, RngStream(seed, (idx,)), a=a)
+    params, rng, a = payload
+    return residual_report(params, 1, rng, a=a)
 
 
 def _run_process_stats(cfg: ExperimentConfig):
     o = cfg.options
     params = Params(o["n"], o["k"], o["d"])
     # one exposure per trial; the reports add up in trial order
-    payloads = [(params, cfg.seed, i, o.get("a")) for i in range(cfg.trials)]
+    payloads = [(params, rng, o.get("a"))
+                for rng in RngStream.trials(cfg.seed, cfg.trials)]
     rep = reduce(operator.add, _parallel(_process_worker, payloads, cfg.jobs))
     zmax = np.abs(rep.z_scores()).max(axis=1)
     rows: list[tuple] = [("t", "exact_mean", "exact_var", "emp_mean_min",

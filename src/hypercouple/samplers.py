@@ -11,12 +11,19 @@ A regular sample is the first simple row among successive
 batches, each one `gen.permuted` call, and the generator is left exactly
 after the accepted row, where drawing the permutations one at a time would
 have left it.
+
+Trial i of a batch draws from the stream (seed, (i,)): a PCG64 seeded by
+numpy's `SeedSequence(seed, spawn_key=(i,))`.  `RngStream.trials` computes
+the four seed words of every trial of a batch in one vectorised pass,
+bit for bit what `SeedSequence.generate_state(4, np.uint64)` returns, so
+no stream depends on which of the two paths built it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -48,18 +55,123 @@ class RngStream:
     """Addressable reproducible randomness: seed plus a spawn path.
 
     Two streams with different paths are statistically independent; the same
-    (seed, path) always yields the same generator.
+    (seed, path) always yields the same generator.  Streams made by `trials`
+    carry their seed words, which only make `generator` cheaper.
     """
 
     seed: int
     path: tuple[int, ...] = ()
+    _words: np.ndarray | None = field(default=None, init=False, repr=False,
+                                      compare=False)
+
+    @classmethod
+    def trials(cls, seed: int, count: int) -> list["RngStream"]:
+        """The streams (seed, (i,)) of trials i = 0..count-1, seeded in bulk
+        by `trial_seed_words`."""
+        streams = []
+        for i, words in enumerate(trial_seed_words(seed, count)):
+            stream = cls(seed, (i,))
+            object.__setattr__(stream, "_words", words)
+            streams.append(stream)
+        return streams
 
     def child(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.path + tuple(indices))
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
+        if self._words is not None:
+            ss = _seed_words(self._words)
+        else:
+            ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.PCG64(ss))
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def trial_seed_words(seed: int, count: int) -> np.ndarray:
+    """Row i is `SeedSequence(seed, spawn_key=(i,)).generate_state(4,
+    np.uint64)`, for i = 0..count-1.
+
+    numpy's hashing, transcribed on uint32 arrays, which wrap as its C code
+    does.  The entropy words are the seed's 32-bit words, zero-padded to the
+    pool size of 4, then the spawn word i.  That comes last, so the pool is
+    hashed from the seed once, on one-element arrays, and only the spawn
+    word's mixing and the eight output words run over all trials at once.
+    """
+    seed, count = operator.index(seed), operator.index(count)
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    if not 0 <= count <= 1 << 32:
+        raise DomainError(f"trial count {count} outside 0..2^32")
+    u32 = np.uint32
+    entropy = []
+    while seed or not entropy:
+        entropy.append(np.full(1, seed & _MASK32, dtype=u32))
+        seed >>= 32
+    entropy += [np.zeros(1, dtype=u32)] * (4 - len(entropy))
+    entropy.append(np.arange(count, dtype=u32))
+    mult = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal mult
+        value = value ^ u32(mult)
+        mult = mult * _MULT_A & _MASK32
+        value = value * u32(mult)
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = u32(_MIX_L) * x - u32(_MIX_R) * y
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+
+    state = np.empty((count, 8), dtype="<u4")
+    mult = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ u32(mult)
+        mult = mult * _MULT_B & _MASK32
+        value = value * u32(mult)
+        state[:, i] = value ^ value >> 16
+    # word pairs read as little-endian uint64, as generate_state does
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+_SeedWords = None
+
+
+def _seed_words(words: np.ndarray):
+    """A seed sequence that hands PCG64 the given four uint64 words.
+
+    The class subclasses numpy's `ISeedSequence`, so it is defined on first
+    use: importing `numpy.random` at module import would cost every CLI call
+    its import time, including those that draw nothing.
+    """
+    global _SeedWords
+    if _SeedWords is None:
+        from numpy.random.bit_generator import ISeedSequence
+
+        class _SeedWords(ISeedSequence):
+            def __init__(self, words: np.ndarray) -> None:
+                self.words = words
+
+            def generate_state(self, n_words, dtype=np.uint32):
+                if n_words != 4 or dtype is not np.uint64:
+                    raise DomainError("seed words only seed PCG64")
+                return self.words
+
+    return _SeedWords(words)
 
 
 def as_generator(rng) -> np.random.Generator:

@@ -60,8 +60,8 @@ def coupling_pool():
     state_next = defaultdict(Counter)
     sizes = np.empty(100_000, dtype=np.int64)
     antecedent = contained = 0
-    for i in range(100_000):
-        tr = run_coupling(cfg, RngStream(1000, (i,)))
+    for i, rng in enumerate(RngStream.trials(1000, 100_000)):
+        tr = run_coupling(cfg, rng)
         final_counts[tuple(sorted(tr.regular_final.edge_set))] += 1
         sizes[i] = len(tr.accepted)
         exposed = tr.regular_final.edges
@@ -77,8 +77,8 @@ def coupling_pool():
     for j, (params, gamma) in enumerate(aux):
         c = CouplingConfig(params, gamma=gamma,
                            epsilon=choose_epsilon(params, gamma))
-        for i in range(2000):
-            tr = run_coupling(c, RngStream(2000 + j, (i,)))
+        for rng in RngStream.trials(2000 + j, 2000):
+            tr = run_coupling(c, rng)
             if tr.near_uniform_all and tr.accepted_enough:
                 antecedent += 1
                 contained += tr.contained

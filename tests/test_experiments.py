@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -47,6 +48,8 @@ class TestConfig:
             ExperimentConfig(kind="sample", jobs=0)
         with pytest.raises(DomainError):
             ExperimentConfig(kind="sample", fmt="xml")
+        with pytest.raises(DomainError, match="seed"):
+            ExperimentConfig(kind="sample", seed=-1)
 
     def test_p_mode_parser(self):
         assert _parse_p_mode("exact") == ("exact", 0)
@@ -234,6 +237,8 @@ class TestCliBoundary:
          "--switch-kind", "pair_degree", "--u", "1", "--v", "9"],
         ["hamilton-sweep", "--n", "6", "--k", "3", "--ell", "3",
          "--d-list", "3"],
+        ["couple", "--n", "6", "--k", "3", "--d", "2", "--gamma", "0.75",
+         "--seed", "-1"],
     ])
     def test_bad_or_missing_options_exit_two(self, argv, capsys):
         assert main(argv) == 2
@@ -342,6 +347,21 @@ class TestCliBoundary:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy.random costs a CLI call several ms of import; runs that draw
+        # nothing (oracle-dump, switching-verify, validate-params) and the
+        # set-up of those that do must not pay it
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys, hypercouple.experiments; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.startswith('numpy.random')))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestTracedNames:

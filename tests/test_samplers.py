@@ -1,6 +1,7 @@
 """Sampler correctness: stream discipline, validity, and uniformity."""
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from hypercouple.samplers import (
     _residual_vector,
     exact_simplicity_from_count,
     simplicity_probability,
+    trial_seed_words,
 )
 from hypercouple.stats import tv_distance_uniform
 
@@ -53,6 +55,56 @@ class TestRngStream:
         assert as_generator(g) is g
         with pytest.raises(DomainError):
             as_generator(31337)
+
+
+class TestTrialStreams:
+    """`RngStream.trials` seeds a batch of trial streams in one pass; each
+    must be the stream (seed, (i,)) that numpy's own seeding gives."""
+
+    COUNT = 70_000
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7,
+                                      (1 << 199) + 12345])
+    def test_bulk_words_are_numpys_seed_words(self, seed):
+        words = trial_seed_words(seed, self.COUNT)
+        assert words.shape == (self.COUNT, 4) and words.dtype == np.uint64
+        for i in (0, 1, 65_539, self.COUNT - 1):
+            ss = np.random.SeedSequence(seed, spawn_key=(i,))
+            assert np.array_equal(words[i], ss.generate_state(4, np.uint64))
+
+    def test_bulk_streams_draw_what_the_plain_streams_draw(self):
+        streams = RngStream.trials(2024, 300)
+        assert len(streams) == 300
+        for i in (0, 1, 123, 299):
+            plain = RngStream(2024, (i,))
+            assert streams[i]._words is not None
+            assert streams[i] == plain and hash(streams[i]) == hash(plain)
+            assert repr(streams[i]) == repr(plain)
+            a = streams[i].generator()
+            b = plain.generator()
+            assert np.array_equal(a.integers(0, 1 << 62, 16),
+                                  b.integers(0, 1 << 62, 16))
+            assert a.random() == b.random()
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_bulk_streams_keep_their_words_through_pickle(self):
+        stream = RngStream.trials(5, 4)[3]
+        copy = pickle.loads(pickle.dumps(stream))
+        assert copy._words is not None
+        assert np.array_equal(copy._words, stream._words)
+        assert np.array_equal(copy.generator().integers(0, 1 << 30, 8),
+                              RngStream(5, (3,)).generator()
+                              .integers(0, 1 << 30, 8))
+
+    def test_empty_batch(self):
+        assert RngStream.trials(3, 0) == []
+        assert trial_seed_words(3, 0).shape == (0, 4)
+
+    def test_negative_seed_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            trial_seed_words(-1, 3)
+        with pytest.raises(DomainError, match="non-negative"):
+            RngStream.trials(-1, 3)
 
 
 class TestRegularSampler:
