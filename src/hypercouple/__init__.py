@@ -38,6 +38,7 @@ from .oracle import (
 )
 from .samplers import (
     MultiExtension,
+    Pcg64Stream,
     RejectionBudgetError,
     RngStream,
     as_generator,
@@ -49,12 +50,10 @@ from .samplers import (
 from .switchings import (
     IllegalSwitchError,
     SwitchingMove,
-    TailEstimate,
     backward_count,
     forward_count,
     iter_backward_moves,
     iter_forward_moves,
-    tail_profile,
 )
 from .coupling import (
     AcceptedSizeDiagnostics,
@@ -75,7 +74,6 @@ from .process import (
     NicenessReport,
     ProcessTrace,
     ResidualReport,
-    best_average_edge,
     expose_process,
     mutual_simplicity_probe,
     residual_report,

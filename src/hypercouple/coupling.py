@@ -16,6 +16,10 @@ regular graph.
 
 A trace draws from one generator: the proposals (a partial Fisher-Yates
 shuffle of the edge pool), then the coins, then every resolution draw.
+That generator is one `Pcg64Stream`, numpy's PCG64 on Python ints: every
+bounded draw is its own, and only mc-mode completions (and the G(n, p)
+variant's binomial count) borrow a numpy Generator at its position, so an
+exact run never imports `numpy.random`.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .core import (
     complement_edges,
 )
 from .oracle import StateLaw, extension_family, prefix_tree
-from .samplers import as_generator, sample_gnm, sample_regular
+from .samplers import Pcg64Stream, as_generator, sample_gnm, sample_regular
 
 
 def _exact_ratio(value: float | Fraction, M: int) -> Fraction:
@@ -170,10 +174,10 @@ class CouplingTrace:
 
 
 def _draw_cumulative(cumulative: tuple[int, ...], total: int,
-                     gen: np.random.Generator) -> int:
+                     stream: Pcg64Stream) -> int:
     """Index drawn with exact integer weights: a uniform integer below total
     is located in the integer cumulative sums."""
-    return bisect_right(cumulative, int(gen.integers(total)))
+    return bisect_right(cumulative, stream.integers(total))
 
 
 @dataclass
@@ -221,23 +225,32 @@ def check_near_uniformity(G: OrderedHypergraph, epsilon: float | Fraction,
 def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
     """One joint exposure of the uniform and regular processes.
 
-    All draws come from the one generator `as_generator(rng)` (a Generator
-    passed in is consumed directly, not spawned), in a fixed order: the
-    proposals as `sample_gnm` draws them, the coins as exact Bernoulli(1-eps)
-    draws `integers(M) < coupled_steps`, then every resolution draw; so the
-    proposals and coins are independent of the resolutions, as the
-    construction requires.  Each step takes one `StateLaw` (enumerated, or
-    in mc mode estimated before the step resolves) for its verdict and its
-    excess draw; exact laws come from walking the `PrefixTree` of
-    (n, k, d) one child per exposed edge.
+    All draws come from the one stream `Pcg64Stream.of(rng)` (a numpy
+    Generator passed in is adopted, not spawned, and left where the draws
+    end), in a fixed order: the proposals as `sample_gnm` draws them, the
+    coins as exact Bernoulli(1-eps) draws `integers(M) < coupled_steps`,
+    then every resolution draw; so the proposals and coins are independent
+    of the resolutions, as the construction requires.  mc-mode estimates
+    and completions are drawn by a numpy Generator the stream hands off.
+    Each step takes one `StateLaw` (enumerated, or in mc mode estimated
+    before the step resolves) for its verdict and its excess draw; exact
+    laws come from walking the `PrefixTree` of (n, k, d) one child per
+    exposed edge.
     """
+    stream = Pcg64Stream.of(rng)
+    try:
+        return _run_coupling(config, stream)
+    finally:
+        stream.write_back()
+
+
+def _run_coupling(config: CouplingConfig, stream: Pcg64Stream) -> CouplingTrace:
     params = config.params
     n, k = params.n, params.k
-    gen = as_generator(rng)
     cut = config.coupled_steps
-    uniform_graph = sample_gnm(n, k, cut, gen)
+    uniform_graph = sample_gnm(n, k, cut, stream)
     proposals = uniform_graph.edges
-    coins = (gen.integers(params.M, size=cut) < cut).tolist()
+    coins = [int(c < cut) for c in stream.integers(params.M, size=cut)]
 
     eps = config.epsilon
     exact = config.p_mode == "exact"
@@ -259,24 +272,28 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
         else:
             regular_graph = OrderedHypergraph._from_canonical(n, k, regular_seq)
             if t < cut:
-                law = _estimate_law(regular_graph, params, config.mc_trials,
-                                    gen)
+                with stream.handoff() as gen:
+                    law = _estimate_law(regular_graph, params,
+                                        config.mc_trials, gen)
         proposal: Edge | None = None
         coin: int | None = None
         near: bool | None = None
         if t < cut:
             proposal = proposals[t]
-            coin = int(coins[t])
+            coin = coins[t]
             near = law.near_uniform(eps)
 
         excess: Edge | None = None
         if t >= cut or not near:
             branch = "tail" if t >= cut else "direct"
-            # mc mode realizes the law without estimating it: the next edge
-            # of one sampled completion
-            exposed = (law.support[_draw_cumulative(law.cumulative, law.total,
-                                                    gen)] if exact else
-                       sample_regular(regular_graph, params, gen)[t])
+            if exact:
+                exposed = law.support[_draw_cumulative(law.cumulative,
+                                                       law.total, stream)]
+            else:
+                # mc mode realizes the law without estimating it: the next
+                # edge of one sampled completion
+                with stream.handoff() as gen:
+                    exposed = sample_regular(regular_graph, params, gen)[t]
         elif coin == 1 and proposal not in regular_set:
             branch = "fresh"
             exposed = proposal
@@ -291,7 +308,7 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
         else:
             branch = "excess"
             exposed = excess = law.support[_draw_cumulative(*law.excess(eps),
-                                                            gen)]
+                                                            stream)]
 
         if t < cut:
             near_all &= near
@@ -370,11 +387,12 @@ def run_coupling_gnp(config: CouplingConfig, rng,
                      p: float | None = None) -> GnpCouplingTrace:
     """Couple the binomial model through the accepted-proposal supply.
 
-    The trace runs on the one generator `as_generator(rng)` (a Generator
-    passed in is consumed directly, not spawned); the binomial edge count B
-    and the fallback graph are drawn after it from the same generator.  When
-    B <= m <= |accepted| the embedded graph is the first B accepted
-    proposals, otherwise an independent uniform B-edge graph.
+    The trace runs on the one stream `Pcg64Stream.of(rng)` (a Generator
+    passed in is adopted, not spawned); the binomial edge count B, drawn by
+    the numpy Generator it hands off, and the fallback graph are drawn after
+    it from the same stream.  When B <= m <= |accepted| the embedded graph
+    is the first B accepted proposals, otherwise an independent uniform
+    B-edge graph.
     """
     if p is None:
         p = default_gnp_probability(config.params, config.gamma)
@@ -385,16 +403,20 @@ def run_coupling_gnp(config: CouplingConfig, rng,
             )
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"binomial density p={p} outside [0, 1]")
-    gen = as_generator(rng)
-    trace = run_coupling(config, gen)
     params = config.params
-    b = int(gen.binomial(params.complete_count, p))
-    if b <= config.m <= len(trace.accepted):
-        embedded = tuple(trace.accepted[:b])
-        fallback = False
-    else:
-        embedded = tuple(sample_gnm(params.n, params.k, b, gen).edges)
-        fallback = True
+    stream = Pcg64Stream.of(rng)
+    try:
+        trace = run_coupling(config, stream)
+        with stream.handoff() as gen:
+            b = int(gen.binomial(params.complete_count, p))
+        if b <= config.m <= len(trace.accepted):
+            embedded = tuple(trace.accepted[:b])
+            fallback = False
+        else:
+            embedded = tuple(sample_gnm(params.n, params.k, b, stream).edges)
+            fallback = True
+    finally:
+        stream.write_back()
     contained = all(e in trace.regular_final.edge_set for e in embedded)
     return GnpCouplingTrace(
         base=trace, p=p, edge_count=b, embedded=embedded,

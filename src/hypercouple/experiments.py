@@ -164,12 +164,11 @@ def _wilson_dict(successes: int, trials: int) -> dict:
 def _sample_worker(payload) -> str:
     model, n, k, d, m, p, rng = payload
     if model == "regular":
-        g = sample_regular(OrderedHypergraph(n, k), Params(n, k, d),
-                           rng.generator())
+        g = sample_regular(OrderedHypergraph(n, k), Params(n, k, d), rng)
         return format_edge_list(g, d=d)
     if model == "gnm":
-        return format_edge_list(sample_gnm(n, k, m, rng.generator()))
-    return format_edge_list(sample_gnp(n, k, p, rng.generator()))
+        return format_edge_list(sample_gnm(n, k, m, rng))
+    return format_edge_list(sample_gnp(n, k, p, rng))
 
 
 def _run_sample(cfg: ExperimentConfig) -> tuple[dict, list, list[tuple[str, bytes]]]:

@@ -30,7 +30,6 @@ from .core import (
     is_simple,
     make_edge,
 )
-from .oracle import extension_family
 from .samplers import as_generator, sample_multi_extension, sample_regular
 
 
@@ -170,16 +169,6 @@ def residual_report(params: Params, trials: int, rng,
     return ResidualReport(params=params, trials=trials, a=a,
                           residual_sum=total, exceed_sum=exceed,
                           exact_mean=exact_mean, exact_var=exact_var)
-
-
-def best_average_edge(G: OrderedHypergraph, params: Params) -> Edge:
-    """Lexicographically least absent edge maximizing the completion count,
-    i.e. an f whose extension is at least as completable as average."""
-    fam = extension_family(G, params)
-    law = fam.state(fam.base, len(G))  # raises when nothing completes G
-    # max keeps the first, i.e. lexicographically least, maximizer
-    return law.support[max(range(len(law.support)),
-                           key=law.weights.__getitem__)]
 
 
 @dataclass

@@ -12,17 +12,22 @@ batches, each one `gen.permuted` call, and the generator is left exactly
 after the accepted row, where drawing the permutations one at a time would
 have left it.
 
-Trial i of a batch draws from the stream (seed, (i,)): a PCG64 seeded by
-numpy's `SeedSequence(seed, spawn_key=(i,))`.  `RngStream.trials` computes
-the four seed words of every trial of a batch in one vectorised pass,
-bit for bit what `SeedSequence.generate_state(4, np.uint64)` returns, so
-no stream depends on which of the two paths built it.
+Every stream is numpy's PCG64 with one seeding path: the stream (seed,
+path) starts from the four words of numpy's `SeedSequence(seed,
+spawn_key=path).generate_state(4, np.uint64)`, which `seed_words`
+computes on Python ints and `trial_seed_words` for a whole batch of trials
+(seed, (i,)) in one vectorised pass.  Samplers that only draw bounded
+integers (`sample_gnm`, the coupling's proposals, coins and resolutions)
+draw them from `Pcg64Stream`, a pure-Python PCG64 that matches numpy's
+`Generator.integers` draw for draw; the others draw from a numpy Generator
+at the same state.  No stream depends on which of the two drew it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
@@ -55,35 +60,62 @@ class RngStream:
     """Addressable reproducible randomness: seed plus a spawn path.
 
     Two streams with different paths are statistically independent; the same
-    (seed, path) always yields the same generator.  Streams made by `trials`
-    carry their seed words, which only make `generator` cheaper.
+    (seed, path) always yields the same draws.  The seed and every path
+    element must be non-negative integers.  A stream's draws are those of
+    numpy's PCG64 seeded by `SeedSequence(seed, spawn_key=path)`, through
+    the four seed words `words`; streams made by `trials` carry theirs.
     """
 
     seed: int
     path: tuple[int, ...] = ()
-    _words: np.ndarray | None = field(default=None, init=False, repr=False,
-                                      compare=False)
+    _words: tuple[int, ...] | None = field(default=None, init=False,
+                                           repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        seed, path = _check_seed(self.seed, self.path)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "path", path)
 
     @classmethod
     def trials(cls, seed: int, count: int) -> list["RngStream"]:
         """The streams (seed, (i,)) of trials i = 0..count-1, seeded in bulk
-        by `trial_seed_words`."""
+        by `trial_seed_words`.  The seed is checked once, so the streams are
+        filled in directly rather than each through `__init__`."""
+        seed, _ = _check_seed(seed, ())
         streams = []
-        for i, words in enumerate(trial_seed_words(seed, count)):
-            stream = cls(seed, (i,))
-            object.__setattr__(stream, "_words", words)
+        for i, words in enumerate(trial_seed_words(seed, count).tolist()):
+            stream = object.__new__(cls)
+            stream.__dict__.update(seed=seed, path=(i,), _words=tuple(words))
             streams.append(stream)
         return streams
 
     def child(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.path + tuple(indices))
 
+    @property
+    def words(self) -> tuple[int, ...]:
+        """`SeedSequence(seed, spawn_key=path).generate_state(4, np.uint64)`
+        as four Python ints (`seed_words`), computed once."""
+        if self._words is None:
+            object.__setattr__(self, "_words", seed_words(self.seed, self.path))
+        return self._words
+
     def generator(self) -> np.random.Generator:
-        if self._words is not None:
-            ss = _seed_words(self._words)
-        else:
-            ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
-        return np.random.Generator(np.random.PCG64(ss))
+        return _numpy_generator(self.words)
+
+
+def _check_seed(seed, path) -> tuple[int, tuple[int, ...]]:
+    """seed and path as ints; DomainError unless all are non-negative."""
+    try:
+        seed = operator.index(seed)
+        path = tuple(map(operator.index, path))
+    except TypeError:
+        raise DomainError(f"seed and path must be integers, got seed={seed!r} "
+                          f"path={path!r}") from None
+    if seed < 0 or any(i < 0 for i in path):
+        raise DomainError(f"seed and path must be non-negative integers, got "
+                          f"seed={seed} path={path}")
+    return seed, path
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
@@ -93,39 +125,48 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def trial_seed_words(seed: int, count: int) -> np.ndarray:
-    """Row i is `SeedSequence(seed, spawn_key=(i,)).generate_state(4,
-    np.uint64)`, for i = 0..count-1.
+def _uint32_words(value: int) -> list[int]:
+    """A non-negative integer as numpy's seeding reads it: its 32-bit words,
+    least significant first, and one zero word for 0."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
 
-    numpy's hashing, transcribed on uint32 arrays, which wrap as its C code
-    does.  The entropy words are the seed's 32-bit words, zero-padded to the
-    pool size of 4, then the spawn word i.  That comes last, so the pool is
-    hashed from the seed once, on one-element arrays, and only the spawn
-    word's mixing and the eight output words run over all trials at once.
+
+def _entropy(seed: int, path: tuple[int, ...]) -> list[int]:
+    """The entropy words of `SeedSequence(seed, spawn_key=path)`: the seed's
+    words zero-padded to the pool size of 4, then each path element's.
+    numpy pads only when a spawn key follows, but a missing pool word is
+    hashed as a zero, so padding always gives the same pool."""
+    seed, path = _check_seed(seed, path)
+    words = _uint32_words(seed)
+    words += [0] * (4 - len(words))
+    for i in path:
+        words += _uint32_words(i)
+    return words
+
+
+def _generate_state(entropy: list) -> list:
+    """numpy's SeedSequence hashing of the entropy words and its
+    `generate_state(4, np.uint64)`.
+
+    A word is a Python int or a uint64 array of 32-bit values: products of
+    two 32-bit values fit in 64 bits, so with explicit masking both give
+    numpy's uint32 arithmetic, and an array word makes every later pool
+    word and the four output words arrays over its entries.
     """
-    seed, count = operator.index(seed), operator.index(count)
-    if seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed}")
-    if not 0 <= count <= 1 << 32:
-        raise DomainError(f"trial count {count} outside 0..2^32")
-    u32 = np.uint32
-    entropy = []
-    while seed or not entropy:
-        entropy.append(np.full(1, seed & _MASK32, dtype=u32))
-        seed >>= 32
-    entropy += [np.zeros(1, dtype=u32)] * (4 - len(entropy))
-    entropy.append(np.arange(count, dtype=u32))
     mult = _INIT_A
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
+    def hashmix(value):
         nonlocal mult
-        value = value ^ u32(mult)
+        value = value ^ mult
         mult = mult * _MULT_A & _MASK32
-        value = value * u32(mult)
+        value = value * mult & _MASK32
         return value ^ value >> 16
 
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = u32(_MIX_L) * x - u32(_MIX_R) * y
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _MASK32
         return r ^ r >> 16
 
     pool = [hashmix(w) for w in entropy[:4]]
@@ -137,29 +178,54 @@ def trial_seed_words(seed: int, count: int) -> np.ndarray:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(w))
 
-    state = np.empty((count, 8), dtype="<u4")
     mult = _INIT_B
+    out = []
     for i in range(8):
-        value = pool[i % 4] ^ u32(mult)
+        value = pool[i % 4] ^ mult
         mult = mult * _MULT_B & _MASK32
-        value = value * u32(mult)
-        state[:, i] = value ^ value >> 16
+        value = value * mult & _MASK32
+        out.append(value ^ value >> 16)
     # word pairs read as little-endian uint64, as generate_state does
-    return state.view("<u8").astype(np.uint64, copy=False)
+    return [out[j] | out[j + 1] << 32 for j in range(0, 8, 2)]
 
 
-_SeedWords = None
+def seed_words(seed: int, path: tuple[int, ...] = ()) -> tuple[int, ...]:
+    """`SeedSequence(seed, spawn_key=path).generate_state(4, np.uint64)`
+    as four Python ints, for any non-negative seed and path elements."""
+    return tuple(_generate_state(_entropy(seed, path)))
 
 
-def _seed_words(words: np.ndarray):
-    """A seed sequence that hands PCG64 the given four uint64 words.
+def trial_seed_words(seed: int, count: int,
+                     path: tuple[int, ...] = ()) -> np.ndarray:
+    """Row i is `seed_words(seed, path + (i,))`, for i = 0..count-1, as a
+    (count, 4) uint64 array.
 
-    The class subclasses numpy's `ISeedSequence`, so it is defined on first
-    use: importing `numpy.random` at module import would cost every CLI call
-    its import time, including those that draw nothing.
+    The words before the trial index are the same for every trial, so the
+    pool is hashed from them once, on Python ints, and only the index's
+    mixing and the output words run over all trials at once.
     """
-    global _SeedWords
-    if _SeedWords is None:
+    count = operator.index(count)
+    if not 0 <= count <= 1 << 32:
+        raise DomainError(f"trial count {count} outside 0..2^32")
+    index = np.arange(count, dtype=np.uint64)
+    words = _generate_state(_entropy(seed, path) + [index])
+    return np.stack(words, axis=1)
+
+
+_numpy_random = None
+
+
+def _numpy_generator(words: tuple[int, ...]) -> np.random.Generator:
+    """numpy's PCG64 Generator seeded from the four seed words.
+
+    The words reach PCG64 through a subclass of numpy's `ISeedSequence`.
+    It and numpy's classes are loaded on first use: importing `numpy.random`
+    at module import would cost every CLI call its import time, including
+    those that draw nothing or draw only from `Pcg64Stream`.
+    """
+    global _numpy_random
+    if _numpy_random is None:
+        from numpy.random import PCG64, Generator
         from numpy.random.bit_generator import ISeedSequence
 
         class _SeedWords(ISeedSequence):
@@ -171,7 +237,149 @@ def _seed_words(words: np.ndarray):
                     raise DomainError("seed words only seed PCG64")
                 return self.words
 
-    return _SeedWords(words)
+        _numpy_random = Generator, PCG64, _SeedWords
+    generator, pcg64, seeded = _numpy_random
+    return generator(pcg64(seeded(np.array(words, dtype=np.uint64))))
+
+
+# PCG64 (O'Neill 2014) as numpy implements it (numpy/random/src/pcg64)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+class Pcg64Stream:
+    """numpy's PCG64 and its `Generator.integers` draws, on Python ints.
+
+    Draw for draw what a PCG64-backed numpy Generator at the same state
+    draws: the 128-bit LCG with XSL-RR output, the half-word buffer of
+    `next_uint32`, and numpy's bounded draw (none for a range of 1, one raw
+    uint32 for a range of 2^32, Lemire's rejection on 32 bits for other
+    ranges up to 2^32 and on 64 bits above).  It spares the samplers that
+    only draw bounded integers numpy's per-call overhead and the import of
+    `numpy.random`.
+
+    `of` makes the stream of an `RngStream` (seeded from its words), passes
+    a stream through, or adopts a PCG64-backed numpy Generator, which
+    `write_back` then leaves at the stream's state; a sampler given a
+    Generator calls it when it ends, so the Generator ends where numpy's
+    own draws would have left it.  `handoff` lends a numpy Generator at the
+    stream's position for the draws only numpy makes.
+    """
+
+    __slots__ = ("_state", "_inc", "_has_uint32", "_uinteger", "_gen",
+                 "_adopted")
+
+    def __init__(self, words: tuple[int, ...]) -> None:
+        """Seeded from four seed words as numpy's `pcg64_set_seed` seeds:
+        the first two are the initial state, the last two the increment."""
+        initstate = words[0] << 64 | words[1]
+        self._inc = inc = (words[2] << 65 | words[3] << 1 | 1) & _MASK128
+        self._state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+        self._has_uint32 = self._uinteger = 0
+        self._gen = None
+        self._adopted = False
+
+    @classmethod
+    def of(cls, rng) -> "Pcg64Stream":
+        """The stream that draws for rng: an RngStream, a Pcg64Stream (itself)
+        or a PCG64-backed numpy Generator (adopted at its state)."""
+        if isinstance(rng, cls):
+            return rng
+        if isinstance(rng, RngStream):
+            return cls(rng.words)
+        from numpy.random import PCG64, Generator
+        if not isinstance(rng, Generator):
+            raise DomainError(f"expected RngStream, Pcg64Stream or numpy "
+                              f"Generator, got {type(rng)!r}")
+        if not isinstance(rng.bit_generator, PCG64):
+            raise DomainError(f"only a PCG64 Generator can be drawn from "
+                              f"exactly, got {type(rng.bit_generator)!r}")
+        stream = cls.__new__(cls)
+        stream.state = rng.bit_generator.state
+        stream._gen, stream._adopted = rng, True
+        return stream
+
+    def write_back(self) -> None:
+        """Leave an adopted Generator at this stream's state; other streams
+        have nothing to write back."""
+        if self._adopted:
+            self._gen.bit_generator.state = self.state
+
+    @property
+    def state(self) -> dict:
+        """The state as numpy's `PCG64.state` dict."""
+        return {"bit_generator": "PCG64",
+                "state": {"state": self._state, "inc": self._inc},
+                "has_uint32": self._has_uint32, "uinteger": self._uinteger}
+
+    @state.setter
+    def state(self, value: dict) -> None:
+        self._state = value["state"]["state"]
+        self._inc = value["state"]["inc"]
+        self._has_uint32 = value["has_uint32"]
+        self._uinteger = value["uinteger"]
+
+    def next_uint64(self) -> int:
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        v = (s >> 64) ^ (s & _MASK64)
+        r = s >> 122
+        return (v >> r | v << (64 - r)) & _MASK64
+
+    def next_uint32(self) -> int:
+        """The low half of a fresh 64-bit output, keeping the high half for
+        the next call."""
+        if self._has_uint32:
+            self._has_uint32 = 0
+            return self._uinteger
+        v = self.next_uint64()
+        self._has_uint32, self._uinteger = 1, v >> 32
+        return v & _MASK32
+
+    def integers(self, low: int, high: int | None = None,
+                 size: int | None = None):
+        """A uniform integer in [low, high), or [0, low) without high, as
+        numpy's `Generator.integers` draws it; with size, a list of size of
+        them.  The range must be at most 2^63."""
+        if high is None:
+            low, high = 0, low
+        if size is not None:
+            return [self.integers(low, high) for _ in range(size)]
+        excl = high - low
+        if excl == 1:
+            return low
+        if 1 < excl < 1 << 32:
+            m = self.next_uint32() * excl
+            if m & _MASK32 < excl:
+                threshold = ((1 << 32) - excl) % excl
+                while m & _MASK32 < threshold:
+                    m = self.next_uint32() * excl
+            return low + (m >> 32)
+        if excl == 1 << 32:
+            return low + self.next_uint32()
+        if not 1 << 32 < excl <= 1 << 63:
+            raise DomainError(f"integers range [{low}, {high}) is empty or "
+                              f"wider than 2^63")
+        m = self.next_uint64() * excl
+        if m & _MASK64 < excl:
+            threshold = ((1 << 64) - excl) % excl
+            while m & _MASK64 < threshold:
+                m = self.next_uint64() * excl
+        return low + (m >> 64)
+
+    @contextmanager
+    def handoff(self):
+        """A numpy Generator at this stream's position, for the draws only
+        numpy makes; when the block ends the stream continues from where the
+        Generator stopped.  An adopted Generator is lent itself."""
+        if self._gen is None:
+            self._gen = _numpy_generator((0, 0, 0, 0))
+        bit_generator = self._gen.bit_generator
+        bit_generator.state = self.state
+        try:
+            yield self._gen
+        finally:
+            self.state = bit_generator.state
 
 
 def as_generator(rng) -> np.random.Generator:
@@ -187,16 +395,22 @@ def sample_gnm(n: int, k: int, m: int, rng) -> OrderedHypergraph:
     """Uniform m-edge k-graph with a uniform edge order.
 
     Every prefix of the result is itself a uniform smaller instance, so the
-    output doubles as a trajectory of the sequential uniform process.
+    output doubles as a trajectory of the sequential uniform process.  Step
+    t swaps in the pool edge `integers(t, C)`, drawn from
+    `Pcg64Stream.of(rng)`.
     """
-    gen = as_generator(rng)
+    stream = Pcg64Stream.of(rng)
     pool = list(edge_pool(n, k).edges)
     total = len(pool)
     if not 0 <= m <= total:
         raise DomainError(f"m={m} outside 0..{total}")
-    for t in range(m):
-        j = int(gen.integers(t, total))
-        pool[t], pool[j] = pool[j], pool[t]
+    draw = stream.integers
+    try:
+        for t in range(m):
+            j = draw(t, total)
+            pool[t], pool[j] = pool[j], pool[t]
+    finally:
+        stream.write_back()
     return OrderedHypergraph._from_canonical(n, k, pool[:m])
 
 

@@ -37,9 +37,7 @@ moves, so the totals agree exactly on enumerated families.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -53,15 +51,9 @@ from .core import (
     EdgePool,
     Hypergraph,
     OrderedHypergraph,
-    Params,
-    codegree_rel,
     edge_pool,
-    make_edge,
-    residual_degrees,
 )
 from . import oracle
-from .samplers import as_generator, sample_regular
-from .stats import wilson_interval
 
 
 class IllegalSwitchError(DomainError):
@@ -611,133 +603,3 @@ def backward_count(Hp: Members, G: AnyGraph, kind: str, *,
     """Number of (source, move) reconstructions landing on Hp; for several
     members, the total over them."""
     return int(backward_counts(Hp, G, kind, edge=edge, pair=pair).sum())
-
-
-@dataclass
-class EdgeProbabilityEstimate:
-    """P(e in R) for a uniform regular extension R of G."""
-
-    edge: Edge
-    trials: int
-    successes: int
-    p_hat: float
-    ci_low: float
-    ci_high: float
-    exact: Fraction | None
-    # p_hat expressed in units of tau * d / n^(k-1), the natural scale
-    scale_ratio: float
-
-
-def edge_probability(G: OrderedHypergraph, e: Edge, params: Params, trials: int,
-                     rng, exact: str = "auto",
-                     exact_budget: int = 2_000_000) -> EdgeProbabilityEstimate:
-    """Estimate the chance that edge e appears in a uniform regular extension
-    of G; attaches the exact completion-count ratio when countable."""
-    e = make_edge(e, params.n, params.k)
-    if e in G.edge_set:
-        raise DomainError(f"edge {e} already lies in G")
-    if trials < 1:
-        raise DomainError("trials must be positive")
-
-    def ratio() -> Fraction | None:  # no completions: the sampler raises
-        fam = oracle.extension_family(G, params, exact_budget)
-        if fam.unordered_count:
-            return Fraction(len(fam.rows_with({e})), fam.unordered_count)
-        return None
-
-    value = oracle.exact_or_none(exact, ratio)
-    gen = as_generator(rng)
-    successes = 0
-    for _ in range(trials):
-        h = sample_regular(G, params, gen)
-        if e in h.edge_set:
-            successes += 1
-    p_hat = successes / trials
-    low, high = wilson_interval(successes, trials)
-    tau = 1.0 - len(G) / params.M
-    scale = tau * params.d / params.n ** (params.k - 1)
-    return EdgeProbabilityEstimate(
-        edge=e, trials=trials, successes=successes, p_hat=p_hat,
-        ci_low=low, ci_high=high, exact=value,
-        scale_ratio=p_hat / scale if scale > 0 else math.nan,
-    )
-
-
-@dataclass
-class TailEstimate:
-    """Tail of a pair statistic over regular extensions of G.
-
-    `distribution[s]` is P(statistic == s); `tail[s]` is P(statistic >= s).
-    The threshold is c * tau * d / n for pair degrees and
-    c * tau * d^2 / n^(k-1) for codegrees.  `degree_hypothesis_ok` records
-    whether every residual degree of G was at most 2 * tau * d, the
-    assumption under which the thresholds are meaningful; instances are
-    reported either way.
-    """
-
-    kind: str
-    u: int
-    v: int
-    base_size: int
-    tau: float
-    threshold: float
-    exact: bool
-    trials: int
-    distribution: dict[int, float]
-    tail: dict[int, float]
-    top: int
-    degree_hypothesis_ok: bool
-    class_sizes: dict[int, int] | None
-
-
-def tail_profile(G: OrderedHypergraph, u: int, v: int, kind: str, params: Params,
-                 rng=None, trials: int = 0, c: float = 1.0,
-                 exact: str = "auto",
-                 exact_budget: int = 2_000_000) -> TailEstimate:
-    """Distribution of a pair statistic over uniform regular extensions of G,
-    exactly via enumeration when feasible, otherwise by sampling."""
-    oracle.switching_target(kind, params.n, params.k, pair=(u, v))
-    residual = residual_degrees(G, params)
-    tau = 1.0 - len(G) / params.M
-    if kind == "pair_degree":
-        threshold = c * tau * params.d / params.n
-    else:
-        threshold = c * tau * params.d ** 2 / params.n ** (params.k - 1)
-    hypothesis_ok = bool(residual.max() <= 2 * tau * params.d)
-
-    classes = oracle.exact_or_none(exact, lambda: oracle.switching_class_sizes(
-        G, u, v, kind, params, budget=exact_budget))
-    sizes = None if classes is None else classes.sizes
-    used_trials = 0
-    if classes is not None:
-        dist = {s: cnt / classes.total_ordered
-                for s, cnt in sorted(sizes.items())}
-    else:
-        if trials < 1 or rng is None:
-            raise DomainError("sampling route needs trials >= 1 and an rng")
-        gen = as_generator(rng)
-        counts: dict[int, int] = {}
-        base_hyper = G.as_hypergraph()
-        for _ in range(trials):
-            h = sample_regular(G, params, gen).as_hypergraph()
-            if kind == "pair_degree":
-                s = sum(1 for e in h.edge_set - base_hyper.edge_set
-                        if u in e and v in e)
-            else:
-                s = codegree_rel(h, base_hyper, u, v)
-            counts[s] = counts.get(s, 0) + 1
-        used_trials = trials
-        dist = {s: cnt / trials for s, cnt in sorted(counts.items())}
-
-    top = max(dist) if dist else 0
-    tail: dict[int, float] = {}
-    acc = 0.0
-    for s in range(top, -1, -1):
-        acc += dist.get(s, 0.0)
-        tail[s] = min(acc, 1.0)
-    return TailEstimate(
-        kind=kind, u=u, v=v, base_size=len(G), tau=tau, threshold=threshold,
-        exact=sizes is not None, trials=used_trials,
-        distribution=dist, tail=dict(sorted(tail.items())), top=top,
-        degree_hypothesis_ok=hypothesis_ok, class_sizes=sizes,
-    )

@@ -425,9 +425,13 @@ class TestTracedNames:
             assert main(argv + ["--seed", "1", "--jobs", "1",
                                 "--out", str(tmp_path / str(i))]) == 0
         # the couple workloads' listing and traces are measured here
-        for name in ("count_extensions", "run_coupling", "generator"):
+        for name in ("count_extensions", "run_coupling"):
             assert "couple" in reached_by.get(name, ()), (
                 f"the couple run never called {name}")
+        # exact couple draws from Pcg64Stream and builds no numpy Generator,
+        # so the couple workloads read the stream layer from their
+        # process-stats census
+        assert reached_by["generator"] == {"process-stats"}
         for name in ("forward_count", "backward_count",
                      "switching_class_sizes", "count_extensions",
                      "run_coupling", "residual_report", "sample_regular",

@@ -26,6 +26,16 @@ GOLDEN = {
         COUPLE_632 + ["--emit-traces"],
         "c1ca9aec1825b76a1829d9d2d68a935837ce7cd1a68f60a395538462a3f7f398",
         "d73aca1838bc61cef16d5a0138e789890612f272fcfb6657a76ca75046bf8880"),
+    "couple-632-mc-traces": (
+        ["couple", "--n", "6", "--k", "3", "--d", "2", "--gamma", "0.75",
+         "--p-mode", "mc:20", "--trials", "20", "--emit-traces"],
+        "1873a67945861ebea7dc97009385d78323ee19085d19983ff6431d91dc335656",
+        "d00eccf463de50cf10dad8ad9d14f62c6c3076dfefcf3e4ce330697226a6e7b9"),
+    "couple-gnp-632": (
+        ["couple-gnp", "--n", "6", "--k", "3", "--d", "2", "--gamma", "0.75",
+         "--p", "0.1", "--trials", "200"],
+        "95b4505f75000505a40e7c9a8c0417c1f32571945dd0019514933cdc98a2df19",
+        "dfd4b2922549ee8c943e7ebc00b8a6cdcc279df87282570b0e29560e0fca13df"),
     "couple-733": (
         ["couple", "--n", "7", "--k", "3", "--d", "3",
          "--gamma", "0.5714285714285714", "--trials", "8"],

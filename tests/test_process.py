@@ -10,7 +10,6 @@ from hypercouple import (
     OrderedHypergraph,
     Params,
     RngStream,
-    best_average_edge,
     count_extensions,
     exact_simplicity_probability,
     expose_process,
@@ -125,19 +124,6 @@ class TestResidualReport:
             rep + residual_report(N9, 1, RngStream(0), a=1.0)
         with pytest.raises(DomainError):
             rep + residual_report(Params(6, 3, 2), 1, RngStream(0))
-
-
-class TestBestAverageEdge:
-    def test_returns_lex_least_maximizer(self):
-        p = Params(6, 3, 2)
-        g = OrderedHypergraph(6, 3, [(1, 2, 3)])
-        f = best_average_edge(g, p)
-        # disjoint completion is the unique maximizer here
-        assert f == (4, 5, 6)
-
-    def test_empty_prefix_ties_break_lexicographically(self):
-        p = Params(6, 3, 2)
-        assert best_average_edge(OrderedHypergraph(6, 3), p) == (1, 2, 3)
 
 
 class TestMutualPair:

@@ -1,7 +1,11 @@
 """Sampler correctness: stream discipline, validity, and uniformity."""
 
 import math
+import os
 import pickle
+import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +17,7 @@ from hypercouple import (
     OrderedHypergraph,
     Params,
     RejectionBudgetError,
+    Pcg64Stream,
     RngStream,
     as_generator,
     count_extensions,
@@ -26,6 +31,7 @@ from hypercouple.samplers import (
     _configuration_rejection,
     _residual_vector,
     exact_simplicity_from_count,
+    seed_words,
     simplicity_probability,
     trial_seed_words,
 )
@@ -55,6 +61,22 @@ class TestRngStream:
         assert as_generator(g) is g
         with pytest.raises(DomainError):
             as_generator(31337)
+
+    @pytest.mark.parametrize("seed, path", [
+        (-1, ()), (1, (-2,)), (1, (3, -1)), (1.5, ()), ("7", ()), (1, (0.5,)),
+        (1, 3)])
+    def test_bad_seed_or_path_is_refused_at_construction(self, seed, path):
+        with pytest.raises(DomainError, match="seed and path must be"):
+            RngStream(seed, path)
+
+    def test_child_with_a_negative_index_is_refused(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            RngStream(4).child(1, -1)
+
+    def test_integer_like_seeds_are_stored_as_ints(self):
+        stream = RngStream(np.int64(5), (np.uint32(2),))
+        assert stream == RngStream(5, (2,))
+        assert type(stream.seed) is int and type(stream.path[0]) is int
 
 
 class TestTrialStreams:
@@ -105,6 +127,201 @@ class TestTrialStreams:
             trial_seed_words(-1, 3)
         with pytest.raises(DomainError, match="non-negative"):
             RngStream.trials(-1, 3)
+
+
+class TestSeedWords:
+    """`seed_words` and `trial_seed_words` are numpy's SeedSequence words for
+    any path, and every kind of stream starts from them."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 7,
+                                      2**128, (1 << 199) + 12345])
+    @pytest.mark.parametrize("path", [(), (0,), (5,), (3, 9), (2**32,),
+                                      (2**32 + 5, 1), (1, 2**70 + 3),
+                                      (0, 0, 0, 0, 0)])
+    def test_words_are_numpys_seed_words(self, seed, path):
+        ss = np.random.SeedSequence(seed, spawn_key=path)
+        expected = ss.generate_state(4, np.uint64).tolist()
+        assert list(seed_words(seed, path)) == expected
+        assert list(RngStream(seed, path).words) == expected
+        assert all(type(w) is int for w in seed_words(seed, path))
+
+    @pytest.mark.parametrize("seed", [0, 2**130 + 1])
+    @pytest.mark.parametrize("path", [(), (4,), (2**33,)])
+    def test_trial_rows_extend_the_path(self, seed, path):
+        words = trial_seed_words(seed, 300, path)
+        assert words.shape == (300, 4) and words.dtype == np.uint64
+        for i in (0, 1, 299):
+            ss = np.random.SeedSequence(seed, spawn_key=path + (i,))
+            assert np.array_equal(words[i], ss.generate_state(4, np.uint64))
+
+    def test_bad_path_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            seed_words(3, (1, -1))
+        with pytest.raises(DomainError, match="non-negative"):
+            trial_seed_words(3, 2, (-1,))
+
+    @pytest.mark.parametrize("seed, path", [(0, ()), (11, (3,)),
+                                            (2**64 + 1, (2**40, 6))])
+    def test_streams_start_where_numpys_pcg64_starts(self, seed, path):
+        ss = np.random.SeedSequence(seed, spawn_key=path)
+        reference = np.random.Generator(np.random.PCG64(ss))
+        stream = RngStream(seed, path)
+        assert stream.generator().bit_generator.state == \
+            reference.bit_generator.state
+        assert Pcg64Stream.of(stream).state == reference.bit_generator.state
+
+
+def _random_integers_call(rnd: random.Random):
+    """(low, high, size) for one `integers` call, over the ranges that take
+    each branch of numpy's bounded draw."""
+    span = rnd.choice([
+        1,                                  # no draw at all
+        1 << 32,                            # one raw uint32
+        (1 << 31) + 1,                      # 32-bit Lemire, rejects ~1/2
+        rnd.randrange(2, 1 << 32),          # 32-bit Lemire
+        rnd.randrange(2, 50),
+        rnd.randrange((1 << 32) + 1, 1 << 63),  # 64-bit Lemire
+        (1 << 63) - rnd.randrange(1 << 20),     # 64-bit, rejects often
+    ])
+    low = rnd.randrange(-(1 << 40), 1 << 40) if span < 1 << 62 else 0
+    size = rnd.choice([None, None, None, 0, 1, rnd.randrange(2, 9)])
+    return low, low + span, size
+
+
+class TestPcg64Stream:
+    """The pure-Python PCG64 draws what numpy's PCG64 Generator draws."""
+
+    def test_integers_match_numpy_draw_for_draw(self):
+        rnd = random.Random(2024)
+        for trial in range(40):
+            gen = np.random.Generator(np.random.PCG64(trial))
+            stream = Pcg64Stream.of(RngStream(trial))
+            stream.state = gen.bit_generator.state
+            for _ in range(150):
+                low, high, size = _random_integers_call(rnd)
+                if rnd.random() < 0.3:
+                    # a one-argument call is [0, high)
+                    high = high - low
+                    expected = gen.integers(high, size=size)
+                    got = stream.integers(high, size=size)
+                else:
+                    expected = gen.integers(low, high, size=size)
+                    got = stream.integers(low, high, size=size)
+                if size is None:
+                    assert got == int(expected)
+                    assert type(got) is int
+                else:
+                    assert got == expected.tolist()
+            assert stream.state == gen.bit_generator.state
+
+    def test_every_branch_is_taken(self):
+        # the comparison above reaches each case of numpy's bounded draw
+        stream = Pcg64Stream.of(RngStream(1))
+        before = stream.state
+        assert stream.integers(5, 6) == 5 and stream.state == before
+        stream.integers(0, 1 << 32)
+        assert stream.state["has_uint32"] == 1
+        stream.integers(0, 1 << 32)
+        assert stream.state["has_uint32"] == 0
+        # a range of 2^31 + 1 rejects about half of its raw draws, so 400
+        # draws take about 800 raw uint32s
+        start = stream.state
+        stream.integers((1 << 31) + 1, size=400)
+        replay = Pcg64Stream.of(RngStream(1))
+        replay.state = start
+        raw = 0
+        while replay.state != stream.state:
+            replay.next_uint32()
+            raw += 1
+        assert 700 < raw < 900
+
+    def test_empty_or_oversized_range_is_refused(self):
+        stream = Pcg64Stream.of(RngStream(1))
+        for low, high in [(3, 3), (4, 2), (0, (1 << 63) + 1)]:
+            with pytest.raises(DomainError, match="integers range"):
+                stream.integers(low, high)
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_generator_round_trip(self, odd):
+        # an odd count of uint32 draws leaves the half-word buffer set
+        gen = np.random.default_rng(99)
+        reference = np.random.default_rng(99)
+        stream = Pcg64Stream.of(gen)
+        for _ in range(5 if odd else 4):
+            stream.next_uint32()
+        with stream.handoff() as lent:
+            assert lent is gen
+            lent.random(3)
+        stream.integers(10, size=3)
+        stream.write_back()
+        reference.integers(1 << 32, size=5 if odd else 4)
+        reference.random(3)
+        reference.integers(10, size=3)
+        assert gen.bit_generator.state == reference.bit_generator.state
+        assert gen.bit_generator.state["has_uint32"] == int(not odd)
+
+    def test_handoff_positions_a_generator_at_the_stream(self):
+        stream = Pcg64Stream.of(RngStream(8, (1,)))
+        reference = RngStream(8, (1,)).generator()
+        stream.integers(7)
+        reference.integers(7)
+        with stream.handoff() as gen:
+            assert gen.bit_generator.state == reference.bit_generator.state
+            assert np.array_equal(gen.permutation(9),
+                                  reference.permutation(9))
+        assert stream.integers(1 << 40) == int(reference.integers(1 << 40))
+        assert stream.state == reference.bit_generator.state
+
+    def test_adopted_generator_ends_where_numpy_would(self):
+        g1 = np.random.default_rng(5)
+        g2 = np.random.default_rng(5)
+        graph = sample_gnm(7, 3, 20, g1)
+        order = list(range(35))
+        for t in range(20):
+            j = int(g2.integers(t, 35))
+            order[t], order[j] = order[j], order[t]
+        assert g1.bit_generator.state == g2.bit_generator.state
+        assert len(graph) == 20
+
+    def test_a_stream_passes_through(self):
+        stream = Pcg64Stream.of(RngStream(3))
+        assert Pcg64Stream.of(stream) is stream
+
+    def test_other_bit_generators_are_refused(self):
+        for bit_generator in (np.random.MT19937(0), np.random.PCG64DXSM(0),
+                              np.random.Philox(0)):
+            with pytest.raises(DomainError, match="only a PCG64"):
+                Pcg64Stream.of(np.random.Generator(bit_generator))
+            with pytest.raises(DomainError, match="only a PCG64"):
+                sample_gnm(6, 3, 2, np.random.Generator(bit_generator))
+        with pytest.raises(DomainError, match="expected RngStream"):
+            Pcg64Stream.of(31337)
+
+
+def test_exact_couple_never_imports_numpy_random(tmp_path):
+    # exact `couple` draws only bounded integers, all from Pcg64Stream
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    probe = "; ".join([
+        "import sys",
+        "from hypercouple import experiments as ex",
+        "from hypercouple import CouplingConfig, Params, RngStream, "
+        "run_coupling, choose_epsilon",
+        "cfg = ex.config_from_args(['couple', '--n', '6', '--k', '3', "
+        "'--d', '2', '--gamma', '0.75', '--trials', '20', '--jobs', '1', "
+        f"'--out', {str(tmp_path / 'out')!r}])",
+        "ex.run_experiment(cfg)",
+        "print('numpy.random' in sys.modules)",
+        "p = Params(7, 3, 3)",
+        "run_coupling(CouplingConfig(p, 4 / 7, choose_epsilon(p, 4 / 7)), "
+        "RngStream(3, (2,)))",
+        "print('numpy.random' in sys.modules)",
+    ])
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False"]
 
 
 class TestRegularSampler:

@@ -11,7 +11,6 @@ from hypercouple import (
     IllegalSwitchError,
     OrderedHypergraph,
     Params,
-    RngStream,
     SwitchingMove,
     backward_count,
     codegree_rel,
@@ -21,13 +20,11 @@ from hypercouple import (
     iter_forward_moves,
     residual_degrees,
     switching_class_sizes,
-    tail_profile,
 )
 from hypercouple import switchings
 from hypercouple.switchings import (
     apply_switch,
     backward_counts,
-    edge_probability,
     forward_counts,
 )
 
@@ -431,48 +428,8 @@ class TestOneSwitchingRequest:
         if kind != "remove_edge" and "pair" in target:
             (u, v), base = target["pair"], OrderedHypergraph(5, 2)
             params = Params(5, 2, 2)
-            calls += [
-                lambda: switching_class_sizes(base, u, v, kind, params),
-                lambda: tail_profile(base, u, v, kind, params, RngStream(0),
-                                     trials=5, exact="never")]
+            calls.append(
+                lambda: switching_class_sizes(base, u, v, kind, params))
         said = {refusal(call) for call in calls}
         assert len(said) == 1
         assert re.search(message, said.pop())
-
-
-class TestProbesAgainstOracle:
-    def test_edge_probability_matches_exact_ratio(self):
-        params = Params(6, 3, 2)
-        g = OrderedHypergraph(6, 3, [(1, 2, 3)])
-        est = edge_probability(g, (4, 5, 6), params, 3000, RngStream(17))
-        assert est.exact is not None
-        assert est.ci_low <= float(est.exact) <= est.ci_high
-
-    def test_tail_profile_exact_route_matches_class_sizes(self):
-        params = Params(6, 3, 2)
-        g = OrderedHypergraph(6, 3)
-        prof = tail_profile(g, 1, 2, "pair_degree", params, exact="require")
-        cs = switching_class_sizes(g, 1, 2, "pair_degree", params)
-        assert prof.exact
-        total = sum(cs.unordered_sizes.values())
-        for val, cnt in cs.unordered_sizes.items():
-            assert prof.distribution[val] == pytest.approx(cnt / total)
-
-    @pytest.mark.parametrize("exact", ["never", "require"])
-    @pytest.mark.parametrize("u, v", [(1, 7), (0, 2)])
-    def test_tail_profile_rejects_a_pair_outside_the_vertices(self, u, v,
-                                                              exact):
-        with pytest.raises(DomainError, match="must lie in 1..6"):
-            tail_profile(OrderedHypergraph(6, 3), u, v, "pair_degree",
-                         Params(6, 3, 2), RngStream(0), trials=5,
-                         exact=exact)
-
-    def test_unknown_exact_mode_is_rejected(self):
-        params = Params(6, 3, 2)
-        g = OrderedHypergraph(6, 3)
-        with pytest.raises(DomainError, match="exact must be one of"):
-            edge_probability(g, (4, 5, 6), params, 5, RngStream(0),
-                             exact="Never")
-        with pytest.raises(DomainError, match="exact must be one of"):
-            tail_profile(g, 1, 2, "pair_degree", params, RngStream(0),
-                         trials=5, exact="exact")
