@@ -61,9 +61,7 @@ from .coupling import (
     CouplingStep,
     CouplingTrace,
     GnpCouplingTrace,
-    NearUniformityCheck,
     accepted_size_diagnostics,
-    check_near_uniformity,
     choose_epsilon,
     default_gnp_probability,
     run_coupling,

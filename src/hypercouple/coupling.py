@@ -9,10 +9,13 @@ proposals are exposed as-is, proposals already present on the regular side
 go through an order-preserving bijection onto the symmetric difference, and
 failed coins draw from the excess law.  When near-uniformity fails, and on
 every step past the coupled horizon, the regular side draws directly from
-its conditional law.  Accepted proposals within the horizon form the
-embedded edge supply: whenever every coupled step was near-uniform and
-enough proposals were accepted, the first m of them all appear in the final
-regular graph.
+its conditional law.  `coupling_step` is the one resolution of a coupled
+step: given the step's law, the proposal, the coin and the two prefixes it
+returns the verdict, the branch and the exposed edge or the integer law it
+is drawn from, and draws nothing; both p-modes call it.  Accepted
+proposals within the horizon form the embedded edge supply: whenever every
+coupled step was near-uniform and enough proposals were accepted, the
+first m of them all appear in the final regular graph.
 
 A trace draws from one generator: the proposals (a partial Fisher-Yates
 shuffle of the edge pool), then the coins, then every resolution draw.
@@ -39,8 +42,8 @@ from .core import (
     Params,
     complement_edges,
 )
-from .oracle import StateLaw, extension_family, prefix_tree
-from .samplers import Pcg64Stream, as_generator, sample_gnm, sample_regular
+from .oracle import StateLaw, prefix_tree
+from .samplers import Pcg64Stream, sample_gnm, sample_regular
 
 
 def _exact_ratio(value: float | Fraction, M: int) -> Fraction:
@@ -139,18 +142,15 @@ class CouplingConfig:
 
 
 class CouplingStep(NamedTuple):
-    """One exposure step.  Fields are None when the step does not draw them:
-    past the coupled horizon there is no proposal, coin or verdict, and the
-    excess_edge exists only on near-uniform steps with a failed coin."""
+    """One exposure step.  Past the coupled horizon there is no proposal,
+    coin or verdict, so those fields are None."""
 
     index: int
     uniform_edge: Edge | None
     coin: int | None
     near_uniform: bool | None
-    certain: bool
     branch: str
     exposed_edge: Edge
-    excess_edge: Edge | None
 
 
 BRANCHES = ("fresh", "mapped", "excess", "direct", "tail")
@@ -180,48 +180,6 @@ def _draw_cumulative(cumulative: tuple[int, ...], total: int,
     return bisect_right(cumulative, stream.integers(total))
 
 
-@dataclass
-class NearUniformityCheck:
-    """Verdict of the near-uniformity event for one prefix state."""
-
-    holds: bool
-    min_ratio: Fraction
-    certain: bool
-    worst_edge: Edge | None
-
-
-def check_near_uniformity(G: OrderedHypergraph, epsilon: float | Fraction,
-                          params: Params, p_mode: str = "exact",
-                          mc_trials: int = 2000,
-                          rng=None) -> NearUniformityCheck:
-    """Does every absent edge carry at least (1-epsilon) times the uniform
-    probability under the regular process's next-edge law?
-
-    epsilon is read exactly as in `CouplingConfig`.  Exact mode takes the
-    enumerated law; mc mode estimates it from sampled completions and is
-    never certain.  Both decide with the law's exact `near_uniform`.
-    """
-    if not 0 < epsilon < 1:
-        raise DomainError(f"epsilon={epsilon} outside (0, 1)")
-    if len(G) >= params.M:
-        raise DomainError("state already complete; no next edge exists")
-    if p_mode == "exact":
-        fam = extension_family(G, params)
-        law = fam.state(fam.base, len(G))
-    elif p_mode == "mc":
-        if rng is None:
-            raise DomainError("mc mode needs an rng")
-        law = _estimate_law(G, params, mc_trials, as_generator(rng))
-    else:
-        raise DomainError(f"p_mode must be 'exact' or 'mc', got {p_mode!r}")
-    worst = law.weights.index(law.min_weight)
-    return NearUniformityCheck(
-        holds=law.near_uniform(_exact_ratio(epsilon, params.M)),
-        min_ratio=law.min_ratio, certain=p_mode == "exact",
-        worst_edge=law.support[worst],
-    )
-
-
 def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
     """One joint exposure of the uniform and regular processes.
 
@@ -232,9 +190,9 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
     then every resolution draw; so the proposals and coins are independent
     of the resolutions, as the construction requires.  mc-mode estimates
     and completions are drawn by a numpy Generator the stream hands off.
-    Each step takes one `StateLaw` (enumerated, or in mc mode estimated
-    before the step resolves) for its verdict and its excess draw; exact
-    laws come from walking the `PrefixTree` of (n, k, d) one child per
+    Each coupled step takes one `StateLaw` (enumerated, or in mc mode
+    estimated before the step resolves) and is resolved by `coupling_step`;
+    exact laws come from walking the `PrefixTree` of (n, k, d) one child per
     exposed edge.
     """
     stream = Pcg64Stream.of(rng)
@@ -242,6 +200,35 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
         return _run_coupling(config, stream)
     finally:
         stream.write_back()
+
+
+def coupling_step(law: StateLaw, eps: Fraction, proposal: Edge, coin: int,
+                  regular_set: set[Edge], proposals: tuple[Edge, ...],
+                  t: int) -> tuple[bool, str, Edge | None,
+                                   tuple[tuple[int, ...], int] | None]:
+    """Resolve coupled step t; draws nothing.
+
+    law is the regular side's next-edge law at the prefix `regular_set` (R),
+    and the uniform side has proposed proposals[:t] (U) before `proposal`.
+    Returns (near_uniform, branch, edge, draw).  Under a near-uniform
+    verdict an accepted proposal is exposed as it is (fresh) or, when it is
+    already in R, through the order-preserving bijection of R - U onto
+    U - R (mapped); edge is that exposed edge and draw is None.  A failed
+    coin (excess) and a verdict that fails (direct) leave edge None, and
+    draw is the integer law (cumulative, total) over law.support the edge
+    is drawn from: `law.excess(eps)` or the state's own law.
+    """
+    near = law.near_uniform(eps)
+    if not near:
+        return near, "direct", None, (law.cumulative, law.total)
+    if not coin:
+        return near, "excess", None, law.excess(eps)
+    if proposal not in regular_set:
+        return near, "fresh", proposal, None
+    uniform_set = set(proposals[:t])
+    only_regular = sorted(regular_set - uniform_set)
+    only_uniform = sorted(uniform_set - regular_set)
+    return near, "mapped", only_uniform[only_regular.index(proposal)], None
 
 
 def _run_coupling(config: CouplingConfig, stream: Pcg64Stream) -> CouplingTrace:
@@ -271,49 +258,32 @@ def _run_coupling(config: CouplingConfig, stream: Pcg64Stream) -> CouplingTrace:
             law = node.law
         else:
             regular_graph = OrderedHypergraph._from_canonical(n, k, regular_seq)
-            if t < cut:
+        if t < cut:
+            if not exact:
                 with stream.handoff() as gen:
                     law = _estimate_law(regular_graph, params,
                                         config.mc_trials, gen)
-        proposal: Edge | None = None
-        coin: int | None = None
-        near: bool | None = None
-        if t < cut:
-            proposal = proposals[t]
-            coin = coins[t]
-            near = law.near_uniform(eps)
+            proposal, coin = proposals[t], coins[t]
+            near, branch, exposed, draw = coupling_step(
+                law, eps, proposal, coin, regular_set, proposals, t)
+            near_all &= near
+            if coin:
+                accepted.append(proposal)
+        else:
+            proposal = coin = near = exposed = draw = None
+            branch = "tail"
 
-        excess: Edge | None = None
-        if t >= cut or not near:
-            branch = "tail" if t >= cut else "direct"
-            if exact:
-                exposed = law.support[_draw_cumulative(law.cumulative,
-                                                       law.total, stream)]
+        if exposed is None:
+            if exact or branch == "excess":
+                # a tail step has no draw of its own: it takes the state's law
+                cumulative, total = draw or (law.cumulative, law.total)
+                exposed = law.support[_draw_cumulative(cumulative, total,
+                                                       stream)]
             else:
                 # mc mode realizes the law without estimating it: the next
                 # edge of one sampled completion
                 with stream.handoff() as gen:
                     exposed = sample_regular(regular_graph, params, gen)[t]
-        elif coin == 1 and proposal not in regular_set:
-            branch = "fresh"
-            exposed = proposal
-        elif coin == 1:
-            # proposal already exposed on the regular side: map it through the
-            # order-preserving bijection between the symmetric differences
-            uniform_set = set(proposals[:t])
-            only_regular = sorted(regular_set - uniform_set)
-            only_uniform = sorted(uniform_set - regular_set)
-            exposed = only_uniform[only_regular.index(proposal)]
-            branch = "mapped"
-        else:
-            branch = "excess"
-            exposed = excess = law.support[_draw_cumulative(*law.excess(eps),
-                                                            stream)]
-
-        if t < cut:
-            near_all &= near
-            if coin == 1:
-                accepted.append(proposal)
         if exposed in regular_set:
             raise AssertionError(
                 f"step {t} tried to re-expose {exposed}; conditional law broke"
@@ -322,14 +292,13 @@ def _run_coupling(config: CouplingConfig, stream: Pcg64Stream) -> CouplingTrace:
         regular_set.add(exposed)
         if exact and t + 1 < params.M:
             node = tree.child(node, exposed)
-        if t < cut and near and coin == 1:
+        if near and coin:
             # the step-level guarantee: an accepted proposal under a
             # near-uniform verdict is on the regular side immediately after
             assert proposal in regular_set
         steps.append(CouplingStep(
             index=t, uniform_edge=proposal, coin=coin, near_uniform=near,
-            certain=exact, branch=branch, exposed_edge=exposed,
-            excess_edge=excess,
+            branch=branch, exposed_edge=exposed,
         ))
 
     m = config.m

@@ -469,7 +469,7 @@ def _run_oracle_dump(cfg: ExperimentConfig):
     rows: list[tuple] = [("edge", "completions", "probability")]
     law = None
     if fam.admissible and len(base) < params.M:
-        law = fam.state(fam.base, len(base))
+        law = fam.state(fam.base)
         for e, w in zip(law.support, law.weights):
             pr = Fraction(w, law.total)
             rows.append(("-".join(map(str, e)), w,

@@ -20,7 +20,8 @@ from itertools import combinations, permutations
 
 from .core import DomainError, Edge, Hypergraph, OrderedHypergraph, Params
 from .oracle import node_budget
-from .samplers import RngStream, as_generator, sample_regular
+from .samplers import (RngStream, _numpy_generator, as_generator,
+                       sample_regular, trial_seed_words)
 from .stats import wilson_interval
 
 
@@ -268,11 +269,13 @@ def hamiltonicity_sweep(n: int, k: int, ell: int, d_values: list[int],
     for d in d_values:
         params = Params(n, k, d)
         found = none = unknown = 0
-        for i in range(trials):
-            if isinstance(rng, RngStream):
-                gen = rng.child(d, i).generator()
-            else:
-                gen = as_generator(rng)
+        if isinstance(rng, RngStream):
+            # trial i draws from the stream rng.child(d, i)
+            gens = map(_numpy_generator,
+                       trial_seed_words(rng.seed, trials, rng.path + (d,)))
+        else:
+            gens = [as_generator(rng)] * trials
+        for gen in gens:
             R = sample_regular(OrderedHypergraph(n, k), params, gen)
             res = find_hamilton_cycle(R.as_hypergraph(), ell, budget)
             if res.status == FOUND:

@@ -314,11 +314,11 @@ class ExtensionFamily:
             rows = self.with_column(self.pool.column(e), rows)
         return rows
 
-    def state(self, edges: frozenset[Edge], t: int) -> StateLaw:
-        """Exact next-edge law at the prefix state `edges` (t edges, the
-        base among them), filtered afresh from every listed completion; the
-        coupling walks a `PrefixTree` instead."""
-        params = self.params
+    def state(self, edges: frozenset[Edge]) -> StateLaw:
+        """Exact next-edge law at the prefix state `edges` (the base among
+        them), filtered afresh from every listed completion; the coupling
+        walks a `PrefixTree` instead."""
+        params, t = self.params, len(edges)
         if t >= params.M:
             raise DomainError("prefix already has M edges; no next edge exists")
         rows = self.rows_with(edges)
@@ -769,7 +769,7 @@ def exact_next_edge_distribution(G: OrderedHypergraph,
     each tail edge first equally often.  The values sum to 1 exactly.
     """
     fam = extension_family(G, params)
-    return fam.state(fam.base, len(G)).distribution()
+    return fam.state(fam.base).distribution()
 
 
 @dataclass

@@ -173,7 +173,7 @@ def test_criterion_04_coupling_marginal(coupling_pool):
                     key=lambda kv: -sum(kv[1].values()))[:10]
     pvals = []
     for (t, state), counts in ranked:
-        sl = law.state(state, t)
+        sl = law.state(state)
         dist = sl.distribution()
         nobs = sum(counts.values())
         expected = np.array([float(dist[e]) * nobs for e in sl.support])

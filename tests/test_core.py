@@ -141,6 +141,14 @@ def switching_request_checks(source: str) -> list[str]:
         source, lambda node: refuses(node) or tests_kind(node))
 
 
+def near_uniformity_verdicts(source: str) -> list[str]:
+    """The definitions holding a call `<law>.near_uniform(...)`: a verdict
+    of a coupled step."""
+    return definitions_holding(source, lambda node: (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "near_uniform"))
+
+
 class TestEdgePool:
     """`core.edge_pool` is the one numbering of the possible edges: every
     module reads pool columns through it."""
@@ -405,3 +413,30 @@ class TestSerialization:
     def test_unordered_serializes_sorted(self):
         g = Hypergraph(4, 2, [(3, 4), (1, 2)])
         assert format_edge_list(g).splitlines()[1:] == ["1 2", "3 4"]
+
+
+class TestOneCouplingStep:
+    """`coupling.coupling_step` is the one resolution of a coupled step: no
+    other definition asks a law for its near-uniformity verdict."""
+
+    def test_only_the_step_decides_near_uniformity(self):
+        found = [f"{path.name}: {where}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for where in near_uniformity_verdicts(path.read_text())]
+        assert found == ["coupling.py: coupling_step"]
+
+    def test_finder_sees_a_planted_second_verdict(self):
+        # the deleted check's verdict, the trace loop's inlined one, and two
+        # look-alikes: the definition itself and a bare name
+        source = (
+            "def check_near_uniformity(G, epsilon, params):\n"
+            "    law = fam.state(fam.base)\n"
+            "    return law.near_uniform(_exact_ratio(epsilon, params.M))\n"
+            "class StateLaw:\n"
+            "    def near_uniform(self, eps):\n"
+            "        return near_uniform(self, eps)\n"
+            "def _run_coupling(config, stream):\n"
+            "    for t in range(M):\n"
+            "        near = node.law.near_uniform(eps)\n")
+        assert near_uniformity_verdicts(source) == [
+            "check_near_uniformity", "_run_coupling"]

@@ -15,7 +15,6 @@ from hypercouple import (
     Params,
     RngStream,
     accepted_size_diagnostics,
-    check_near_uniformity,
     choose_epsilon,
     count_extensions,
     default_gnp_probability,
@@ -26,13 +25,14 @@ from hypercouple import (
     sample_gnm,
 )
 from hypercouple import coupling, oracle
-from hypercouple.coupling import BRANCHES, _draw_cumulative
+from hypercouple.coupling import BRANCHES, _draw_cumulative, coupling_step
 from hypercouple.oracle import (
     PrefixTree,
     StateLaw,
     extension_family,
     prefix_tree,
 )
+from hypercouple.core import edge_pool
 from hypercouple.stats import tv_distance_uniform
 
 N6 = Params(6, 3, 2)
@@ -116,14 +116,14 @@ class TestExactLaw:
     def test_state_law_matches_oracle_distribution(self):
         law = extension_family(OrderedHypergraph(6, 3), N6)
         g = OrderedHypergraph(6, 3, [(1, 2, 3)])
-        state = law.state(frozenset(g.edge_set), 1)
+        state = law.state(frozenset(g.edge_set))
         oracle_law = exact_next_edge_distribution(g, N6)
         assert state.distribution() == oracle_law
         assert state.total == sum(state.weights)
 
     def test_min_ratio_is_worst_edge_over_uniform(self):
         law = extension_family(OrderedHypergraph(6, 3), N6)
-        state = law.state(frozenset({(1, 2, 3)}), 1)
+        state = law.state(frozenset({(1, 2, 3)}))
         oracle_law = exact_next_edge_distribution(
             OrderedHypergraph(6, 3, [(1, 2, 3)]), N6)
         absent = len(oracle_law)
@@ -132,12 +132,12 @@ class TestExactLaw:
 
     def test_near_uniformity_verdict_matches_exact_ratio(self):
         g = OrderedHypergraph(6, 3, [(1, 2, 3)])
-        chk = check_near_uniformity(g, 0.25, N6)
+        fam = extension_family(g, N6)
+        state = fam.state(fam.base)
         law = exact_next_edge_distribution(g, N6)
-        ratio = float(min(law.values()) * len(law))
-        assert chk.certain
-        assert chk.min_ratio == pytest.approx(ratio)
-        assert chk.holds == (ratio >= 0.75 - 1e-12)
+        ratio = min(law.values()) * len(law)
+        assert state.min_ratio == ratio
+        assert state.near_uniform(Fraction(1, 4)) == (ratio >= Fraction(3, 4))
 
 
 class TestBoundaryVerdict:
@@ -164,21 +164,16 @@ class TestBoundaryVerdict:
 
         monkeypatch.setattr(coupling, "sample_regular", stub)
 
-    @pytest.mark.parametrize("eps", [1 / 7, Fraction(1, 7)])
-    def test_mc_check_holds_at_the_boundary(self, scripted_first_edges, eps):
-        chk = check_near_uniformity(OrderedHypergraph(7, 3), eps, self.P733,
-                                    p_mode="mc", mc_trials=245,
-                                    rng=np.random.default_rng(0))
-        assert chk.min_ratio == Fraction(6, 7)
-        assert chk.holds and not chk.certain
-        assert chk.worst_edge == (1, 2, 3)
-
+    @pytest.mark.parametrize("gamma", [0.5714285714285714, Fraction(4, 7)],
+                             ids=["float", "fraction"])
     def test_mc_trace_verdict_holds_at_the_boundary(self,
-                                                    scripted_first_edges):
-        c = cfg(self.P733, Fraction(4, 7), p_mode="mc", mc_trials=245)
+                                                    scripted_first_edges,
+                                                    gamma):
+        c = cfg(self.P733, gamma, p_mode="mc", mc_trials=245)
         tr = run_coupling(c, np.random.default_rng(0))
         assert tr.steps[0].near_uniform is True
         assert c.epsilon == Fraction(1, 7)
+        assert not tr.certain
 
 
 def _all_state_laws(params):
@@ -252,7 +247,7 @@ class TestIntegerVerdict:
             shallow = len(key) <= 1
             if shallow:  # tie the listing above to the family's laws
                 edges = frozenset(pool[i] for i in key)
-                assert law == fam.state(edges, len(edges))
+                assert law == fam.state(edges)
             for eps, keep in epsilons:
                 holds += self.check(law, eps, keep, undefined_excess=shallow)
             seen += 1
@@ -370,7 +365,7 @@ class TestPrefixTree:
                        for v in vars(tree).values())
         edges = [(1, 4, 5), (2, 4, 6), (3, 6, 7)]
         law = extension_family(OrderedHypergraph(7, 3), self.P733).state(
-            frozenset(edges), 3)
+            frozenset(edges))
         reads = []
         for name in ("with_column", "column_sums"):
             real = getattr(oracle.ExtensionFamily, name)
@@ -421,7 +416,7 @@ class TestPrefixTree:
             node, ref = tree.root, reference.root
             for t in range(self.P733.M):
                 assert node.law == ref.law == fam.state(
-                    frozenset(order[:t]), t)
+                    frozenset(order[:t]))
                 if t + 1 < self.P733.M:
                     node = tree.child(node, order[t])
                     ref = reference.child(ref, order[t])
@@ -432,6 +427,79 @@ class TestPrefixTree:
             # cut back to the root whenever one more law would pass the cap
             assert tree._weights <= max(weights, self.P733.complete_count)
         oracle.prefix_tree.cache_clear()
+
+
+class TestLocalIdentity:
+    """At every coupled step of sampled traces, the edge `coupling_step`
+    exposes has the law of the regular side's state: coin 1 weighs
+    (1 - eps), coin 0 eps, and each of the C - t proposals outside U weighs
+    1/(C - t)."""
+
+    @staticmethod
+    def exposed_law(law, eps, regular_set, proposals, t, pool):
+        """The exposed edge's exact law over every proposal outside U and
+        both coins, and the set of branches taken."""
+        outside = [e for e in pool if e not in set(proposals[:t])]
+        assert len(outside) == len(pool) - t
+        exposed = {}
+        draws = {}  # each integer law drawn from, with its total weight
+        branches = set()
+        for coin, weight in ((1, 1 - eps), (0, eps)):
+            weight /= len(outside)
+            for proposal in outside:
+                near, branch, edge, draw = coupling_step(
+                    law, eps, proposal, coin, regular_set, proposals, t)
+                assert near == law.near_uniform(eps)
+                branches.add(branch)
+                if edge is None:
+                    draws[draw] = draws.get(draw, 0) + weight
+                else:
+                    exposed[edge] = exposed.get(edge, 0) + weight
+        for (cumulative, total), weight in draws.items():
+            for e, c, prev in zip(law.support, cumulative, (0,) + cumulative):
+                exposed[e] = exposed.get(e, 0) + weight * Fraction(c - prev,
+                                                                   total)
+        return exposed, branches
+
+    # these (7,3,3) traces are near-uniform only at the empty prefix, where
+    # R = U = {}, so no proposal there is mapped
+    @pytest.mark.parametrize("params,gamma,traces,pairs,near,mapped", [
+        (N6, Fraction(3, 4), 300, 900, 347, True),
+        (Params(7, 3, 3), Fraction(4, 7), 200, 1200, 200, False),
+        (Params(9, 3, 2), Fraction(1, 2), 100, 500, 106, True),
+        (Params(8, 2, 3), Fraction(1, 2), 100, 1000, 103, True)])
+    def test_exposed_edge_law_is_the_state_law(self, params, gamma, traces,
+                                               pairs, near, mapped):
+        c = cfg(params, gamma)
+        eps, tree = c.epsilon, prefix_tree(params)
+        pool = edge_pool(params.n, params.k).edges
+        seen_pairs = seen_near = 0
+        branches = set()
+        for rng in RngStream.trials(23, traces):
+            tr = run_coupling(c, rng)
+            order, proposals = tr.regular_final.edges, tr.uniform_final.edges
+            node = tree.root
+            for t in range(c.coupled_steps):
+                regular_set = set(order[:t])
+                law, step = node.law, tr.steps[t]
+                # the trace's own step is this resolution
+                near_t, branch, edge, _ = coupling_step(
+                    law, eps, step.uniform_edge, step.coin, regular_set,
+                    proposals, t)
+                assert (near_t, branch) == (step.near_uniform, step.branch)
+                assert edge in (None, step.exposed_edge)
+                exposed, taken = self.exposed_law(law, eps, regular_set,
+                                                  proposals, t, pool)
+                assert set(exposed) <= set(law.support)
+                assert {e: exposed.get(e, 0)
+                        for e in law.support} == law.distribution()
+                branches |= taken
+                seen_pairs += 1
+                seen_near += near_t
+                node = tree.child(node, order[t])
+        assert (seen_pairs, seen_near) == (pairs, near)
+        assert branches == {"fresh", "excess", "direct"} | (
+            {"mapped"} if mapped else set())
 
 
 class TestTraces:

@@ -61,6 +61,12 @@ GOLDEN = {
         ["oracle-dump", "--n", "6", "--k", "3", "--d", "2"],
         "320ed8c2baf27969d1ceed1a5e086301ded52d6b9ff4a75c8b1b18b0b09d067f",
         "379bfb7bdd51aad11dc52444092753f8fc8589c9ea95e4baa934f126b20785b9"),
+    # p_hat(2) = 0.625 at seed 11, so a moved stream shows
+    "hamilton-sweep": (
+        ["hamilton-sweep", "--n", "8", "--k", "2", "--ell", "1",
+         "--d-list", "2,3", "--trials", "8"],
+        "63cb343b28ee52e6705bf5e653816de747b8bde4ea820c93ef1a0f544167f082",
+        "f999df0cd680d196ab60e3493f5680e05496bb24125cdfa920d19b169c3925dd"),
 }
 
 

@@ -20,6 +20,7 @@ from hypercouple import (
     sample_regular,
     verify_cycle,
 )
+from hypercouple import hamilton
 from hypercouple.core import OrderedHypergraph
 
 
@@ -160,6 +161,23 @@ class TestSweep:
             assert 0.0 <= p.ci_lo <= p.p_hat <= p.ci_hi <= 1.0
         assert pts[0].p_hat < 0.2
         assert pts[-1].p_hat > 0.9
+
+    def test_trial_i_draws_the_stream_of_child_d_i(self, monkeypatch):
+        # the bulk seeding below a nested path gives each trial the stream
+        # rng.child(d, i), as seeding every trial on its own does
+        rng = RngStream(16, (2, 5))
+        drawn = []
+
+        def spy(G, params, gen):
+            drawn.append(sample_regular(G, params, gen))
+            return drawn[-1]
+
+        monkeypatch.setattr(hamilton, "sample_regular", spy)
+        hamiltonicity_sweep(8, 2, 1, [2, 3], 6, rng)
+        assert drawn == [
+            sample_regular(OrderedHypergraph(8, 2), Params(8, 2, d),
+                           rng.child(d, i).generator())
+            for d in (2, 3) for i in range(6)]
 
     def test_budget_starved_sweep_reports_unknown(self):
         pts = hamiltonicity_sweep(8, 3, 2, [15], 5, RngStream(15), budget=1)

@@ -229,7 +229,7 @@ class TestFamilyAgainstCounter:
         p = Params(*nkd)
         g = OrderedHypergraph(p.n, p.k, edges)
         law = extension_family(empty(p.n, p.k), p).state(
-            frozenset(g.edge_set), len(g))
+            frozenset(g.edge_set))
         expected = [count_extensions(with_edges(g, [e]), p).unordered_count
                     for e in law.support]
         assert list(law.weights) == expected
@@ -237,7 +237,7 @@ class TestFamilyAgainstCounter:
                              * (p.M - len(g)))
         # the prefix's own family gives the same law
         own = extension_family(g, p)
-        assert own.state(own.base, len(g)) == law
+        assert own.state(own.base) == law
 
     @pytest.mark.parametrize("nkd,edges",
                              PREFIXES + [((9, 3, 2), [(3, 4, 5)])])
@@ -259,7 +259,7 @@ class TestFamilyAgainstCounter:
     def test_inadmissible_prefix_has_weight_zero(self):
         p = Params(6, 3, 2)
         g = OrderedHypergraph(6, 3, [(1, 2, 3), (1, 4, 5)])
-        law = extension_family(g, p).state(frozenset(g.edge_set), 2)
+        law = extension_family(g, p).state(frozenset(g.edge_set))
         # vertex 1 is full, so every edge through it completes nothing
         through_1 = [w for e, w in zip(law.support, law.weights) if 1 in e]
         assert through_1 and not any(through_1)
@@ -268,7 +268,7 @@ class TestFamilyAgainstCounter:
         assert count_extensions(bad, p).unordered_count == 0
         assert len(fam.rows_with(bad.edge_set)) == 0
         with pytest.raises(DomainError):
-            fam.state(frozenset(bad.edge_set), len(bad))
+            fam.state(frozenset(bad.edge_set))
 
     def test_rows_with_matches_counter_on_every_pair(self):
         p = Params(6, 3, 2)
@@ -338,7 +338,7 @@ class TestColumnReads:
         # column lookup names the edge for every read that takes one
         fam = extension_family(OrderedHypergraph(9, 3, [(3, 4, 5)]), self.P)
         reads = (lambda: fam.rows_with({edge}), lambda: fam.holds(edge),
-                 lambda: fam.state(fam.base | {edge}, 2),
+                 lambda: fam.state(fam.base | {edge}),
                  lambda: fam.pool.column(edge))
         for read in reads:
             with pytest.raises(DomainError, match=re.escape(str(edge))):
