@@ -436,6 +436,8 @@ def _run_hamilton_sweep(cfg: ExperimentConfig):
     n, k, ell = o["n"], o["k"], o["ell"]
     _check_cycle_shape(n, k, ell)
     d_values = o["d_values"]
+    if len(set(d_values)) < len(d_values):  # one p_hat entry per degree
+        raise DomainError(f"--d-list repeats a degree: {list(d_values)}")
     for d in d_values:
         Params(n, k, d)
     budget = o.get("node_budget")
@@ -598,14 +600,18 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     default="csv")
 
 
+def _ints_arg(raw: str) -> tuple[int, ...]:
+    # "1,2,3" -> (1, 2, 3)
+    try:
+        return tuple(int(x) for x in raw.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {raw!r}") from None
+
+
 def _edges_arg(raw: str) -> list[tuple[int, ...]]:
     # "1,2,3;2,4,6" -> [(1,2,3), (2,4,6)]
-    out = []
-    for part in raw.split(";"):
-        part = part.strip()
-        if part:
-            out.append(tuple(int(x) for x in part.split(",")))
-    return out
+    return [_ints_arg(part) for part in raw.split(";") if part.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -657,9 +663,10 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=SWITCHING_KINDS)
     sp.add_argument("--u", type=int, default=0)
     sp.add_argument("--v", type=int, default=0)
-    sp.add_argument("--edge", type=str, default=None,
+    sp.add_argument("--edge", type=_ints_arg, default=None,
                     help="comma-separated vertices for remove_edge")
-    sp.add_argument("--base", type=str, default=None,
+    sp.add_argument("--base", dest="base_edges", type=_edges_arg,
+                    default=None,
                     help="semicolon-separated base edges, e.g. '1,2,3;2,3,4'")
     _add_common(sp)
 
@@ -667,8 +674,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--d-list", dest="d_list", required=True,
-                    help="comma-separated degrees")
+    sp.add_argument("--d-list", dest="d_values", type=_ints_arg,
+                    required=True, help="comma-separated degrees")
     sp.add_argument("--node-budget", dest="node_budget", type=int,
                     default=None)
     _add_common(sp)
@@ -677,7 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--base", type=str, default=None)
+    sp.add_argument("--base", dest="base_edges", type=_edges_arg,
+                    default=None)
     _add_common(sp)
 
     sp = sub.add_parser("validate-params", help="gamma/epsilon advisory")
@@ -692,24 +700,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(argv: list[str]) -> ExperimentConfig:
-    ns = build_parser().parse_args(argv)
-    opts = {}
-    for key in ("model", "n", "k", "d", "m", "p", "gamma", "epsilon",
-                "p_mode", "emit_traces", "a", "switch_kind", "u", "v", "ell",
-                "node_budget", "C"):
-        if hasattr(ns, key) and getattr(ns, key) is not None:
-            opts[key] = getattr(ns, key)
-    if getattr(ns, "edge", None):
-        opts["edge"] = tuple(int(x) for x in ns.edge.split(","))
-    if getattr(ns, "base", None):
-        opts["base_edges"] = _edges_arg(ns.base)
-    if getattr(ns, "d_list", None):
-        opts["d_values"] = [int(x) for x in ns.d_list.split(",")]
-    trials = ns.trials
-    if getattr(ns, "traces", None) is not None:
-        trials = ns.traces
-    return ExperimentConfig(kind=ns.kind, seed=ns.seed, trials=trials,
-                            jobs=ns.jobs, out=ns.out, fmt=ns.fmt, options=opts)
+    opts = vars(build_parser().parse_args(argv))
+    common = {key: opts.pop(key)
+              for key in ("kind", "seed", "trials", "jobs", "out", "fmt")}
+    traces = opts.pop("traces", None)
+    if traces is not None:
+        common["trials"] = traces
+    return ExperimentConfig(**common, options={
+        key: value for key, value in opts.items() if value is not None})
 
 
 def main(argv: list[str] | None = None) -> int:

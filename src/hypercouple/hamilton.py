@@ -20,8 +20,7 @@ from itertools import combinations, permutations
 
 from .core import DomainError, Edge, Hypergraph, OrderedHypergraph, Params
 from .oracle import node_budget
-from .samplers import (RngStream, _numpy_generator, as_generator,
-                       sample_regular, trial_seed_words)
+from .samplers import RngStream, sample_regular
 from .stats import wilson_interval
 
 
@@ -256,27 +255,23 @@ class SweepPoint:
 
 
 def hamiltonicity_sweep(n: int, k: int, ell: int, d_values: list[int],
-                        trials: int, rng,
+                        trials: int, rng: RngStream,
                         budget: int | None = None) -> list[SweepPoint]:
     """Empirical ell-Hamiltonicity of R(n,d) across degrees.
 
-    Per d: sample `trials` regular graphs and run the finder; p_hat counts
-    found over all trials (unknowns reported, not folded into none) with a
-    Wilson 95% interval.
+    Per d: sample `trials` regular graphs, trial i from the stream
+    rng.child(d, i), and run the finder; p_hat counts found over all trials
+    (unknowns reported, not folded into none) with a Wilson 95% interval.
     """
     _check_cycle_shape(n, k, ell)
+    if not isinstance(rng, RngStream):
+        raise DomainError(f"rng must be an RngStream, got {type(rng).__name__}")
     points = []
     for d in d_values:
         params = Params(n, k, d)
         found = none = unknown = 0
-        if isinstance(rng, RngStream):
-            # trial i draws from the stream rng.child(d, i)
-            gens = map(_numpy_generator,
-                       trial_seed_words(rng.seed, trials, rng.path + (d,)))
-        else:
-            gens = [as_generator(rng)] * trials
-        for gen in gens:
-            R = sample_regular(OrderedHypergraph(n, k), params, gen)
+        for stream in RngStream.trials(rng.seed, trials, rng.path + (d,)):
+            R = sample_regular(OrderedHypergraph(n, k), params, stream)
             res = find_hamilton_cycle(R.as_hypergraph(), ell, budget)
             if res.status == FOUND:
                 found += 1

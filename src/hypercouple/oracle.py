@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
-from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -48,9 +47,6 @@ from .core import (
 
 DEFAULT_NODE_BUDGET = 100_000_000
 ENV_NODE_BUDGET = "HYPERCOUPLE_NODE_BUDGET"
-
-T = TypeVar("T")
-
 
 class OracleBudgetError(RuntimeError):
     """Enumeration exceeded its node budget; no silent truncation."""
@@ -78,25 +74,6 @@ def node_budget(override: int | None = None) -> int:
             raise DomainError(f"bad {ENV_NODE_BUDGET}={raw!r}")
         return value
     return DEFAULT_NODE_BUDGET
-
-
-EXACT_MODES = ("auto", "never", "require")
-
-
-def exact_or_none(exact: str, compute: Callable[[], T]) -> T | None:
-    """The exact value `compute()` under exact='auto' or 'require', None
-    under 'never'.  An exhausted node budget gives None under 'auto' and
-    raises under 'require'; any other `exact=` value is rejected."""
-    if exact not in EXACT_MODES:
-        raise DomainError(f"exact must be one of {EXACT_MODES}, got {exact!r}")
-    if exact == "never":
-        return None
-    try:
-        return compute()
-    except OracleBudgetError:
-        if exact == "require":
-            raise
-        return None
 
 
 KINDS = ("remove_edge", "pair_degree", "codegree")
@@ -550,32 +527,20 @@ def count_extensions(G: OrderedHypergraph, params: Params,
     )
 
 
-@dataclass(frozen=True)
-class _FamilyKey:
-    params: Params
-    edges: frozenset[Edge]
-    # used only to build a missing family: a cache hit walks no nodes
-    budget: int | None = field(compare=False)
-
-
 # a few prefixes at a time: the oracles need one family per prefix under
 # study (the coupling walks a `PrefixTree` instead)
 @lru_cache(maxsize=8)
-def _cached_family(key: _FamilyKey) -> ExtensionFamily:
-    g = OrderedHypergraph._from_canonical(key.params.n, key.params.k,
-                                          sorted(key.edges))
-    return count_extensions(g, key.params, list_completions=True,
-                            budget=key.budget)
+def _cached_family(params: Params, edges: frozenset[Edge]) -> ExtensionFamily:
+    g = OrderedHypergraph._from_canonical(params.n, params.k, sorted(edges))
+    return count_extensions(g, params, list_completions=True)
 
 
-def extension_family(G: OrderedHypergraph, params: Params,
-                     budget: int | None = None) -> ExtensionFamily:
+def extension_family(G: OrderedHypergraph, params: Params) -> ExtensionFamily:
     """The listed completion family of prefix G, enumerated once per
-    (n, k, d, edge set) and kept in a bounded least-recently-used cache;
-    `budget` is charged only when the family is built."""
+    (n, k, d, edge set) and kept in a bounded least-recently-used cache."""
     if G.n != params.n or G.k != params.k:
         raise DomainError("graph and params disagree on (n, k)")
-    return _cached_family(_FamilyKey(params, frozenset(G.edge_set), budget))
+    return _cached_family(params, frozenset(G.edge_set))
 
 
 # bytes of canonical row indices the nodes of one prefix tree hold at once
@@ -796,8 +761,7 @@ class SwitchingClassSizes:
 
 
 def switching_class_sizes(G: OrderedHypergraph, u: int, v: int, kind: str,
-                          params: Params,
-                          budget: int | None = None) -> SwitchingClassSizes:
+                          params: Params) -> SwitchingClassSizes:
     """Stratify the extension family of G by a pair statistic at (u, v).
 
     kind "pair_degree" counts completion edges containing both u and v;
@@ -805,7 +769,7 @@ def switching_class_sizes(G: OrderedHypergraph, u: int, v: int, kind: str,
     W+{v} in H\\G.
     """
     switching_target(kind, params.n, params.k, pair=(u, v))
-    fam = extension_family(G, params, budget)
+    fam = extension_family(G, params)
     orderings = math.factorial(params.M - len(G))
     pool, tails = fam.pool, fam.tails
     has_u = (pool.vertices == u).any(axis=1)

@@ -77,15 +77,18 @@ class RngStream:
         object.__setattr__(self, "path", path)
 
     @classmethod
-    def trials(cls, seed: int, count: int) -> list["RngStream"]:
-        """The streams (seed, (i,)) of trials i = 0..count-1, seeded in bulk
-        by `trial_seed_words`.  The seed is checked once, so the streams are
-        filled in directly rather than each through `__init__`."""
-        seed, _ = _check_seed(seed, ())
+    def trials(cls, seed: int, count: int,
+               path: tuple[int, ...] = ()) -> list["RngStream"]:
+        """The streams (seed, path + (i,)) of trials i = 0..count-1, seeded
+        in bulk by `trial_seed_words`.  Seed and path are checked once, so
+        the streams are filled in directly rather than each through
+        `__init__`."""
+        seed, path = _check_seed(seed, path)
         streams = []
-        for i, words in enumerate(trial_seed_words(seed, count).tolist()):
+        for i, words in enumerate(trial_seed_words(seed, count, path).tolist()):
             stream = object.__new__(cls)
-            stream.__dict__.update(seed=seed, path=(i,), _words=tuple(words))
+            stream.__dict__.update(seed=seed, path=path + (i,),
+                                   _words=tuple(words))
             streams.append(stream)
         return streams
 
@@ -616,11 +619,21 @@ def simplicity_probability(G: OrderedHypergraph, params: Params, trials: int,
                            rng, exact: str = "auto",
                            exact_budget: int = 2_000_000) -> SimplicityEstimate:
     """Estimate P(configuration draw simple); attach the exact value when the
-    instance is small enough to count (exact='auto'|'never'|'require')."""
+    instance is small enough to count.  exact='auto' counts within
+    `exact_budget` nodes and attaches None when the budget runs out,
+    'require' raises then, and 'never' does not count."""
     if trials < 1:
         raise DomainError("trials must be positive")
-    value = oracle.exact_or_none(exact, lambda: exact_simplicity_from_count(
-        G, params, budget=exact_budget))
+    modes = ("auto", "never", "require")
+    if exact not in modes:
+        raise DomainError(f"exact must be one of {modes}, got {exact!r}")
+    value = None
+    if exact != "never":
+        try:
+            value = exact_simplicity_from_count(G, params, budget=exact_budget)
+        except oracle.OracleBudgetError:
+            if exact == "require":
+                raise
     _, successes, _ = _configuration_rejection(G, params, as_generator(rng),
                                                trials, first=False)
     p_hat = successes / trials

@@ -231,30 +231,6 @@ def iter_backward_moves(Hp: AnyGraph, G: AnyGraph, kind: str, *,
     def row_ok(row: tuple[int, ...]) -> bool:  # rows 2..k are increasing
         return row not in hp_set
 
-    def emit(rows: tuple[tuple[int, ...], ...],
-             anchor: Edge | None) -> tuple[Hypergraph, SwitchingMove]:
-        move = SwitchingMove(rows=rows, anchor=anchor)
-        source = Hypergraph(Hp.n, Hp.k)
-        source._edges = (hp_set - set(move.added)) | set(move.removed)
-        if __debug__:
-            assert apply_switch(source, move).edge_set == hp_set
-        return source, move
-
-    if kind == "pair_degree":
-        u, v = target
-        cu = [g for g in pool if u in g and v not in g]
-        cv = [g for g in pool if v in g and u not in g]
-        rest = [g for g in pool if u not in g and v not in g]
-        for gu in cu:
-            for gv in cv:
-                if set(gu) & set(gv):
-                    continue
-                blocked = set(gu) | set(gv)
-                for others in _iter_disjoint_sets(rest, Hp.k - 2, blocked):
-                    yield from _pair_degree_reconstructions(
-                        gu, gv, others, u, v, row_ok, emit)
-        return
-
     # column j is a pool edge meeting row 1 at its j-th vertex alone; the
     # anchor stays in both graphs, so it is no column
     for row1, anchor in _iter_row_ones(kind, target, Hp.n, Hp.k):
@@ -266,7 +242,11 @@ def iter_backward_moves(Hp: AnyGraph, G: AnyGraph, kind: str, *,
         for cols in _iter_column_choices(candidates):
             rems = tuple(frozenset(set(c) - {x}) for c, x in zip(cols, row1))
             for partition in _iter_increasing_partitions(rems, row_ok):
-                source, move = emit((row1,) + partition, anchor)
+                move = SwitchingMove(rows=(row1,) + partition, anchor=anchor)
+                source = Hypergraph(Hp.n, Hp.k)
+                source._edges = (hp_set - set(move.added)) | set(move.removed)
+                if __debug__:
+                    assert apply_switch(source, move).edge_set == hp_set
                 if anchor is None or not _barred(move, target[0],
                                                  source.edge_set):
                     yield source, move
@@ -287,32 +267,6 @@ def _iter_column_choices(candidates: list[list[Edge]],
         if blocked & gs:
             continue
         yield from _iter_column_choices(candidates, chosen + (g,), blocked | gs)
-
-
-def _pair_degree_reconstructions(gu: Edge, gv: Edge, others: tuple[Edge, ...],
-                                 u: int, v: int, row_ok, emit) -> Iterator:
-    """Rebuild row 1 through (u, v), order the columns by it, then partition
-    the leftovers into increasing rows."""
-    free_cols = list(others)
-
-    def choose_free(idx: int, picks: tuple[int, ...]) -> Iterator:
-        if idx == len(free_cols):
-            yield picks
-            return
-        for x in free_cols[idx]:
-            yield from choose_free(idx + 1, picks + (x,))
-
-    for picks in choose_free(0, ()):
-        row1 = tuple(sorted((u, v) + picks))
-        if not row_ok(row1):
-            continue
-        carrier = {u: gu, v: gv}
-        for x, col in zip(picks, free_cols):
-            carrier[x] = col
-        ordered_cols = tuple(carrier[x] for x in row1)
-        rems = tuple(frozenset(set(c) - {x}) for c, x in zip(ordered_cols, row1))
-        for partition in _iter_increasing_partitions(rems, row_ok):
-            yield emit((row1,) + partition, None)
 
 
 # ------------------------------------------------------------ class counts --

@@ -141,6 +141,25 @@ def switching_request_checks(source: str) -> list[str]:
         source, lambda node: refuses(node) or tests_kind(node))
 
 
+MOVE_ITERATORS = ("iter_forward_moves", "iter_backward_moves")
+
+
+def kind_branches(source: str) -> list[str]:
+    """The definitions inside a move iterator holding a comparison of `kind`
+    with a literal other than "remove_edge" (whose presence rule is the one
+    kind-specific step): a second loop for one kind."""
+    def branches(node):
+        return (isinstance(node, ast.Compare)
+                and "kind" in {getattr(x, "id", None)
+                               for x in [node.left, *node.comparators]}
+                and any(isinstance(x, ast.Constant)
+                        and x.value != "remove_edge"
+                        for x in ast.walk(node)))
+
+    return [where for where in definitions_holding(source, branches)
+            if where.split(".")[0] in MOVE_ITERATORS]
+
+
 def near_uniformity_verdicts(source: str) -> list[str]:
     """The definitions holding a call `<law>.near_uniform(...)`: a verdict
     of a coupled step."""
@@ -247,6 +266,42 @@ class TestOneSwitchingRequest:
             "iter_forward_moves", "iter_forward_moves", "iter_forward_moves",
             "_counts", "switching_class_sizes", "switching_class_sizes",
             "_run_switching_verify"]
+
+
+class TestOneRowOneLoop:
+    """Each move iterator lists its moves from one loop over the (row 1,
+    anchor) pairs of `_iter_row_ones`, for every kind: the only kind it
+    names is remove_edge, for that kind's presence rule."""
+
+    def test_iterators_branch_on_no_other_kind(self):
+        source = (PACKAGE / "switchings.py").read_text()
+        defined = definitions_holding(source, lambda node: isinstance(
+            node, ast.Name) and node.id == "kind")
+        assert set(MOVE_ITERATORS) <= set(defined)
+        assert kind_branches(source) == []
+
+    def test_finder_sees_the_pair_degree_reconstruction(self):
+        # the branch the shared walk replaced, abridged, and two look-alikes
+        # outside the iterators
+        source = (
+            "def iter_backward_moves(Hp, G, kind, *, edge=None, pair=None):\n"
+            "    if kind == 'remove_edge':\n"
+            "        check_edge_presence(target, False, False, [False])\n"
+            "    def row_ok(row):\n"
+            "        return kind != 'codegree' or row not in hp_set\n"
+            "    if kind == \"pair_degree\":\n"
+            "        u, v = target\n"
+            "        return\n"
+            "    for row1, anchor in _iter_row_ones(kind, target, n, k):\n"
+            "        yield row1\n"
+            "def _iter_row_ones(kind, target, n, k):\n"
+            "    if kind == 'pair_degree':\n"
+            "        return\n"
+            "def _leads(n, k, kind, target):\n"
+            "    if kind in ('pair_degree', 'codegree'):\n"
+            "        return\n")
+        assert kind_branches(source) == ["iter_backward_moves.row_ok",
+                                         "iter_backward_moves"]
 
 
 class TestContainers:

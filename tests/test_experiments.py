@@ -244,6 +244,41 @@ class TestCliBoundary:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["hamilton-sweep", "--n", "8", "--k", "2", "--ell", "1",
+         "--d-list", "a"],
+        ["switching-verify", "--n", "6", "--k", "2", "--d", "2",
+         "--switch-kind", "remove_edge", "--edge", "1,x"],
+        ["oracle-dump", "--n", "6", "--k", "3", "--d", "2",
+         "--base", "1,2;x"],
+    ])
+    def test_malformed_list_flags_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert "expected comma-separated integers" in capsys.readouterr().err
+
+    def test_list_flags_parse_into_options(self):
+        cfg = config_from_args(["oracle-dump", "--n", "6", "--k", "3",
+                                "--d", "2", "--base", "1,2,3; 4,5,6;"])
+        assert cfg.options == {"n": 6, "k": 3, "d": 2,
+                               "base_edges": [(1, 2, 3), (4, 5, 6)]}
+        cfg = config_from_args(["switching-verify", "--n", "6", "--k", "2",
+                                "--d", "2", "--switch-kind", "remove_edge",
+                                "--edge", "2,1"])
+        assert cfg.options["edge"] == (2, 1) and "base_edges" not in cfg.options
+        cfg = config_from_args(["hamilton-sweep", "--n", "8", "--k", "2",
+                                "--ell", "1", "--d-list", "3,2"])
+        assert cfg.options["d_values"] == (3, 2)
+
+    def test_a_repeated_degree_is_refused(self, monkeypatch, capsys):
+        # both copies would run the same streams under one p_hat entry
+        drawn = []
+        monkeypatch.setattr(hamilton, "sample_regular",
+                            lambda *args: drawn.append(args))
+        assert main(["hamilton-sweep", "--n", "8", "--k", "2", "--ell", "1",
+                     "--d-list", "2,3,2"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not drawn
+
     @pytest.mark.parametrize("n,k,ell", [(6, 3, 4), (3, 3, 2)])
     def test_bad_cycle_shape_is_rejected_before_any_sample(
             self, n, k, ell, monkeypatch, capsys):

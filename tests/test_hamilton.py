@@ -179,6 +179,11 @@ class TestSweep:
                            rng.child(d, i).generator())
             for d in (2, 3) for i in range(6)]
 
+    def test_only_an_rng_stream_seeds_a_sweep(self):
+        # a shared Generator would hand every trial one running stream
+        with pytest.raises(DomainError, match="RngStream"):
+            hamiltonicity_sweep(8, 2, 1, [2], 3, RngStream(1).generator())
+
     def test_budget_starved_sweep_reports_unknown(self):
         pts = hamiltonicity_sweep(8, 3, 2, [15], 5, RngStream(15), budget=1)
         assert pts[0].unknown == 5

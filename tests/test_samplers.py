@@ -109,6 +109,15 @@ class TestTrialStreams:
             assert a.random() == b.random()
             assert a.bit_generator.state == b.bit_generator.state
 
+    def test_bulk_streams_below_a_path_are_its_children(self):
+        parent = RngStream(7, (2, 5))
+        streams = RngStream.trials(7, 4, (2, 5, 3))
+        assert streams == [parent.child(3, i) for i in range(4)]
+        assert [s.words for s in streams] == [
+            parent.child(3, i).words for i in range(4)]
+        with pytest.raises(DomainError, match="non-negative"):
+            RngStream.trials(7, 4, (2, -1))
+
     def test_bulk_streams_keep_their_words_through_pickle(self):
         stream = RngStream.trials(5, 4)[3]
         copy = pickle.loads(pickle.dumps(stream))

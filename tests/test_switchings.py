@@ -159,6 +159,45 @@ class TestDoubleCounting:
                                   "pair_degree", pair=(1, 2))
             assert fsum == bsum
 
+    # a move needs k disjoint edges: below n = k^2 both sides must be empty
+    @pytest.mark.parametrize("nkd, base_edges", [
+        ((5, 2, 2), []),
+        ((6, 2, 2), [(1, 2)]),
+        ((7, 2, 2), []),
+        ((8, 2, 2), [(1, 3)]),
+        ((6, 3, 2), []),
+        ((7, 3, 3), [(1, 2, 3), (1, 4, 5)]),
+        ((8, 4, 2), []),
+        ((9, 3, 2), [(1, 4, 5), (6, 7, 8)]),
+    ])
+    @pytest.mark.parametrize("kind, target", [
+        ("pair_degree", {"pair": (1, 2)}),
+        ("codegree", {"pair": (1, 2)}),
+        ("codegree", {"pair": (3, 1)}),
+        ("remove_edge", {}),
+    ])
+    def test_forward_and_backward_moves_are_one_set(self, nkd, base_edges,
+                                                    kind, target):
+        # equal counts cannot see a wrong source whose count happens to
+        # match: each (target, source, move) triple must appear once on
+        # both sides
+        fam, base, graphs = family(*nkd, base_edges=base_edges)
+        if kind == "remove_edge":
+            target = {"edge": tuple(range(2, nkd[1] + 2))}
+        holds = [kind != "remove_edge" or target["edge"] in h.edge_set
+                 for h in graphs]
+        lacks = [kind != "remove_edge" or not x for x in holds]
+        out = [(frozenset(apply_switch(h, move).edge_set),
+                frozenset(h.edge_set), move)
+               for h, x in zip(graphs, holds) if x
+               for move in iter_forward_moves(h, base, kind, **target)]
+        into = [(frozenset(h.edge_set), frozenset(source.edge_set), move)
+                for h, x in zip(graphs, lacks) if x
+                for source, move in iter_backward_moves(h, base, kind,
+                                                        **target)]
+        assert len(set(out)) == len(out) and len(set(into)) == len(into)
+        assert set(out) == set(into)
+
 
 def iterated(graphs, base, kind, forward, **target):
     moves = iter_forward_moves if forward else iter_backward_moves
