@@ -6,6 +6,7 @@ from collections import Counter
 from hypercouple import (
     OrderedHypergraph,
     Params,
+    Pcg64Stream,
     RngStream,
     count_extensions,
     sample_regular,
@@ -18,11 +19,11 @@ TRIALS = 20_000
 def main():
     params = Params(6, 3, 2)
     family = count_extensions(OrderedHypergraph(6, 3), params).unordered_count
-    gen = RngStream(2024).generator()
+    stream = Pcg64Stream.of(RngStream(2024))
 
     counts = Counter()
     for _ in range(TRIALS):
-        g = sample_regular(OrderedHypergraph(6, 3), params, gen)
+        g = sample_regular(OrderedHypergraph(6, 3), params, stream)
         counts[tuple(sorted(g.edge_set))] += 1
 
     tv = tv_distance_uniform(counts, family)
@@ -37,7 +38,7 @@ def main():
     sub = count_extensions(prefix, params).unordered_count
     counts = Counter()
     for _ in range(TRIALS // 4):
-        g = sample_regular(prefix, params, gen)
+        g = sample_regular(prefix, params, stream)
         counts[tuple(sorted(g.edge_set))] += 1
     print(f"\nconditioned on (1,2,3): {sub} completions, "
           f"TV {tv_distance_uniform(counts, sub):.4f}")

@@ -18,9 +18,7 @@ from .core import (
     is_simple,
     make_edge,
     parse_edge_list,
-    read_edge_list,
     residual_degrees,
-    write_edge_list,
 )
 from .oracle import (
     ExtensionFamily,
@@ -41,7 +39,6 @@ from .samplers import (
     Pcg64Stream,
     RejectionBudgetError,
     RngStream,
-    as_generator,
     sample_gnm,
     sample_gnp,
     sample_multi_extension,

@@ -396,13 +396,3 @@ def parse_edge_list(text: str) -> tuple[OrderedHypergraph, int | None]:
             raise DomainError(f"edge line not sorted: {ln!r}")
         g.append(vertices)
     return g, d
-
-
-def write_edge_list(path, G: AnyGraph, d: int | None = None) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_edge_list(G, d=d))
-
-
-def read_edge_list(path) -> tuple[OrderedHypergraph, int | None]:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_edge_list(fh.read())

@@ -17,12 +17,13 @@ proposals within the horizon form the embedded edge supply: whenever every
 coupled step was near-uniform and enough proposals were accepted, the
 first m of them all appear in the final regular graph.
 
-A trace draws from one generator: the proposals (a partial Fisher-Yates
+A trace draws from one stream: the proposals (a partial Fisher-Yates
 shuffle of the edge pool), then the coins, then every resolution draw.
-That generator is one `Pcg64Stream`, numpy's PCG64 on Python ints: every
-bounded draw is its own, and only mc-mode completions (and the G(n, p)
-variant's binomial count) borrow a numpy Generator at its position, so an
-exact run never imports `numpy.random`.
+That stream is one `Pcg64Stream`, numpy's PCG64 on Python ints, handed to
+every sampler the trace calls: every bounded draw is its own, and only the
+samplers' permutations in mc mode (and the G(n, p) variant's binomial
+count) borrow a numpy Generator at its position, so an exact run never
+imports `numpy.random`.
 """
 
 from __future__ import annotations
@@ -180,28 +181,6 @@ def _draw_cumulative(cumulative: tuple[int, ...], total: int,
     return bisect_right(cumulative, stream.integers(total))
 
 
-def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
-    """One joint exposure of the uniform and regular processes.
-
-    All draws come from the one stream `Pcg64Stream.of(rng)` (a numpy
-    Generator passed in is adopted, not spawned, and left where the draws
-    end), in a fixed order: the proposals as `sample_gnm` draws them, the
-    coins as exact Bernoulli(1-eps) draws `integers(M) < coupled_steps`,
-    then every resolution draw; so the proposals and coins are independent
-    of the resolutions, as the construction requires.  mc-mode estimates
-    and completions are drawn by a numpy Generator the stream hands off.
-    Each coupled step takes one `StateLaw` (enumerated, or in mc mode
-    estimated before the step resolves) and is resolved by `coupling_step`;
-    exact laws come from walking the `PrefixTree` of (n, k, d) one child per
-    exposed edge.
-    """
-    stream = Pcg64Stream.of(rng)
-    try:
-        return _run_coupling(config, stream)
-    finally:
-        stream.write_back()
-
-
 def coupling_step(law: StateLaw, eps: Fraction, proposal: Edge, coin: int,
                   regular_set: set[Edge], proposals: tuple[Edge, ...],
                   t: int) -> tuple[bool, str, Edge | None,
@@ -231,7 +210,22 @@ def coupling_step(law: StateLaw, eps: Fraction, proposal: Edge, coin: int,
     return near, "mapped", only_uniform[only_regular.index(proposal)], None
 
 
-def _run_coupling(config: CouplingConfig, stream: Pcg64Stream) -> CouplingTrace:
+def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
+    """One joint exposure of the uniform and regular processes.
+
+    All draws come from the one stream `Pcg64Stream.of(rng)` (an RngStream
+    from its start, a Pcg64Stream from where it is), in a fixed order: the
+    proposals as `sample_gnm` draws them, the coins as exact
+    Bernoulli(1-eps) draws `integers(M) < coupled_steps`, then every
+    resolution draw; so the proposals and coins are independent of the
+    resolutions, as the construction requires.  mc-mode estimates and
+    completions are `sample_regular` draws on the same stream.  Each
+    coupled step takes one `StateLaw` (enumerated, or in mc mode estimated
+    before the step resolves) and is resolved by `coupling_step`; exact
+    laws come from walking the `PrefixTree` of (n, k, d) one child per
+    exposed edge.
+    """
+    stream = Pcg64Stream.of(rng)
     params = config.params
     n, k = params.n, params.k
     cut = config.coupled_steps
@@ -260,9 +254,8 @@ def _run_coupling(config: CouplingConfig, stream: Pcg64Stream) -> CouplingTrace:
             regular_graph = OrderedHypergraph._from_canonical(n, k, regular_seq)
         if t < cut:
             if not exact:
-                with stream.handoff() as gen:
-                    law = _estimate_law(regular_graph, params,
-                                        config.mc_trials, gen)
+                law = _estimate_law(regular_graph, params, config.mc_trials,
+                                    stream)
             proposal, coin = proposals[t], coins[t]
             near, branch, exposed, draw = coupling_step(
                 law, eps, proposal, coin, regular_set, proposals, t)
@@ -282,8 +275,7 @@ def _run_coupling(config: CouplingConfig, stream: Pcg64Stream) -> CouplingTrace:
             else:
                 # mc mode realizes the law without estimating it: the next
                 # edge of one sampled completion
-                with stream.handoff() as gen:
-                    exposed = sample_regular(regular_graph, params, gen)[t]
+                exposed = sample_regular(regular_graph, params, stream)[t]
         if exposed in regular_set:
             raise AssertionError(
                 f"step {t} tried to re-expose {exposed}; conditional law broke"
@@ -324,13 +316,15 @@ def _run_coupling(config: CouplingConfig, stream: Pcg64Stream) -> CouplingTrace:
 
 
 def _estimate_law(regular_graph: OrderedHypergraph, params: Params, trials: int,
-                  gen: np.random.Generator) -> StateLaw:
-    """Next-edge law estimated from `trials` sampled completions: each
-    absent edge weighs the number of completions exposing it next."""
+                  rng) -> StateLaw:
+    """Next-edge law estimated from `trials` completions sampled in turn on
+    `Pcg64Stream.of(rng)`: each absent edge weighs the number of completions
+    exposing it next."""
+    stream = Pcg64Stream.of(rng)
     t = len(regular_graph)
     counts = dict.fromkeys(complement_edges(regular_graph), 0)
     for _ in range(trials):
-        counts[sample_regular(regular_graph, params, gen)[t]] += 1
+        counts[sample_regular(regular_graph, params, stream)[t]] += 1
     return StateLaw.from_weights(tuple(counts), tuple(counts.values()), trials)
 
 
@@ -356,13 +350,14 @@ def run_coupling_gnp(config: CouplingConfig, rng,
                      p: float | None = None) -> GnpCouplingTrace:
     """Couple the binomial model through the accepted-proposal supply.
 
-    The trace runs on the one stream `Pcg64Stream.of(rng)` (a Generator
-    passed in is adopted, not spawned); the binomial edge count B, drawn by
-    the numpy Generator it hands off, and the fallback graph are drawn after
-    it from the same stream.  When B <= m <= |accepted| the embedded graph
-    is the first B accepted proposals, otherwise an independent uniform
-    B-edge graph.
+    The trace runs on the one stream `Pcg64Stream.of(rng)` (an RngStream
+    from its start, a Pcg64Stream from where it is); the binomial edge count
+    B, drawn by the numpy Generator it hands off, and the fallback graph are
+    drawn after it from the same stream.  When B <= m <= |accepted| the
+    embedded graph is the first B accepted proposals, otherwise an
+    independent uniform B-edge graph.
     """
+    stream = Pcg64Stream.of(rng)
     if p is None:
         p = default_gnp_probability(config.params, config.gamma)
         if not 0.0 <= p <= 1.0:
@@ -373,19 +368,15 @@ def run_coupling_gnp(config: CouplingConfig, rng,
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"binomial density p={p} outside [0, 1]")
     params = config.params
-    stream = Pcg64Stream.of(rng)
-    try:
-        trace = run_coupling(config, stream)
-        with stream.handoff() as gen:
-            b = int(gen.binomial(params.complete_count, p))
-        if b <= config.m <= len(trace.accepted):
-            embedded = tuple(trace.accepted[:b])
-            fallback = False
-        else:
-            embedded = tuple(sample_gnm(params.n, params.k, b, stream).edges)
-            fallback = True
-    finally:
-        stream.write_back()
+    trace = run_coupling(config, stream)
+    with stream.handoff() as gen:
+        b = int(gen.binomial(params.complete_count, p))
+    if b <= config.m <= len(trace.accepted):
+        embedded = tuple(trace.accepted[:b])
+        fallback = False
+    else:
+        embedded = tuple(sample_gnm(params.n, params.k, b, stream).edges)
+        fallback = True
     contained = all(e in trace.regular_final.edge_set for e in embedded)
     return GnpCouplingTrace(
         base=trace, p=p, edge_count=b, embedded=embedded,

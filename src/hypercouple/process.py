@@ -30,7 +30,7 @@ from .core import (
     is_simple,
     make_edge,
 )
-from .samplers import as_generator, sample_multi_extension, sample_regular
+from .samplers import Pcg64Stream, sample_multi_extension, sample_regular
 
 
 @dataclass
@@ -48,8 +48,7 @@ class ProcessTrace:
 def expose_process(params: Params, rng) -> ProcessTrace:
     """Sample R(n,d) with a uniform edge order and expose it one edge at a
     time, recording every prefix's residual degrees."""
-    gen = as_generator(rng)
-    graph = sample_regular(OrderedHypergraph(params.n, params.k), params, gen)
+    graph = sample_regular(OrderedHypergraph(params.n, params.k), params, rng)
     # hits[t, v-1] = 1 when the t-th exposed edge contains v
     hits = np.zeros((params.M + 1, params.n), dtype=np.int64)
     steps = np.arange(1, params.M + 1)[:, None]
@@ -149,20 +148,20 @@ def residual_report(params: Params, trials: int, rng,
     meant for tight tests; a must be positive and defaults to the
     concentration constant 3*(k+2) used by the degree-envelope heuristics.
     """
+    stream = Pcg64Stream.of(rng)
     if trials < 1:
         raise DomainError("trials must be positive")
     if a is None:
         a = 3.0 * (params.k + 2)
     if not a > 0:
         raise DomainError(f"envelope constant a must be positive, got {a}")
-    gen = as_generator(rng)
     M, n, d = params.M, params.n, params.d
     tau, exact_mean, exact_var = residual_moments(params)
     width = np.sqrt(a * tau * d * math.log(n))
     total = np.zeros((M + 1, n))
     exceed = np.zeros(M + 1)
     for _ in range(trials):
-        res = expose_process(params, gen).residuals.astype(float)
+        res = expose_process(params, stream).residuals.astype(float)
         total += res
         exceed += (np.abs(res - exact_mean[:, None])
                    > width[:, None]).mean(axis=1)
@@ -253,9 +252,9 @@ def sample_mutual_pair(G: OrderedHypergraph, e: Edge, f: Edge, params: Params,
     on G+e yields a draw with exactly the law of G+e's extension, so the
     two simplicity indicators estimate both probabilities jointly.
     """
+    stream = Pcg64Stream.of(rng)
     e, us, vs, base_f = _switch_setup(G, e, f, params)
-    gen = as_generator(rng)
-    draw = sample_multi_extension(base_f, params, gen)
+    draw = sample_multi_extension(base_f, params, stream)
     f_simple = draw.is_simple()
     tail = [list(block) for block in draw.tail]
     for u, v in zip(us, vs):
@@ -264,7 +263,7 @@ def sample_mutual_pair(G: OrderedHypergraph, e: Edge, f: Edge, params: Params,
         if not spots:
             return MutualSample(f_simple=f_simple, e_simple=False,
                                 degenerate=True)
-        i, j = spots[int(gen.integers(len(spots)))]
+        i, j = spots[stream.integers(len(spots))]
         tail[i][j] = u
     base_e = OrderedHypergraph(params.n, params.k, list(G.edges) + [e])
     return MutualSample(f_simple=f_simple,
@@ -274,7 +273,7 @@ def sample_mutual_pair(G: OrderedHypergraph, e: Edge, f: Edge, params: Params,
 
 def _switch_once(hp_edges: list[Edge], e: Edge,
                  us: tuple[int, ...], vs: tuple[int, ...], G_edges: list[Edge],
-                 gen: np.random.Generator):
+                 stream: Pcg64Stream):
     """One randomized replacement switch on a sampled extension.
 
     Returns None when some v_i has no incident free edge (degenerate), else
@@ -285,7 +284,7 @@ def _switch_once(hp_edges: list[Edge], e: Edge,
         incident = [h for h in hp_edges if v in h]
         if not incident:
             return None
-        picks.append(incident[int(gen.integers(len(incident)))])
+        picks.append(incident[stream.integers(len(incident))])
     groups: dict[Edge, list[int]] = {}
     for i, c in enumerate(picks):
         groups.setdefault(c, []).append(i)
@@ -311,10 +310,10 @@ def mutual_simplicity_probe(G: OrderedHypergraph, e: Edge, f: Edge,
     result is d-regular as a multigraph, and when e was absent from the
     sample a non-simple result implies one of the five recorded events.
     """
+    stream = Pcg64Stream.of(rng)
     e, us, vs, base = _switch_setup(G, e, f, params)
     if trials < 1:
         raise DomainError("trials must be positive")
-    gen = as_generator(rng)
     s = len(vs)
     t = len(G)
     base_set = frozenset(base.edge_set)
@@ -331,7 +330,7 @@ def mutual_simplicity_probe(G: OrderedHypergraph, e: Edge, f: Edge,
     b1s = b2s = b3s = b4s = 0.0
 
     for _ in range(trials):
-        full = sample_regular(base, params, gen)
+        full = sample_regular(base, params, stream)
         full_set = full.edge_set
         hp_edges = sorted(full_set - base_set)
         hp = Hypergraph(params.n, params.k, hp_edges)
@@ -343,7 +342,7 @@ def mutual_simplicity_probe(G: OrderedHypergraph, e: Edge, f: Edge,
                     for u, v in zip(us, vs))
         nice = nice1 and nice2 and nice3
 
-        out = _switch_once(hp_edges, e, us, vs, G_edges, gen)
+        out = _switch_once(hp_edges, e, us, vs, G_edges, stream)
         if out is None:
             degenerate += 1
             continue

@@ -16,11 +16,14 @@ Every stream is numpy's PCG64 with one seeding path: the stream (seed,
 path) starts from the four words of numpy's `SeedSequence(seed,
 spawn_key=path).generate_state(4, np.uint64)`, which `seed_words`
 computes on Python ints and `trial_seed_words` for a whole batch of trials
-(seed, (i,)) in one vectorised pass.  Samplers that only draw bounded
-integers (`sample_gnm`, the coupling's proposals, coins and resolutions)
-draw them from `Pcg64Stream`, a pure-Python PCG64 that matches numpy's
-`Generator.integers` draw for draw; the others draw from a numpy Generator
-at the same state.  No stream depends on which of the two drew it.
+(seed, (i,)) in one vectorised pass.  Every sampler takes its randomness
+as one argument, resolved by `Pcg64Stream.of`: an `RngStream` starts from
+its seed words, a `Pcg64Stream` is continued from where it is, and
+anything else is refused.  Bounded integers are drawn by the
+`Pcg64Stream`, a pure-Python PCG64 that matches numpy's
+`Generator.integers` draw for draw; draws only numpy makes (permutations,
+`random`, `binomial`) come from the numpy Generator the stream hands off
+at its position.  No stream depends on which of the two drew it.
 """
 
 from __future__ import annotations
@@ -258,56 +261,40 @@ class Pcg64Stream:
     draws: the 128-bit LCG with XSL-RR output, the half-word buffer of
     `next_uint32`, and numpy's bounded draw (none for a range of 1, one raw
     uint32 for a range of 2^32, Lemire's rejection on 32 bits for other
-    ranges up to 2^32 and on 64 bits above).  It spares the samplers that
-    only draw bounded integers numpy's per-call overhead and the import of
-    `numpy.random`.
+    ranges up to 2^32 and on 64 bits above).  It spares bounded draws
+    numpy's per-call overhead and the import of `numpy.random`.
 
-    `of` makes the stream of an `RngStream` (seeded from its words), passes
-    a stream through, or adopts a PCG64-backed numpy Generator, which
-    `write_back` then leaves at the stream's state; a sampler given a
-    Generator calls it when it ends, so the Generator ends where numpy's
-    own draws would have left it.  `handoff` lends a numpy Generator at the
-    stream's position for the draws only numpy makes.
+    `of` is the one resolution of a sampler's randomness argument: the
+    stream of an `RngStream`, or a `Pcg64Stream` itself, so samplers called
+    in turn on one stream continue it.  `handoff` lends a numpy Generator
+    at the stream's position for the draws only numpy makes.
     """
 
-    __slots__ = ("_state", "_inc", "_has_uint32", "_uinteger", "_gen",
-                 "_adopted")
+    __slots__ = ("_state", "_inc", "_has_uint32", "_uinteger", "_rng",
+                 "_gen")
 
-    def __init__(self, words: tuple[int, ...]) -> None:
-        """Seeded from four seed words as numpy's `pcg64_set_seed` seeds:
-        the first two are the initial state, the last two the increment."""
+    def __init__(self, rng: RngStream) -> None:
+        """Seeded from rng's four seed words as numpy's `pcg64_set_seed`
+        seeds: the first two are the initial state, the last two the
+        increment."""
+        words = rng.words
         initstate = words[0] << 64 | words[1]
         self._inc = inc = (words[2] << 65 | words[3] << 1 | 1) & _MASK128
         self._state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
         self._has_uint32 = self._uinteger = 0
+        self._rng = rng
         self._gen = None
-        self._adopted = False
 
     @classmethod
     def of(cls, rng) -> "Pcg64Stream":
-        """The stream that draws for rng: an RngStream, a Pcg64Stream (itself)
-        or a PCG64-backed numpy Generator (adopted at its state)."""
+        """The stream that draws for rng: an RngStream's, from its start,
+        or a Pcg64Stream itself, from where it is."""
         if isinstance(rng, cls):
             return rng
-        if isinstance(rng, RngStream):
-            return cls(rng.words)
-        from numpy.random import PCG64, Generator
-        if not isinstance(rng, Generator):
-            raise DomainError(f"expected RngStream, Pcg64Stream or numpy "
-                              f"Generator, got {type(rng)!r}")
-        if not isinstance(rng.bit_generator, PCG64):
-            raise DomainError(f"only a PCG64 Generator can be drawn from "
-                              f"exactly, got {type(rng.bit_generator)!r}")
-        stream = cls.__new__(cls)
-        stream.state = rng.bit_generator.state
-        stream._gen, stream._adopted = rng, True
-        return stream
-
-    def write_back(self) -> None:
-        """Leave an adopted Generator at this stream's state; other streams
-        have nothing to write back."""
-        if self._adopted:
-            self._gen.bit_generator.state = self.state
+        if not isinstance(rng, RngStream):
+            raise DomainError(f"expected RngStream or Pcg64Stream, got "
+                              f"{type(rng)!r}")
+        return cls(rng)
 
     @property
     def state(self) -> dict:
@@ -374,24 +361,17 @@ class Pcg64Stream:
     def handoff(self):
         """A numpy Generator at this stream's position, for the draws only
         numpy makes; when the block ends the stream continues from where the
-        Generator stopped.  An adopted Generator is lent itself."""
+        Generator stopped.  The Generator is the seeding RngStream's own,
+        made on the first handoff, so no other sampler may draw from the
+        stream while it is lent."""
         if self._gen is None:
-            self._gen = _numpy_generator((0, 0, 0, 0))
+            self._gen = self._rng.generator()
         bit_generator = self._gen.bit_generator
         bit_generator.state = self.state
         try:
             yield self._gen
         finally:
             self.state = bit_generator.state
-
-
-def as_generator(rng) -> np.random.Generator:
-    """Accept either an RngStream or a ready numpy Generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise DomainError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
 def sample_gnm(n: int, k: int, m: int, rng) -> OrderedHypergraph:
@@ -402,28 +382,25 @@ def sample_gnm(n: int, k: int, m: int, rng) -> OrderedHypergraph:
     t swaps in the pool edge `integers(t, C)`, drawn from
     `Pcg64Stream.of(rng)`.
     """
-    stream = Pcg64Stream.of(rng)
+    draw = Pcg64Stream.of(rng).integers
     pool = list(edge_pool(n, k).edges)
     total = len(pool)
     if not 0 <= m <= total:
         raise DomainError(f"m={m} outside 0..{total}")
-    draw = stream.integers
-    try:
-        for t in range(m):
-            j = draw(t, total)
-            pool[t], pool[j] = pool[j], pool[t]
-    finally:
-        stream.write_back()
+    for t in range(m):
+        j = draw(t, total)
+        pool[t], pool[j] = pool[j], pool[t]
     return OrderedHypergraph._from_canonical(n, k, pool[:m])
 
 
 def sample_gnp(n: int, k: int, p: float, rng) -> Hypergraph:
     """Binomial k-graph: each possible edge kept independently with chance p."""
+    stream = Pcg64Stream.of(rng)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p={p} outside [0, 1]")
-    gen = as_generator(rng)
     pool = edge_pool(n, k).edges
-    mask = gen.random(len(pool)) < p
+    with stream.handoff() as gen:
+        mask = gen.random(len(pool)) < p
     return Hypergraph(n, k, [e for e, keep in zip(pool, mask) if keep])
 
 
@@ -449,8 +426,8 @@ def sample_multi_extension(G: OrderedHypergraph, params: Params,
                            rng) -> MultiExtension:
     """Uniform vertex-copy permutation of the residual multiset, chopped into
     k-blocks.  Blocks are reported sorted; block order is kept."""
-    gen = as_generator(rng)
-    perm = gen.permutation(_residual_vector(G, params))
+    with Pcg64Stream.of(rng).handoff() as gen:
+        perm = gen.permutation(_residual_vector(G, params))
     blocks = np.sort(perm.reshape(-1, params.k), axis=1)
     tail = tuple(tuple(int(x) for x in row) for row in blocks)
     return MultiExtension(base=G, tail=tail)
@@ -533,16 +510,18 @@ def sample_regular(G: OrderedHypergraph, params: Params, rng,
     """Uniform ordered d-regular extension of G by configuration rejection.
 
     The sample is the first simple attempt among successive permutations of
-    the residual vertex copies; attempts are drawn and checked in batches,
-    and the generator is left exactly after the accepted attempt, as if the
-    permutations had been drawn one at a time.  For an empty base with d
-    beyond half the complete degree the complement family is sampled
+    the residual vertex copies, drawn by the Generator that
+    `Pcg64Stream.of(rng)` hands off; attempts are drawn and checked in
+    batches, and the stream is left exactly after the accepted attempt, as
+    if the permutations had been drawn one at a time.  For an empty base
+    with d beyond half the complete degree the complement family is sampled
     instead and complemented back (a bijection between the two uniform
-    families), with a fresh uniform edge order; rejection there would
-    practically never accept.  Raises RejectionBudgetError after
-    max_attempts failures, which may mean G is inadmissible.
+    families), with a fresh uniform edge order drawn after it from the same
+    stream; rejection there would practically never accept.  Raises
+    RejectionBudgetError after max_attempts failures, which may mean G is
+    inadmissible.
     """
-    gen = as_generator(rng)
+    stream = Pcg64Stream.of(rng)
     if max_attempts is None:
         max_attempts = DEFAULT_MAX_ATTEMPTS
     if max_attempts < 1:
@@ -553,10 +532,11 @@ def sample_regular(G: OrderedHypergraph, params: Params, rng,
             f"complete degree is {params.max_degree}"
         )
     if len(G) == 0 and params.d > params.max_degree // 2:
-        return _sample_regular_complement(params, gen)
+        return _sample_regular_complement(params, stream)
 
-    blocks, _, _ = _configuration_rejection(G, params, gen, max_attempts,
-                                            first=True)
+    with stream.handoff() as gen:
+        blocks, _, _ = _configuration_rejection(G, params, gen, max_attempts,
+                                                first=True)
     if blocks is not None:
         tail = tuple(map(tuple, blocks.tolist()))
         return OrderedHypergraph._from_canonical(params.n, params.k,
@@ -568,13 +548,15 @@ def sample_regular(G: OrderedHypergraph, params: Params, rng,
     )
 
 
-def _sample_regular_complement(params: Params, gen: np.random.Generator) -> OrderedHypergraph:
+def _sample_regular_complement(params: Params,
+                               stream: Pcg64Stream) -> OrderedHypergraph:
     d_comp = params.max_degree - params.d
     comp = OrderedHypergraph(params.n, params.k)
     if d_comp:
-        comp = sample_regular(comp, Params(params.n, params.k, d_comp), gen)
+        comp = sample_regular(comp, Params(params.n, params.k, d_comp), stream)
     kept = list(complement_edges(comp))
-    order = gen.permutation(len(kept))
+    with stream.handoff() as gen:
+        order = gen.permutation(len(kept))
     return OrderedHypergraph._from_canonical(params.n, params.k,
                                              [kept[i] for i in order])
 
@@ -622,6 +604,7 @@ def simplicity_probability(G: OrderedHypergraph, params: Params, trials: int,
     instance is small enough to count.  exact='auto' counts within
     `exact_budget` nodes and attaches None when the budget runs out,
     'require' raises then, and 'never' does not count."""
+    stream = Pcg64Stream.of(rng)
     if trials < 1:
         raise DomainError("trials must be positive")
     modes = ("auto", "never", "require")
@@ -634,8 +617,9 @@ def simplicity_probability(G: OrderedHypergraph, params: Params, trials: int,
         except oracle.OracleBudgetError:
             if exact == "require":
                 raise
-    _, successes, _ = _configuration_rejection(G, params, as_generator(rng),
-                                               trials, first=False)
+    with stream.handoff() as gen:
+        _, successes, _ = _configuration_rejection(G, params, gen, trials,
+                                                   first=False)
     p_hat = successes / trials
     low, high = wilson_interval(successes, trials)
     return SimplicityEstimate(trials=trials, successes=successes, p_hat=p_hat,

@@ -24,6 +24,7 @@ from hypercouple import (
     Hypergraph,
     OrderedHypergraph,
     Params,
+    Pcg64Stream,
     RngStream,
     choose_epsilon,
     codegree_rel,
@@ -116,11 +117,11 @@ def test_criterion_01_exact_oracle_fixtures():
 
 def test_criterion_02_sampler_uniformity():
     t0 = time.monotonic()
-    gen = RngStream(500).generator()
+    stream = Pcg64Stream.of(RngStream(500))
     counts = Counter()
     trials = 100_000
     for _ in range(trials):
-        g = sample_regular(OrderedHypergraph(6, 3), N6, gen)
+        g = sample_regular(OrderedHypergraph(6, 3), N6, stream)
         counts[tuple(sorted(g.edge_set))] += 1
     tv = tv_distance_uniform(counts, 75)
     observed = np.array([counts.get(key, 0) for key in sorted(counts)])
@@ -310,11 +311,12 @@ def test_criterion_08_degree_trajectories():
 def test_criterion_09_hamiltonicity():
     t0 = time.monotonic()
     # finder/verifier agreement on 1000 instances
-    gen = RngStream(3).generator()
+    stream = Pcg64Stream.of(RngStream(3))
     p8 = Params(8, 3, 6)
     decided = verified = 0
     for _ in range(1000):
-        g = sample_regular(OrderedHypergraph(8, 3), p8, gen).as_hypergraph()
+        g = sample_regular(OrderedHypergraph(8, 3), p8,
+                           stream).as_hypergraph()
         res = find_hamilton_cycle(g, 2)
         decided += res.decided
         if res.status == FOUND:
@@ -322,7 +324,7 @@ def test_criterion_09_hamiltonicity():
         else:
             verified += 1
     # all-permutations oracle match on 3-graphs with n <= 7, (k-ell) | n
-    gen2 = RngStream(4).generator()
+    stream2 = Pcg64Stream.of(RngStream(4))
     naive_checked = naive_matched = 0
     plans = [(6, 2, [("reg", 2), ("reg", 3), ("gnm", 5), ("gnm", 7)], 80),
              (6, 1, [("reg", 2), ("gnm", 4), ("gnm", 6)], 50),
@@ -332,9 +334,9 @@ def test_criterion_09_hamiltonicity():
             for _ in range(reps):
                 if model == "reg":
                     g = sample_regular(OrderedHypergraph(n, 3),
-                                       Params(n, 3, x), gen2).as_hypergraph()
+                                       Params(n, 3, x), stream2).as_hypergraph()
                 else:
-                    g = sample_gnm(n, 3, x, gen2).as_hypergraph()
+                    g = sample_gnm(n, 3, x, stream2).as_hypergraph()
                 res = find_hamilton_cycle(g, ell)
                 naive_checked += 1
                 naive_matched += ((res.status == FOUND)

@@ -24,9 +24,7 @@ from hypercouple import (
     is_simple,
     make_edge,
     parse_edge_list,
-    read_edge_list,
     residual_degrees,
-    write_edge_list,
 )
 from hypercouple.core import edge_pool
 
@@ -166,6 +164,37 @@ def near_uniformity_verdicts(source: str) -> list[str]:
     return definitions_holding(source, lambda node: (
         isinstance(node, ast.Call)
         and getattr(node.func, "attr", None) == "near_uniform"))
+
+
+# names of the deleted ways round `samplers.Pcg64Stream.of`
+BYPASS_NAMES = {"as_generator", "write_back"}
+
+
+def randomness_bypasses(source: str) -> list[str]:
+    """The definitions holding a call `<x>.generator()`, an isinstance check
+    against a `Generator`, or a use of a name in BYPASS_NAMES, then the
+    definitions named in BYPASS_NAMES: each takes a numpy Generator other
+    than the one `Pcg64Stream.handoff` lends."""
+    def named(node):
+        return getattr(node, "id", getattr(node, "attr", getattr(
+            node, "name", None)))
+
+    def bypasses(node):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "generator":
+                return True
+            if named(node.func) == "isinstance" and len(node.args) == 2:
+                return any(named(x) == "Generator"
+                           for x in ast.walk(node.args[1]))
+        return isinstance(node, (ast.Name, ast.Attribute, ast.alias)) \
+            and named(node) in BYPASS_NAMES
+
+    defined = [node.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name in BYPASS_NAMES]
+    return definitions_holding(source, bypasses) + defined
 
 
 class TestEdgePool:
@@ -451,13 +480,11 @@ class TestSerialization:
         back, d = parse_edge_list(format_edge_list(g))
         assert back == g and d is None
 
-    def test_header_carries_degree(self, tmp_path):
+    def test_header_carries_degree(self):
         g = OrderedHypergraph(4, 2, [(1, 2), (3, 4), (1, 3), (2, 4)])
-        path = tmp_path / "g.edges"
-        write_edge_list(path, g, d=2)
-        back, d = read_edge_list(path)
+        text = format_edge_list(g, d=2)
+        back, d = parse_edge_list(text)
         assert back == g and d == 2
-        text = path.read_text()
         assert text.startswith("# n=4 k=2 d=2\n")
         assert text.splitlines()[1] == "1 2"
 
@@ -495,3 +522,47 @@ class TestOneCouplingStep:
             "        near = node.law.near_uniform(eps)\n")
         assert near_uniformity_verdicts(source) == [
             "check_near_uniformity", "_run_coupling"]
+
+
+class TestOneRandomnessArgument:
+    """`samplers.Pcg64Stream.of` is the one resolution of a randomness
+    argument: no definition makes or accepts a numpy Generator except the
+    handoff that lends one at the stream's position."""
+
+    def test_only_the_handoff_makes_a_generator(self):
+        found = [f"{path.name}: {where}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for where in randomness_bypasses(path.read_text())]
+        assert found == ["samplers.py: Pcg64Stream.handoff"]
+
+    def test_finder_sees_planted_bypasses(self):
+        # a lent Generator, two Generator checks, the deleted dispatcher,
+        # its import and the deleted write-back; then four look-alikes: the
+        # handoff, a method named generator, an RngStream check and a
+        # Generator class called by a local name
+        source = (
+            "def lend(rng):\n"
+            "    return rng.generator()\n"
+            "def accepts(rng):\n"
+            "    return isinstance(rng, np.random.Generator)\n"
+            "def accepts_either(rng):\n"
+            "    return isinstance(rng, (RngStream, Generator))\n"
+            "def as_generator(rng):\n"
+            "    return rng\n"
+            "def sample(rng):\n"
+            "    from .samplers import as_generator\n"
+            "    try:\n"
+            "        return draw(rng)\n"
+            "    finally:\n"
+            "        rng.write_back()\n"
+            "class Pcg64Stream:\n"
+            "    def handoff(self):\n"
+            "        self._gen = self._rng.generator()\n"
+            "    def generator(self):\n"
+            "        return isinstance(self._rng, RngStream)\n"
+            "def _numpy_generator(words):\n"
+            "    generator, pcg64 = _numpy_random\n"
+            "    return generator(pcg64(words))\n")
+        assert randomness_bypasses(source) == [
+            "lend", "accepts", "accepts_either", "sample", "sample",
+            "Pcg64Stream.handoff", "as_generator"]

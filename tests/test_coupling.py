@@ -13,6 +13,7 @@ from hypercouple import (
     DomainError,
     OrderedHypergraph,
     Params,
+    Pcg64Stream,
     RngStream,
     accepted_size_diagnostics,
     choose_epsilon,
@@ -170,7 +171,7 @@ class TestBoundaryVerdict:
                                                     scripted_first_edges,
                                                     gamma):
         c = cfg(self.P733, gamma, p_mode="mc", mc_trials=245)
-        tr = run_coupling(c, np.random.default_rng(0))
+        tr = run_coupling(c, RngStream(0))
         assert tr.steps[0].near_uniform is True
         assert c.epsilon == Fraction(1, 7)
         assert not tr.certain
@@ -599,12 +600,12 @@ class TestRandomnessStream:
         c = cfg(params)
         n, k, M, cut = params.n, params.k, params.M, c.coupled_steps
         for seed in range(5):
-            g = np.random.default_rng(seed)
-            g2 = np.random.default_rng(seed)
+            g = Pcg64Stream.of(RngStream(seed))
+            g2 = Pcg64Stream.of(RngStream(seed))
             tr = run_coupling(c, g)
             assert tr.uniform_final.edges == sample_gnm(n, k, cut, g2).edges
-            coins = (g2.integers(M, size=cut) < cut).tolist()
-            assert [s.coin for s in tr.steps[:cut]] == [int(x) for x in coins]
+            coins = [int(x < cut) for x in g2.integers(M, size=cut)]
+            assert [s.coin for s in tr.steps[:cut]] == coins
 
     def test_draw_reaches_the_last_unit_weight(self):
         # a float variate, even the largest double below 1, lands short of

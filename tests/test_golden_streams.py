@@ -6,6 +6,12 @@ and samplers stopped re-validating their pool edges, a change that keeps
 every draw; couple-932's before the exact laws came from a `PrefixTree`
 instead of the listed empty-prefix family.  A change that does alter a
 stream must say so in CHANGES.md and re-record the digests it moves.
+
+A `sample` run's draws are in its edge files, not in its summary or rows,
+so the `sample` pins also hash the edge files, concatenated in trial order.
+The regular pins cover both routes of `sample_regular`: rejection at
+(9,3,2) and the complement at (6,3,6), where d exceeds half the complete
+degree 10.
 """
 
 import hashlib
@@ -70,13 +76,65 @@ GOLDEN = {
 }
 
 
+SAMPLE = ["sample", "--trials", "20"]
+
+SAMPLE_GOLDEN = {
+    "sample-regular-932": (
+        SAMPLE + ["--model", "regular", "--n", "9", "--k", "3", "--d", "2"],
+        "0877980b5e606a9143462d8d6422602ff9ef8c456d269d351c1243bfdb3bb87a",
+        "ef4cb21ea7a03439d86c401e5470e3e79a20a4451c5d3841ec0e3c80f5cab8f0",
+        "edfa83626856515e51c0ff2d3f9873d31dc4f830ee4e6213dd3cbd5f0ed6e6ce"),
+    "sample-regular-636-complement": (
+        SAMPLE + ["--model", "regular", "--n", "6", "--k", "3", "--d", "6"],
+        "68c8c18d0863f93e47f1f2d4bd184a1d97210154494b6f0408c890d2ec56f9b6",
+        "b22bf3865ff2c95361c96ba2a06ec076c43cdc5f287048fa8fb53b785032fcf1",
+        "4e3187f2f1308cf27c092f77550100f3fd26b2f543bdea04bcc3835673957b67"),
+    "sample-gnm-93-12": (
+        SAMPLE + ["--model", "gnm", "--n", "9", "--k", "3", "--m", "12"],
+        "58e851bc70ea5b2887402a0bf186eaf341c9434377be697f921d1e98865b5b91",
+        "b22bf3865ff2c95361c96ba2a06ec076c43cdc5f287048fa8fb53b785032fcf1",
+        "f555a68f2ce6fc2ecadcf22018009f6a74c7bd7ad68d734e9d2b75197caf50ed"),
+    "sample-gnp-93": (
+        SAMPLE + ["--model", "gnp", "--n", "9", "--k", "3", "--p", "0.2"],
+        "9f88115abba2c8aaeada0f3157c3366d0166fdbc4dab83393856fa8febd4e284",
+        "6cab06b8283fa42a16370095cd2598786ad43cb3d3308d7c021b3f47ab6c2a59",
+        "e97bf437a5442c87b5f1c32d18d4530d056d660cf97f3ff58f69eca9f9d9fd5b"),
+}
+
+
+def _run(name, argv, jobs, tmp_path, capsys):
+    """The run's output directory, after running argv at seed 11."""
+    out = tmp_path / name
+    rc = main(argv + ["--seed", "11", "--jobs", str(jobs), "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    return out
+
+
+def _digest(*paths):
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_data_files_keep_their_digests(name, jobs, tmp_path, capsys):
     argv, summary, rows = GOLDEN[name]
-    out = tmp_path / name
-    rc = main(argv + ["--seed", "11", "--jobs", str(jobs), "--out", str(out)])
-    assert rc == 0, capsys.readouterr().err
-    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
-               for f in ("summary.json", "rows.csv")}
+    out = _run(name, argv, jobs, tmp_path, capsys)
+    digests = {f: _digest(out / f) for f in ("summary.json", "rows.csv")}
     assert digests == {"summary.json": summary, "rows.csv": rows}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(SAMPLE_GOLDEN))
+def test_sample_files_keep_their_digests(name, jobs, tmp_path, capsys):
+    argv, summary, rows, edges = SAMPLE_GOLDEN[name]
+    out = _run(name, argv, jobs, tmp_path, capsys)
+    edge_files = sorted(out.glob("sample_*.edges"))
+    assert len(edge_files) == 20
+    digests = {"summary.json": _digest(out / "summary.json"),
+               "rows.csv": _digest(out / "rows.csv"),
+               "edges": _digest(*edge_files)}
+    assert digests == {"summary.json": summary, "rows.csv": rows,
+                       "edges": edges}

@@ -12,6 +12,7 @@ from hypercouple import (
     DomainError,
     Hypergraph,
     Params,
+    Pcg64Stream,
     RngStream,
     cycle_edges,
     find_hamilton_cycle,
@@ -129,10 +130,11 @@ class TestSearch:
 
     def test_agrees_with_naive_oracle_on_random_instances(self):
         p = Params(6, 3, 3)
-        gen = RngStream(12).generator()
+        stream = Pcg64Stream.of(RngStream(12))
         decided = found = 0
         for _ in range(40):
-            g = sample_regular(OrderedHypergraph(6, 3), p, gen).as_hypergraph()
+            g = sample_regular(OrderedHypergraph(6, 3), p,
+                               stream).as_hypergraph()
             res = find_hamilton_cycle(g, 2)
             assert res.decided
             naive = naive_hamiltonian(g, 2)
@@ -142,12 +144,12 @@ class TestSearch:
         assert decided == 40 and 0 < found
 
     def test_agreement_on_sparse_instances_including_loose(self):
-        gen = RngStream(13).generator()
+        stream = Pcg64Stream.of(RngStream(13))
         for ell, n, k, d in [(1, 6, 3, 2), (2, 6, 3, 2)]:
             p = Params(n, k, d)
             for _ in range(15):
                 g = sample_regular(OrderedHypergraph(n, k), p,
-                                   gen).as_hypergraph()
+                                   stream).as_hypergraph()
                 res = find_hamilton_cycle(g, ell)
                 assert (res.status == FOUND) == naive_hamiltonian(g, ell)
 
@@ -176,7 +178,7 @@ class TestSweep:
         hamiltonicity_sweep(8, 2, 1, [2, 3], 6, rng)
         assert drawn == [
             sample_regular(OrderedHypergraph(8, 2), Params(8, 2, d),
-                           rng.child(d, i).generator())
+                           rng.child(d, i))
             for d in (2, 3) for i in range(6)]
 
     def test_only_an_rng_stream_seeds_a_sweep(self):

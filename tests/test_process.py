@@ -9,6 +9,7 @@ from hypercouple import (
     DomainError,
     OrderedHypergraph,
     Params,
+    Pcg64Stream,
     RngStream,
     count_extensions,
     exact_simplicity_probability,
@@ -109,9 +110,9 @@ class TestResidualReport:
         assert rep.max_abs_mean_z() == np.abs(z).max()
 
     def test_trial_reports_add_up_to_the_joint_report(self):
-        joint = residual_report(N9, 3, RngStream(8).generator())
-        gen = RngStream(8).generator()
-        parts = [residual_report(N9, 1, gen) for _ in range(3)]
+        joint = residual_report(N9, 3, RngStream(8))
+        stream = Pcg64Stream.of(RngStream(8))
+        parts = [residual_report(N9, 1, stream) for _ in range(3)]
         summed = parts[0] + parts[1] + parts[2]
         assert summed.trials == 3 and summed.a == joint.a
         assert np.array_equal(summed.residual_sum, joint.residual_sum)

@@ -19,7 +19,6 @@ from hypercouple import (
     RejectionBudgetError,
     Pcg64Stream,
     RngStream,
-    as_generator,
     count_extensions,
     is_simple,
     sample_gnm,
@@ -54,13 +53,6 @@ class TestRngStream:
         a = RngStream(7).child(3, 1).generator().integers(0, 1 << 30, 4)
         b = RngStream(7, (3, 1)).generator().integers(0, 1 << 30, 4)
         assert np.array_equal(a, b)
-
-    def test_as_generator_accepts_both(self):
-        assert isinstance(as_generator(RngStream(0)), np.random.Generator)
-        g = np.random.default_rng(0)
-        assert as_generator(g) is g
-        with pytest.raises(DomainError):
-            as_generator(31337)
 
     @pytest.mark.parametrize("seed, path", [
         (-1, ()), (1, (-2,)), (1, (3, -1)), (1.5, ()), ("7", ()), (1, (0.5,)),
@@ -252,22 +244,37 @@ class TestPcg64Stream:
 
     @pytest.mark.parametrize("odd", [False, True])
     def test_generator_round_trip(self, odd):
-        # an odd count of uint32 draws leaves the half-word buffer set
-        gen = np.random.default_rng(99)
+        # an odd count of uint32 draws leaves the half-word buffer set, and
+        # the handoff carries it to the lent Generator and back
+        stream = Pcg64Stream.of(RngStream(99))
         reference = np.random.default_rng(99)
-        stream = Pcg64Stream.of(gen)
         for _ in range(5 if odd else 4):
             stream.next_uint32()
         with stream.handoff() as lent:
-            assert lent is gen
             lent.random(3)
         stream.integers(10, size=3)
-        stream.write_back()
         reference.integers(1 << 32, size=5 if odd else 4)
         reference.random(3)
         reference.integers(10, size=3)
-        assert gen.bit_generator.state == reference.bit_generator.state
-        assert gen.bit_generator.state["has_uint32"] == int(not odd)
+        assert stream.state == reference.bit_generator.state
+        assert stream.state["has_uint32"] == int(not odd)
+
+    def test_handoff_lends_the_seeding_streams_generator(self):
+        # the first handoff builds the Generator through
+        # `RngStream.generator`, the one seeding path; later ones reuse it
+        calls = []
+
+        class Counted(RngStream):
+            def generator(self):
+                calls.append(self)
+                return super().generator()
+
+        stream = Pcg64Stream.of(Counted(4))
+        with stream.handoff() as first:
+            first.random()
+        with stream.handoff() as second:
+            second.random()
+        assert first is second and len(calls) == 1
 
     def test_handoff_positions_a_generator_at_the_stream(self):
         stream = Pcg64Stream.of(RngStream(8, (1,)))
@@ -281,30 +288,28 @@ class TestPcg64Stream:
         assert stream.integers(1 << 40) == int(reference.integers(1 << 40))
         assert stream.state == reference.bit_generator.state
 
-    def test_adopted_generator_ends_where_numpy_would(self):
-        g1 = np.random.default_rng(5)
-        g2 = np.random.default_rng(5)
-        graph = sample_gnm(7, 3, 20, g1)
-        order = list(range(35))
+    def test_gnm_leaves_the_stream_where_numpy_would(self):
+        stream = Pcg64Stream.of(RngStream(5))
+        reference = np.random.default_rng(5)
+        graph = sample_gnm(7, 3, 20, stream)
         for t in range(20):
-            j = int(g2.integers(t, 35))
-            order[t], order[j] = order[j], order[t]
-        assert g1.bit_generator.state == g2.bit_generator.state
+            reference.integers(t, 35)
+        assert stream.state == reference.bit_generator.state
         assert len(graph) == 20
 
     def test_a_stream_passes_through(self):
         stream = Pcg64Stream.of(RngStream(3))
         assert Pcg64Stream.of(stream) is stream
 
-    def test_other_bit_generators_are_refused(self):
-        for bit_generator in (np.random.MT19937(0), np.random.PCG64DXSM(0),
+    def test_generators_and_other_objects_are_refused(self):
+        for bit_generator in (np.random.PCG64(0), np.random.MT19937(0),
                               np.random.Philox(0)):
-            with pytest.raises(DomainError, match="only a PCG64"):
+            with pytest.raises(DomainError, match="expected RngStream or "
+                                                  "Pcg64Stream, got"):
                 Pcg64Stream.of(np.random.Generator(bit_generator))
-            with pytest.raises(DomainError, match="only a PCG64"):
-                sample_gnm(6, 3, 2, np.random.Generator(bit_generator))
-        with pytest.raises(DomainError, match="expected RngStream"):
-            Pcg64Stream.of(31337)
+        for other in (31337, RngStream(3).words, None):
+            with pytest.raises(DomainError, match="expected RngStream"):
+                Pcg64Stream.of(other)
 
 
 def test_exact_couple_never_imports_numpy_random(tmp_path):
@@ -349,9 +354,9 @@ class TestRegularSampler:
         rng = RngStream(11)
         counts = {}
         trials = 4000
-        gen = rng.generator()
+        stream = Pcg64Stream.of(rng)
         for _ in range(trials):
-            g = sample_regular(OrderedHypergraph(6, 3), p, gen)
+            g = sample_regular(OrderedHypergraph(6, 3), p, stream)
             key = tuple(sorted(g.edge_set))
             counts[key] = counts.get(key, 0) + 1
         fam = count_extensions(OrderedHypergraph(6, 3), p).unordered_count
@@ -364,10 +369,10 @@ class TestRegularSampler:
         p = Params(6, 3, 2)
         prefix = OrderedHypergraph(6, 3, [(1, 2, 3)])
         fam = count_extensions(prefix, p, list_completions=True)
-        gen = RngStream(13).generator()
+        stream = Pcg64Stream.of(RngStream(13))
         counts = {}
         for _ in range(3000):
-            g = sample_regular(prefix, p, gen)
+            g = sample_regular(prefix, p, stream)
             key = tuple(sorted(g.edge_set))
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == fam.unordered_count
@@ -455,22 +460,22 @@ class TestBinomialModels:
             sample_gnm(4, 2, 7, RngStream(0))
 
     def test_gnm_uniform_over_supports(self):
-        gen = RngStream(21).generator()
+        stream = Pcg64Stream.of(RngStream(21))
         counts = {}
         for _ in range(3000):
-            g = sample_gnm(4, 2, 2, gen)
+            g = sample_gnm(4, 2, 2, stream)
             counts[tuple(sorted(g.edge_set))] = \
                 counts.get(tuple(sorted(g.edge_set)), 0) + 1
         assert len(counts) == 15            # C(6,2) supports
         assert tv_distance_uniform(counts, 15) < 0.08
 
     def test_gnp_edge_count_is_binomial(self):
-        gen = RngStream(8).generator()
-        sizes = [len(sample_gnp(5, 2, 0.3, gen)) for _ in range(4000)]
+        stream = Pcg64Stream.of(RngStream(8))
+        sizes = [len(sample_gnp(5, 2, 0.3, stream)) for _ in range(4000)]
         mean = sum(sizes) / len(sizes)
         assert abs(mean - 10 * 0.3) < 0.15   # |E| ~ Bin(C(5,2), 0.3)
         with pytest.raises(DomainError):
-            sample_gnp(5, 2, 1.5, gen)
+            sample_gnp(5, 2, 1.5, stream)
 
     def test_gnp_degenerate_probabilities(self):
         assert len(sample_gnp(5, 2, 0.0, RngStream(0))) == 0
@@ -556,13 +561,13 @@ class TestRejectionStream:
     def test_sample_is_first_simple_permutation(self, params, prefix):
         G = OrderedHypergraph(params.n, params.k, prefix)
         for seed in range(3):
-            g1 = np.random.default_rng(seed)
+            s1 = Pcg64Stream.of(RngStream(seed))
             g2 = np.random.default_rng(seed)
             for _ in range(3):
-                h = sample_regular(G, params, g1)
+                h = sample_regular(G, params, s1)
                 tail, _ = _one_at_a_time(G, params, g2, 10**6)
                 assert h.edges == G.edges + tuple(tail)
-                assert g1.bit_generator.state == g2.bit_generator.state
+                assert s1.state == g2.bit_generator.state
 
     # (4,2,2) rows are 8 copies wide, so 5000 trials pass the batch cap
     @pytest.mark.parametrize("params,prefix,trials", [
@@ -571,15 +576,15 @@ class TestRejectionStream:
                                                        trials):
         G = OrderedHypergraph(params.n, params.k, prefix)
         vector = _residual_copies(G, params)
-        g1 = np.random.default_rng(17)
+        s1 = Pcg64Stream.of(RngStream(17))
         g2 = np.random.default_rng(17)
-        est = simplicity_probability(G, params, trials, g1, exact="never")
+        est = simplicity_probability(G, params, trials, s1, exact="never")
         expected = 0
         for _ in range(trials):
             perm = g2.permutation(vector).reshape(-1, params.k)
             expected += is_simple(list(G.edges) + [tuple(r) for r in perm])
         assert est.successes == expected
-        assert g1.bit_generator.state == g2.bit_generator.state
+        assert s1.state == g2.bit_generator.state
 
     @pytest.mark.parametrize("params,prefix", [
         # residual copies {4, 4}: every attempt is a loop
@@ -589,13 +594,13 @@ class TestRejectionStream:
     ])
     def test_exhaustion_leaves_state_after_max_attempts(self, params, prefix):
         G = OrderedHypergraph(params.n, params.k, prefix)
-        g1 = np.random.default_rng(0)
+        s1 = Pcg64Stream.of(RngStream(0))
         g2 = np.random.default_rng(0)
         tail, _ = _one_at_a_time(G, params, g2, 50)
         assert tail is None
         with pytest.raises(RejectionBudgetError):
-            sample_regular(G, params, g1, max_attempts=50)
-        assert g1.bit_generator.state == g2.bit_generator.state
+            sample_regular(G, params, s1, max_attempts=50)
+        assert s1.state == g2.bit_generator.state
 
 
 class TestRejectionCounters:
@@ -641,3 +646,88 @@ class TestRejectionCounters:
         assert est.exact is None
         # a listing of the 50,000-node walk peaks near 0.74 MB
         assert peak < 0.25 * 2**20
+
+
+def _entry_points():
+    """(name, call(rng), key of the result) for every drawing entry point,
+    at desk-scale arguments."""
+    from hypercouple import (CouplingConfig, choose_epsilon, expose_process,
+                             mutual_simplicity_probe, residual_report,
+                             run_coupling, run_coupling_gnp,
+                             sample_mutual_pair)
+    from hypercouple.coupling import _estimate_law
+
+    p = Params(6, 3, 2)
+    empty = OrderedHypergraph(6, 3)
+    base = OrderedHypergraph(6, 3, [(1, 2, 3)])
+    e, f = (1, 4, 5), (4, 5, 6)
+    config = CouplingConfig(p, 0.75, choose_epsilon(p, 0.75))
+    return [
+        ("sample_gnm", lambda rng: sample_gnm(6, 3, 5, rng),
+         lambda g: g.edges),
+        ("sample_gnp", lambda rng: sample_gnp(6, 3, 0.3, rng),
+         lambda g: sorted(g.edge_set)),
+        ("sample_regular", lambda rng: sample_regular(empty, p, rng),
+         lambda g: g.edges),
+        # d = 6 exceeds half the complete degree 10: the complement route
+        ("sample_regular_complement",
+         lambda rng: sample_regular(empty, Params(6, 3, 6), rng),
+         lambda g: g.edges),
+        ("sample_multi_extension",
+         lambda rng: sample_multi_extension(base, p, rng), lambda x: x.tail),
+        ("simplicity_probability",
+         lambda rng: simplicity_probability(empty, p, 40, rng,
+                                            exact="never"),
+         lambda est: est.successes),
+        ("expose_process", lambda rng: expose_process(p, rng),
+         lambda tr: tr.graph.edges),
+        ("residual_report", lambda rng: residual_report(p, 3, rng),
+         lambda rep: rep.residual_sum.tolist()),
+        ("sample_mutual_pair",
+         lambda rng: sample_mutual_pair(base, e, f, p, rng), lambda s: s),
+        ("mutual_simplicity_probe",
+         lambda rng: mutual_simplicity_probe(base, e, f, p, 5, rng),
+         lambda rep: rep),
+        ("run_coupling", lambda rng: run_coupling(config, rng),
+         lambda tr: tr.steps),
+        ("run_coupling_gnp",
+         lambda rng: run_coupling_gnp(config, rng, p=0.1),
+         lambda tr: (tr.base.steps, tr.edge_count, tr.embedded)),
+        ("_estimate_law", lambda rng: _estimate_law(empty, p, 10, rng),
+         lambda law: law.weights),
+    ]
+
+
+ENTRY_POINTS = [name for name, _, _ in _entry_points()]
+
+
+class TestEveryEntryPointContinuesAStream:
+    """Every drawing entry point resolves its randomness through
+    `Pcg64Stream.of`: an RngStream starts a stream, a Pcg64Stream is
+    continued, and a numpy Generator is refused with one message."""
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_two_calls_on_one_stream_continue_it(self, name):
+        [(_, call, key)] = [x for x in _entry_points() if x[0] == name]
+        stream = Pcg64Stream.of(RngStream(31, (2,)))
+        start = stream.state
+        first = key(call(stream))
+        assert first == key(call(RngStream(31, (2,))))
+        middle = stream.state
+        assert middle != start
+        second = key(call(stream))
+        replay = Pcg64Stream.of(RngStream(31, (2,)))
+        replay.state = middle
+        assert key(call(replay)) == second
+        assert replay.state == stream.state
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_a_numpy_generator_is_refused(self, name):
+        [(_, call, _)] = [x for x in _entry_points() if x[0] == name]
+        with pytest.raises(DomainError) as refused:
+            Pcg64Stream.of(np.random.default_rng(0))
+        with pytest.raises(DomainError) as err:
+            call(np.random.default_rng(0))
+        assert str(err.value) == str(refused.value)
+        assert str(err.value).startswith(
+            "expected RngStream or Pcg64Stream, got")

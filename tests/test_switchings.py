@@ -22,6 +22,7 @@ from hypercouple import (
     switching_class_sizes,
 )
 from hypercouple import switchings
+from hypercouple.oracle import KINDS
 from hypercouple.switchings import (
     apply_switch,
     backward_counts,
@@ -159,16 +160,19 @@ class TestDoubleCounting:
                                   "pair_degree", pair=(1, 2))
             assert fsum == bsum
 
-    # a move needs k disjoint edges: below n = k^2 both sides must be empty
-    @pytest.mark.parametrize("nkd, base_edges", [
-        ((5, 2, 2), []),
-        ((6, 2, 2), [(1, 2)]),
-        ((7, 2, 2), []),
-        ((8, 2, 2), [(1, 3)]),
-        ((6, 3, 2), []),
-        ((7, 3, 3), [(1, 2, 3), (1, 4, 5)]),
-        ((8, 4, 2), []),
-        ((9, 3, 2), [(1, 4, 5), (6, 7, 8)]),
+    # moveless: the kinds with no move in the family.  A move needs k
+    # disjoint edges, so below n = k^2 no kind has one and both sides must
+    # be empty; at k = 2 a base edge (1, 2) leaves pair (1, 2) degree 0 in
+    # every member
+    @pytest.mark.parametrize("nkd, base_edges, moveless", [
+        ((5, 2, 2), [], ()),
+        ((6, 2, 2), [(1, 2)], ("pair_degree",)),
+        ((7, 2, 2), [], ()),
+        ((8, 2, 2), [(1, 3)], ()),
+        ((6, 3, 2), [], KINDS),
+        ((7, 3, 3), [(1, 2, 3), (1, 4, 5)], KINDS),
+        ((8, 4, 2), [], KINDS),
+        ((9, 3, 2), [(1, 4, 5), (6, 7, 8)], ()),
     ])
     @pytest.mark.parametrize("kind, target", [
         ("pair_degree", {"pair": (1, 2)}),
@@ -177,7 +181,7 @@ class TestDoubleCounting:
         ("remove_edge", {}),
     ])
     def test_forward_and_backward_moves_are_one_set(self, nkd, base_edges,
-                                                    kind, target):
+                                                    moveless, kind, target):
         # equal counts cannot see a wrong source whose count happens to
         # match: each (target, source, move) triple must appear once on
         # both sides
@@ -197,6 +201,7 @@ class TestDoubleCounting:
                                                         **target)]
         assert len(set(out)) == len(out) and len(set(into)) == len(into)
         assert set(out) == set(into)
+        assert bool(out) == (kind not in moveless)
 
 
 def iterated(graphs, base, kind, forward, **target):
@@ -236,20 +241,26 @@ class TestKernelAgainstIterators:
         assert got.tolist() == iterated(lower, base, "remove_edge", False,
                                         edge=e)
 
-    @pytest.mark.parametrize("nkd, base_edges", [
-        ((6, 2, 2), [(1, 2)]),
-        ((7, 2, 2), []),
-        ((6, 3, 2), []),
-        ((9, 3, 2), [(3, 4, 5)]),
+    # (6,2,2) with base edge (1, 2) and (6,3,2) below n = k^2 have no
+    # pair-degree move: they check that the kernels find none either
+    @pytest.mark.parametrize("nkd, base_edges, moves", [
+        ((6, 2, 2), [(1, 2)], False),
+        ((7, 2, 2), [], True),
+        ((6, 3, 2), [], False),
+        ((9, 3, 2), [(3, 4, 5)], True),
     ])
-    def test_every_member_pair_degree(self, nkd, base_edges):
+    def test_every_member_pair_degree(self, nkd, base_edges, moves):
         fam, base, graphs = family(*nkd, base_edges=base_edges)
         forward = forward_counts(fam, base, "pair_degree", pair=(1, 2))
         backward = backward_counts(fam, base, "pair_degree", pair=(1, 2))
-        assert forward.tolist() == iterated(graphs, base, "pair_degree",
-                                            True, pair=(1, 2))
-        assert backward.tolist() == iterated(graphs, base, "pair_degree",
-                                             False, pair=(1, 2))
+        expected_forward = iterated(graphs, base, "pair_degree", True,
+                                    pair=(1, 2))
+        expected_backward = iterated(graphs, base, "pair_degree", False,
+                                     pair=(1, 2))
+        assert forward.tolist() == expected_forward
+        assert backward.tolist() == expected_backward
+        assert (sum(expected_forward) > 0) == moves
+        assert (sum(expected_backward) > 0) == moves
 
     @pytest.mark.parametrize("kind", ["pair_degree", "codegree"])
     def test_small_chunks_split_the_family(self, kind, monkeypatch):
