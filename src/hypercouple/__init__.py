@@ -27,6 +27,7 @@ from .oracle import (
     RatioIdentityReport,
     StateLaw,
     SwitchingClassSizes,
+    completion_count,
     count_extensions,
     exact_next_edge_distribution,
     exact_simplicity_probability,

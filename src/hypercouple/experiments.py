@@ -46,9 +46,8 @@ from .hamilton import _check_cycle_shape, hamiltonicity_sweep
 from .oracle import (
     KINDS as SWITCHING_KINDS,
     OracleBudgetError,
-    count_extensions,
+    completion_count,
     extension_family,
-    node_budget,
     prefix_tree,
     switching_class_sizes,
     switching_target,
@@ -71,10 +70,6 @@ KINDS = ("sample", "couple", "couple-gnp", "process-stats", "switching-verify",
 
 # families larger than this are not enumerated for coupling TV checks
 _TV_FAMILY_LIMIT = 20_000
-# nodes an mc-mode TV count may walk: it counts the U0 * M / C graphs through
-# one edge, at 2 to 9 nodes per graph in families within the limit, so a walk
-# past this is a family past the limit
-_TV_COUNT_NODES = 20 * _TV_FAMILY_LIMIT
 
 
 @dataclass(frozen=True)
@@ -263,23 +258,16 @@ def _run_couple(cfg: ExperimentConfig, gnp: bool):
     if cc.p_mode == "exact":
         size = tree.family_size
     else:
-        # mc runs never list the family, so they only count the graphs
-        # through the first edge (1..k), no further than a family within
-        # the limit needs; U0 = C * U1 / M, as in `PrefixTree`
-        budget = node_budget()
+        # mc runs list nothing: they count the U1 graphs through the first
+        # edge (1..k), and U0 = C * U1 / M, as in `PrefixTree`
         first = OrderedHypergraph(cc.params.n, cc.params.k,
                                   [tuple(range(1, cc.params.k + 1))])
         try:
-            size = count_extensions(first, cc.params, budget=min(
-                budget, _TV_COUNT_NODES)).unordered_count
+            size = (completion_count(first, cc.params)
+                    * cc.params.complete_count // cc.params.M)
         except OracleBudgetError as exc:
-            # the finished trials stand; only the uniformity check is
-            # dropped, silently when the count outran _TV_COUNT_NODES,
-            # which only a family past the limit does
-            size = 0
-            if budget < _TV_COUNT_NODES:
-                tv_checks = {"skipped": str(exc)}
-        size = size * cc.params.complete_count // cc.params.M
+            # the finished trials stand; only the uniformity check is dropped
+            size, tv_checks = 0, {"skipped": str(exc)}
     if 0 < size <= _TV_FAMILY_LIMIT:
         counts: dict = {}
         for r in results:

@@ -1,9 +1,13 @@
-"""Exact brute-force oracles for regular extension families at desk scale.
+"""Exact oracles for regular extension families at desk scale.
 
-Everything here enumerates, so it only works for tiny instances, but in
-exchange every probability and identity comes out as an exact Fraction.
-Three enumeration routes are kept deliberately separate:
+Every probability and identity here comes out as an exact Fraction.
+Every count is charged to one environment budget of nodes (`node_budget`)
+and raises OracleBudgetError past it rather than truncate.  Four routes
+are kept deliberately separate:
 
+* `completion_count` answers every "how many completions?" question that
+  lists nothing, by a forward pass over residual degree vectors, and
+  refuses past its own caps on codes, states and weights too;
 * `count_extensions(..., list_completions=True)` lists unordered
   completions with one vectorised sweep over the edge pool in
   lexicographic order, into the one column-major store of an
@@ -11,7 +15,7 @@ Three enumeration routes are kept deliberately separate:
   count, every exact law and every `PrefixTree` node;
 * `count_extensions` without a listing counts them by focus-vertex
   backtracking (always satisfy the smallest deficient vertex first), the
-  listing's independent second opinion;
+  tests' independent second opinion on the other two;
 * `exact_simplicity_probability` counts ordered simple tails
   edge-by-edge and converts to a probability over vertex-copy
   permutations.
@@ -490,14 +494,14 @@ def _sweep_completions(pool: EdgePool, residual: np.ndarray | None,
 
 
 def count_extensions(G: OrderedHypergraph, params: Params,
-                     list_completions: bool = False,
-                     budget: int | None = None) -> ExtensionFamily:
+                     list_completions: bool = False) -> ExtensionFamily:
     """Count (optionally list) the d-regular completions of prefix G.
 
     A prefix with a vertex above degree d is reported as inadmissible with
-    count 0 rather than raising; exceeding the node budget raises
+    count 0 rather than raising; exceeding `node_budget()` raises
     OracleBudgetError, as does a listing that would hold more than
-    _LIST_BYTES.
+    _LIST_BYTES.  A count that lists nothing is `completion_count`'s job;
+    the walk here is the tests' second opinion on it and on the listing.
     """
     try:
         residual = residual_degrees(G, params)
@@ -507,14 +511,14 @@ def count_extensions(G: OrderedHypergraph, params: Params,
     packed = None
     if list_completions:
         packed, nodes = _sweep_completions(edge_pool(params.n, params.k),
-                                           residual, base, node_budget(budget))
+                                           residual, base, node_budget())
         count = packed.shape[1]
         packed.flags.writeable = False  # cached families are shared
     elif residual is None:  # a vertex overflows: nothing to walk
         count = nodes = 0
     else:
         bt = _FocusBacktracker(params.n, params.k, residual.tolist(),
-                               set(base), node_budget(budget))
+                               set(base), node_budget())
         bt.run()
         count, nodes = bt.count, bt.nodes
     return ExtensionFamily(
@@ -525,6 +529,88 @@ def count_extensions(G: OrderedHypergraph, params: Params,
         packed=packed,
         nodes_used=nodes,
     )
+
+
+# states one pool edge's layer of a completion count may hold
+_COUNT_STATES = 1 << 18
+
+
+def completion_count(G: OrderedHypergraph, params: Params) -> int:
+    """U(G), the number of d-regular completions of prefix G, by one
+    forward pass over residual degree vectors; nothing is listed.
+
+    The pool edges absent from G are taken in `core.edge_pool` order.  A
+    state is a residual degree vector, coded in base d+1 (vertex v is digit
+    v-1), with the number of partial completions that reach it.  An edge
+    may be taken when each of its digits is positive, and taking it
+    subtracts one from each; equal codes merge, their weights summed in
+    int64.  Once the last edge whose least vertex is v has passed, states
+    short at v are dropped.  U(G) is the weight of code 0 at the end, and
+    0 for a prefix with a vertex above degree d.
+
+    Each child state is one node charged to `node_budget()`.  Raises
+    OracleBudgetError, having learnt nothing, when (d+1)^n does not fit
+    int64, when a layer would hold more than _COUNT_STATES states, when
+    the node budget runs out, or when a weight reaches 2^62 (so that no sum
+    of two leaves int64).
+    """
+    try:
+        residual = residual_degrees(G, params)
+    except InadmissiblePrefixError:
+        return 0
+    n, base = params.n, params.d + 1
+    if base ** n > np.iinfo(np.int64).max:  # base^n is place[n + 1]
+        raise OracleBudgetError(
+            f"a completion count codes residuals in {base}^{n} values, past "
+            f"int64; this family is too large to count")
+    pool = edge_pool(n, params.k)
+    edges = pool.vertices
+    # digit v of a code is positive iff the code modulo place[v + 1] is at
+    # least place[v]
+    place = np.zeros(n + 2, dtype=np.int64)
+    place[1:] = base ** np.arange(n + 1, dtype=np.int64)
+    step = place[edges].sum(axis=1)
+    free = np.ones(len(edges), dtype=bool)
+    free[[pool.column(e) for e in G.edge_set]] = False
+    codes = np.array([residual @ place[:-1]], dtype=np.int64)  # sorted, distinct
+    weights = np.ones(1, dtype=np.int64)
+    budget, nodes = node_budget(), 0
+    ceiling = 1  # at least the largest weight
+    for c, e in enumerate(edges):
+        if free[c]:
+            take = np.arange(len(codes))
+            for v in e:  # vertex by vertex, over the states still able
+                take = take[codes[take] % place[v + 1] >= place[v]]
+            nodes += len(take)
+            if nodes > budget:
+                raise _budget_error(budget)
+            # children keep their parents' order, so they stay sorted
+            kids, kid_weights = codes[take] - step[c], weights[take]
+            at = np.searchsorted(codes, kids)
+            old = at < len(codes)
+            old[old] = codes[at[old]] == kids[old]
+            weights[at[old]] += kid_weights[old]
+            new = ~old
+            codes = np.insert(codes, at[new], kids[new])
+            weights = np.insert(weights, at[new], kid_weights[new])
+            if len(codes) > _COUNT_STATES:
+                raise OracleBudgetError(
+                    f"a completion count would hold more than "
+                    f"{_COUNT_STATES} states in a layer; this family is too "
+                    f"large to count")
+            if len(take):  # a merge at most doubles the largest weight
+                ceiling *= 2
+                if ceiling >= 1 << 62:
+                    ceiling = int(weights.max())
+                    if ceiling >= 1 << 62:
+                        raise OracleBudgetError(
+                            "a completion count reached 2^62; this family "
+                            "is too large to count in int64")
+        if c + 1 == len(edges) or edges[c + 1, 0] != e[0]:
+            keep = codes % place[e[0] + 1] < place[e[0]]
+            codes, weights = codes[keep], weights[keep]
+    # a completion leaves every digit 0, and code 0 sorts first
+    return int(weights[0]) if len(codes) and codes[0] == 0 else 0
 
 
 # a few prefixes at a time: the oracles need one family per prefix under

@@ -573,16 +573,17 @@ class SimplicityEstimate:
     exact: Fraction | None
 
 
-def exact_simplicity_from_count(G: OrderedHypergraph, params: Params,
-                                budget: int | None = None) -> Fraction:
-    """P(simple) through the completion count of G (see
-    `simplicity_from_completions`).
+def exact_simplicity_from_count(G: OrderedHypergraph,
+                                params: Params) -> Fraction:
+    """P(simple) through `oracle.completion_count` of G (see
+    `simplicity_from_completions`); raises OracleBudgetError when the count
+    refuses.
 
     This is the identity route; `oracle.exact_simplicity_probability` is the
     independent direct enumeration.
     """
-    u = oracle.count_extensions(G, params, budget=budget).unordered_count
-    return simplicity_from_completions(G, params, u)
+    return simplicity_from_completions(G, params,
+                                       oracle.completion_count(G, params))
 
 
 def simplicity_from_completions(G: OrderedHypergraph, params: Params,
@@ -598,25 +599,23 @@ def simplicity_from_completions(G: OrderedHypergraph, params: Params,
 
 
 def simplicity_probability(G: OrderedHypergraph, params: Params, trials: int,
-                           rng, exact: str = "auto",
-                           exact_budget: int = 2_000_000) -> SimplicityEstimate:
+                           rng, exact: str = "auto") -> SimplicityEstimate:
     """Estimate P(configuration draw simple); attach the exact value when the
-    instance is small enough to count.  exact='auto' counts within
-    `exact_budget` nodes and attaches None when the budget runs out,
-    'require' raises then, and 'never' does not count."""
+    instance is small enough to count.  exact='auto' takes it from
+    `exact_simplicity_from_count` and attaches None when
+    `oracle.completion_count` refuses; 'never' does not count."""
     stream = Pcg64Stream.of(rng)
     if trials < 1:
         raise DomainError("trials must be positive")
-    modes = ("auto", "never", "require")
+    modes = ("auto", "never")
     if exact not in modes:
         raise DomainError(f"exact must be one of {modes}, got {exact!r}")
     value = None
-    if exact != "never":
+    if exact == "auto":
         try:
-            value = exact_simplicity_from_count(G, params, budget=exact_budget)
+            value = exact_simplicity_from_count(G, params)
         except oracle.OracleBudgetError:
-            if exact == "require":
-                raise
+            pass
     with stream.handoff() as gen:
         _, successes, _ = _configuration_rejection(G, params, gen, trials,
                                                    first=False)

@@ -1,6 +1,7 @@
 """Container, parameter, edge pool and serialization invariants."""
 
 import ast
+import inspect
 import math
 import re
 from collections import Counter
@@ -566,3 +567,73 @@ class TestOneRandomnessArgument:
         assert randomness_bypasses(source) == [
             "lend", "accepts", "accepts_either", "sample", "sample",
             "Pcg64Stream.handoff", "as_generator"]
+
+
+# the oracle's counts, and the estimators that ask one for an exact value
+ORACLE_COUNTS = {"count_extensions", "completion_count", "extension_family",
+                 "exact_simplicity_from_count", "simplicity_probability"}
+
+
+def count_bypasses(source: str, module: str) -> list[str]:
+    """The definitions holding a call of `count_extensions` outside
+    oracle.py, a call of an oracle count that passes `budget=`, or any call
+    that passes `exact_budget=`."""
+    def accepts(node):
+        if not isinstance(node, ast.Call):
+            return False
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        keywords = {kw.arg for kw in node.keywords}
+        return ((name == "count_extensions" and module != "oracle.py")
+                or "exact_budget" in keywords
+                or (name in ORACLE_COUNTS and "budget" in keywords))
+
+    return definitions_holding(source, accepts)
+
+
+class TestOneCompletionCount:
+    """`oracle.completion_count` answers every count that lists nothing,
+    under the one environment budget: outside the oracle nothing walks
+    `count_extensions`, and no count takes a budget of its own."""
+
+    def test_no_caller_walks_or_passes_a_budget(self):
+        found = [f"{path.name}: {where}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for where in count_bypasses(path.read_text(), path.name)]
+        assert found == []
+
+    def test_no_count_takes_a_budget(self):
+        from hypercouple import oracle, samplers
+
+        for fn in (oracle.count_extensions, oracle.completion_count,
+                   oracle.extension_family,
+                   samplers.exact_simplicity_from_count,
+                   samplers.simplicity_probability):
+            assert not {"budget", "exact_budget"} & set(
+                inspect.signature(fn).parameters), fn.__name__
+
+    def test_finder_sees_planted_bypasses(self):
+        # the deleted TV count's capped walk, the deleted identity route,
+        # an estimator's exact budget, a budgeted listing and a walk with
+        # no budget; then four look-alikes: the finder's own budget, a
+        # count without one, the budget read and a walk named but not called
+        source = (
+            "def _run_couple(cfg):\n"
+            "    size = count_extensions(first, p, budget=min(b, cap))\n"
+            "def exact_simplicity_from_count(G, params, budget=None):\n"
+            "    return oracle.count_extensions(G, params, budget=budget)\n"
+            "def probe(G, p, rng):\n"
+            "    return simplicity_probability(G, p, 5, rng, exact_budget=9)\n"
+            "def listed(G, p):\n"
+            "    return extension_family(G, p, budget=10)\n"
+            "def walked(G, p):\n"
+            "    return count_extensions(G, p).unordered_count\n"
+            "def sweep(H, ell, budget):\n"
+            "    res = find_hamilton_cycle(H, ell, budget=budget)\n"
+            "    size = completion_count(first, p)\n"
+            "    return node_budget(budget), count_extensions\n")
+        assert count_bypasses(source, "experiments.py") == [
+            "_run_couple", "exact_simplicity_from_count", "probe", "listed",
+            "walked"]
+        # inside the oracle a walk is no bypass, a budget still is
+        assert count_bypasses(source, "oracle.py") == [
+            "_run_couple", "exact_simplicity_from_count", "probe", "listed"]

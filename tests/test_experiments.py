@@ -341,44 +341,48 @@ class TestCliBoundary:
         assert "100000 nodes" in s["tv_checks"]["skipped"]
         assert len((out / "rows.csv").read_text().splitlines()) == 3
 
-    def test_mc_tv_count_walks_a_bounded_budget(self, tmp_path,
-                                               monkeypatch):
-        monkeypatch.delenv("HYPERCOUPLE_NODE_BUDGET", raising=False)
-        budgets = []
-        real = experiments.count_extensions
-
-        def spy(G, params, *args, budget=None, **kw):
-            budgets.append(budget)
-            return real(G, params, *args, budget=budget, **kw)
-
-        monkeypatch.setattr(experiments, "count_extensions", spy)
-        assert main(["couple", "--n", "6", "--k", "3", "--d", "2",
-                     "--gamma", "0.75", "--p-mode", "mc:5", "--trials", "2",
-                     "--out", str(tmp_path / "c")]) == 0
-        cap = experiments._TV_COUNT_NODES
-        assert budgets and all(b is not None and b <= cap for b in budgets)
-        assert read_json(tmp_path / "c")["tv_checks"]["family_size"] == 75
-
-    def test_mc_tv_check_counts_the_first_edge_family(self, tmp_path,
-                                                      monkeypatch):
-        # (9,3,2): 8,730 graphs through (1,2,3) in 38,163 nodes, and
-        # 84 * 8,730 / 6 = 122,220 graphs in all, past the 20,000 limit
+    def test_mc_tv_size_is_the_completion_count(self, tmp_path,
+                                                 monkeypatch):
+        # (12,3,2): U1 = 27,537,300 graphs through (1,2,3), so
+        # 220 * U1 / 8 = 757,275,750 in all, past the 20,000 limit; the
+        # count lists nothing and no walk runs
         monkeypatch.delenv("HYPERCOUPLE_NODE_BUDGET", raising=False)
         counted = []
-        real = experiments.count_extensions
+        real = experiments.completion_count
 
-        def spy(G, params, *args, **kw):
-            fam = real(G, params, *args, **kw)
-            counted.append((G.edges, fam.unordered_count, fam.nodes_used))
-            return fam
+        def spy(G, params):
+            counted.append((G.edges, real(G, params)))
+            return counted[-1][1]
 
-        monkeypatch.setattr(experiments, "count_extensions", spy)
+        def no_walk(*args, **kwargs):
+            raise AssertionError("count_extensions was called")
+
+        monkeypatch.setattr(experiments, "completion_count", spy)
+        monkeypatch.setattr(oracle, "count_extensions", no_walk)
         out = tmp_path / "c"
-        assert main(["couple", "--n", "9", "--k", "3", "--d", "2",
+        assert main(["couple", "--n", "12", "--k", "3", "--d", "2",
                      "--gamma", "0.5", "--p-mode", "mc:2", "--trials", "1",
                      "--seed", "1", "--out", str(out)]) == 0
-        assert counted == [(((1, 2, 3),), 8730, 38163)]
+        assert counted == [(((1, 2, 3),), 27_537_300)]
         assert read_json(out)["tv_checks"] is None
+
+    def test_mc_tv_count_is_charged_to_the_node_budget(self, tmp_path,
+                                                       monkeypatch):
+        # (9,3,2): the 8,730 graphs through (1,2,3) are counted in 2,316
+        # child states, and 84 * 8,730 / 6 = 122,220 graphs in all, past the
+        # 20,000 limit; one node short, the check is skipped, not dropped
+        argv = ["couple", "--n", "9", "--k", "3", "--d", "2", "--gamma",
+                "0.5", "--p-mode", "mc:2", "--trials", "1", "--seed", "1"]
+        monkeypatch.setenv("HYPERCOUPLE_NODE_BUDGET", "2316")
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        assert read_json(tmp_path / "a")["tv_checks"] is None
+        monkeypatch.setenv("HYPERCOUPLE_NODE_BUDGET", "2315")
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+        skipped = read_json(tmp_path / "b")["tv_checks"]["skipped"]
+        assert "2315 nodes" in skipped
+        # the trials stand either way
+        assert (tmp_path / "a" / "rows.csv").read_bytes() \
+            == (tmp_path / "b" / "rows.csv").read_bytes()
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -8,6 +8,7 @@ backtracking counter to independent combinatorics.
 
 import math
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -21,6 +22,7 @@ from hypercouple import (
     OrderedHypergraph,
     OracleBudgetError,
     Params,
+    completion_count,
     count_extensions,
     exact_next_edge_distribution,
     exact_simplicity_probability,
@@ -78,9 +80,10 @@ class TestCounts:
         # every graph through (1,2,3): deg share = M*? sanity: strictly fewer
         assert 0 < fam.unordered_count < total
 
-    def test_budget_exhaustion_raises(self):
-        with pytest.raises(OracleBudgetError):
-            count_extensions(empty(6, 3), Params(6, 3, 2), budget=5)
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setenv("HYPERCOUPLE_NODE_BUDGET", "5")
+        with pytest.raises(OracleBudgetError, match="5 nodes"):
+            count_extensions(empty(6, 3), Params(6, 3, 2))
 
 
 class TestConfigurationIdentity:
@@ -364,14 +367,17 @@ class TestListingSweep:
 
     @pytest.mark.parametrize("nkd,edges,rows,nodes", LISTINGS)
     def test_listing_charges_one_node_per_include_child(self, nkd, edges,
-                                                        rows, nodes):
+                                                        rows, nodes,
+                                                        monkeypatch):
         # pinned, so the budget a listing is charged cannot drift
         p = Params(*nkd)
         g = OrderedHypergraph(p.n, p.k, edges)
-        fam = count_extensions(g, p, list_completions=True, budget=nodes)
+        monkeypatch.setenv("HYPERCOUPLE_NODE_BUDGET", str(nodes))
+        fam = count_extensions(g, p, list_completions=True)
         assert (fam.unordered_count, fam.nodes_used) == (rows, nodes)
-        with pytest.raises(OracleBudgetError, match=str(nodes - 1)):
-            count_extensions(g, p, list_completions=True, budget=nodes - 1)
+        monkeypatch.setenv("HYPERCOUPLE_NODE_BUDGET", str(nodes - 1))
+        with pytest.raises(OracleBudgetError, match=f"{nodes - 1} nodes"):
+            count_extensions(g, p, list_completions=True)
 
     @pytest.mark.parametrize("nkd,edges", [((9, 3, 2), [(3, 4, 5)]),
                                            ((8, 2, 3), [])])
@@ -450,3 +456,90 @@ class TestListingSweep:
         finally:
             tracemalloc.stop()
         assert peak < 3 * cap
+
+
+class TestCompletionCount:
+    """`completion_count`, the forward pass over residual degree vectors,
+    against the counting walk at every base of this file, and its four
+    refusals."""
+
+    BASES = sorted({
+        ((n, k, d), ()) for (n, k, d), _ in FROZEN_COUNTS} | {
+        (nkd, tuple(edges)) for nkd, edges in (
+            TestFamilyAgainstCounter.PREFIXES
+            + [(nkd, edges) for nkd, edges, _, _ in TestListingSweep.LISTINGS]
+            + [((9, 3, 2), [(3, 4, 5)]),
+               ((6, 3, 2), [(1, 2, 3), (1, 4, 5), (1, 2, 6)]),
+               ((6, 2, 2), [(1, 2), (1, 3)]),
+               ((9, 3, 2), [(1, 2, 3), (1, 4, 5)]),
+               ((7, 3, 3), [(1, 2, 3), (4, 5, 6)]),
+               ((4, 2, 2), [(1, 2), (1, 3)]),
+               ((4, 2, 200), [])])})
+
+    @pytest.mark.parametrize("nkd,edges", BASES)
+    def test_equals_the_counting_walk(self, nkd, edges):
+        p = Params(*nkd)
+        g = OrderedHypergraph(p.n, p.k, edges)
+        assert completion_count(g, p) == count_extensions(g, p).unordered_count
+
+    @pytest.mark.parametrize("nkd,edges", TestFamilyAgainstCounter.PREFIXES)
+    def test_gives_every_next_edge_weight(self, nkd, edges):
+        # U(G+e) for every absent e: the exact next-edge law's weights
+        p = Params(*nkd)
+        g = OrderedHypergraph(p.n, p.k, edges)
+        law = extension_family(g, p).state(frozenset(g.edge_set))
+        assert [completion_count(with_edges(g, [e]), p)
+                for e in law.support] == list(law.weights)
+
+    def test_inadmissible_prefix_counts_zero(self):
+        p = Params(6, 3, 2)
+        g = OrderedHypergraph(6, 3, [(1, 2, 3), (1, 4, 5), (1, 2, 6)])
+        assert completion_count(g, p) == 0
+
+    def test_full_prefix_counts_one(self):
+        p = Params(6, 3, 2)
+        full = extension_family(empty(6, 3), p).completions[0]
+        assert completion_count(OrderedHypergraph(6, 3, full), p) == 1
+
+    @pytest.mark.parametrize("nkd,u0", [((9, 3, 2), 122_220),
+                                        ((12, 3, 2), 757_275_750),
+                                        ((12, 2, 3), 11_555_272_575)])
+    def test_frozen_family_sizes(self, nkd, u0):
+        # U0 * M = C * U1: each graph counted once per edge
+        p = Params(*nkd)
+        u1 = completion_count(
+            OrderedHypergraph(p.n, p.k, [tuple(range(1, p.k + 1))]), p)
+        assert completion_count(empty(p.n, p.k), p) == u0
+        assert p.complete_count * u1 == p.M * u0
+
+    def test_int64_overflow_refuses_before_any_state(self, monkeypatch):
+        # 7^60 codes: no pool is read and no state built
+        def no_pool(*args):
+            raise AssertionError("the pool was read")
+
+        monkeypatch.setattr(oracle, "edge_pool", no_pool)
+        with pytest.raises(OracleBudgetError, match=r"7\^60"):
+            completion_count(empty(60, 3), Params(60, 3, 6))
+
+    def test_node_budget_refusal_names_the_budget(self, monkeypatch):
+        monkeypatch.setenv("HYPERCOUPLE_NODE_BUDGET", "100000")
+        p = Params(15, 3, 2)
+        with pytest.raises(OracleBudgetError, match="100000 nodes"):
+            completion_count(OrderedHypergraph(15, 3, [(1, 2, 3)]), p)
+
+    def test_layer_cap_refusal_names_the_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_COUNT_STATES", 100)
+        with pytest.raises(OracleBudgetError, match="100 states"):
+            completion_count(empty(9, 3), Params(9, 3, 2))
+
+    @pytest.mark.parametrize("nkd", [(18, 3, 2), (24, 3, 2), (30, 3, 2),
+                                     (12, 3, 4)])
+    def test_past_the_layer_cap_refuses_fast(self, nkd):
+        # CPU time, so a loaded machine does not fail it
+        p = Params(*nkd)
+        g = OrderedHypergraph(p.n, p.k, [tuple(range(1, p.k + 1))])
+        start = time.process_time()
+        with pytest.raises(OracleBudgetError,
+                           match=f"{oracle._COUNT_STATES} states"):
+            completion_count(g, p)
+        assert time.process_time() - start < 1.5

@@ -6,11 +6,13 @@ import pickle
 import random
 import subprocess
 import sys
-import tracemalloc
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hypercouple import oracle
 from hypercouple import (
     DomainError,
     InadmissiblePrefixError,
@@ -604,10 +606,11 @@ class TestRejectionStream:
 
 
 class TestRejectionCounters:
-    def test_unknown_exact_mode_is_rejected(self):
+    @pytest.mark.parametrize("mode", ["requre", "require"])
+    def test_unknown_exact_mode_is_rejected(self, mode):
         with pytest.raises(DomainError, match="exact must be one of"):
             simplicity_probability(OrderedHypergraph(6, 3), Params(6, 3, 2),
-                                   5, RngStream(0), exact="requre")
+                                   5, RngStream(0), exact=mode)
 
     def test_attempts_per_sample_match_exact_simplicity(self):
         # attempts per accepted sample are geometric with mean 1/P(simple)
@@ -629,23 +632,45 @@ class TestRejectionCounters:
         z = (total / samples - 1 / p) / math.sqrt((1 - p) / p**2 / samples)
         assert abs(z) < 4
 
-    def test_exact_count_does_not_list_the_family(self):
-        # the identity route needs only the number of completions; a
-        # listing of the family would hold its rows until the budget ran out
-        G = OrderedHypergraph(15, 3)
-        params = Params(15, 3, 2)
-        # a first call pays the lazy imports behind the generator
-        simplicity_probability(G, params, 5, RngStream(0), exact_budget=1000)
-        tracemalloc.start()
-        try:
-            est = simplicity_probability(G, params, 5, RngStream(0),
-                                         exact_budget=50_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def test_exact_count_does_not_list_the_family(self, monkeypatch):
+        # the identity route needs only the number of completions: under a
+        # budget the count outruns, it refuses without listing or walking
+        monkeypatch.setenv("HYPERCOUPLE_NODE_BUDGET", "50000")
+
+        def neither(*args):
+            raise AssertionError("the family was listed or walked")
+
+        monkeypatch.setattr(oracle, "_sweep_completions", neither)
+        monkeypatch.setattr(oracle, "_FocusBacktracker", neither)
+        est = simplicity_probability(OrderedHypergraph(15, 3),
+                                     Params(15, 3, 2), 5, RngStream(0))
         assert est.exact is None
-        # a listing of the 50,000-node walk peaks near 0.74 MB
-        assert peak < 0.25 * 2**20
+
+    def test_exact_value_comes_from_the_completion_count(self, monkeypatch):
+        built = []
+        real = oracle._FocusBacktracker
+
+        def spy(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_FocusBacktracker", spy)
+        start = time.perf_counter()
+        p = exact_simplicity_from_count(OrderedHypergraph(9, 3),
+                                        Params(9, 3, 2))
+        assert time.perf_counter() - start < 0.1
+        assert p == Fraction(27936, 85085) and not built
+        est = simplicity_probability(OrderedHypergraph(9, 3), Params(9, 3, 2),
+                                     5, RngStream(0))
+        assert est.exact == p and not built
+
+    def test_past_int64_codes_no_exact_value_at_once(self):
+        # (d+1)^n = 7^60 codes: the count refuses before it builds a state
+        start = time.perf_counter()
+        est = simplicity_probability(OrderedHypergraph(60, 3),
+                                     Params(60, 3, 6), 10, RngStream(0))
+        assert time.perf_counter() - start < 1
+        assert est.exact is None and est.trials == 10
 
 
 def _entry_points():
