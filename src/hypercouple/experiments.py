@@ -337,13 +337,14 @@ def _run_process_stats(cfg: ExperimentConfig):
                 for rng in RngStream.trials(cfg.seed, cfg.trials)]
     rep = reduce(operator.add, _parallel(_process_worker, payloads, cfg.jobs))
     zmax = np.abs(rep.z_scores()).max(axis=1)
+    emp_mean = rep.emp_mean
     rows: list[tuple] = [("t", "exact_mean", "exact_var", "emp_mean_min",
                           "emp_mean_max", "max_abs_z", "envelope_exceed")]
     for t in range(params.M + 1):
         rows.append((t, round(float(rep.exact_mean[t]), 6),
                      round(float(rep.exact_var[t]), 6),
-                     round(float(rep.emp_mean[t].min()), 6),
-                     round(float(rep.emp_mean[t].max()), 6),
+                     round(float(emp_mean[t].min()), 6),
+                     round(float(emp_mean[t].max()), 6),
                      round(float(zmax[t]), 4),
                      round(float(rep.envelope_exceed[t]), 6)))
     summary = {

@@ -48,13 +48,16 @@ class ProcessTrace:
 def expose_process(params: Params, rng) -> ProcessTrace:
     """Sample R(n,d) with a uniform edge order and expose it one edge at a
     time, recording every prefix's residual degrees."""
-    graph = sample_regular(OrderedHypergraph(params.n, params.k), params, rng)
-    # hits[t, v-1] = 1 when the t-th exposed edge contains v
-    hits = np.zeros((params.M + 1, params.n), dtype=np.int64)
-    steps = np.arange(1, params.M + 1)[:, None]
-    np.add.at(hits, (steps, np.array(graph.edges) - 1), 1)
-    res = params.d - np.cumsum(hits, axis=0)
-    assert not res[params.M].any()
+    M, k = params.M, params.k
+    graph = sample_regular(OrderedHypergraph(params.n, k), params, rng)
+    vertices = np.fromiter(chain.from_iterable(graph.edges), dtype=np.int64,
+                           count=M * k)
+    # hits[t, v-1] = 1 when the t-th exposed edge contains v; an edge's
+    # vertices are distinct, so no cell is assigned twice
+    hits = np.zeros((M + 1, params.n), dtype=np.int64)
+    hits[np.arange(1, M + 1).repeat(k), vertices - 1] = 1
+    res = np.subtract(params.d, np.cumsum(hits, axis=0, out=hits), out=hits)
+    assert not res[M].any()
     return ProcessTrace(graph=graph, residuals=res)
 
 
@@ -157,14 +160,16 @@ def residual_report(params: Params, trials: int, rng,
         raise DomainError(f"envelope constant a must be positive, got {a}")
     M, n, d = params.M, params.n, params.d
     tau, exact_mean, exact_var = residual_moments(params)
-    width = np.sqrt(a * tau * d * math.log(n))
+    # columns, broadcast over the vertices of each step
+    mean = exact_mean[:, None]
+    width = np.sqrt(a * tau * d * math.log(n))[:, None]
     total = np.zeros((M + 1, n))
     exceed = np.zeros(M + 1)
     for _ in range(trials):
         res = expose_process(params, stream).residuals.astype(float)
         total += res
-        exceed += (np.abs(res - exact_mean[:, None])
-                   > width[:, None]).mean(axis=1)
+        deviation = np.abs(np.subtract(res, mean, out=res), out=res)
+        exceed += (deviation > width).mean(axis=1)
     return ResidualReport(params=params, trials=trials, a=a,
                           residual_sum=total, exceed_sum=exceed,
                           exact_mean=exact_mean, exact_var=exact_var)

@@ -8,9 +8,10 @@ the result is uniform over ordered regular extensions of the base.
 
 A regular sample is the first simple row among successive
 `gen.permutation(vector)` draws.  The rows are drawn and checked in
-batches, each one `gen.permuted` call, and the generator is left exactly
+batches, each one `gen.permuted` call, and the stream is left exactly
 after the accepted row, where drawing the permutations one at a time would
-have left it.
+have left it.  The batch runs past that row, so the stream records a
+replay of the rows up to it and redraws them only if it is read again.
 
 Every stream is numpy's PCG64 with one seeding path: the stream (seed,
 path) starts from the four words of numpy's `SeedSequence(seed,
@@ -268,10 +269,19 @@ class Pcg64Stream:
     stream of an `RngStream`, or a `Pcg64Stream` itself, so samplers called
     in turn on one stream continue it.  `handoff` lends a numpy Generator
     at the stream's position for the draws only numpy makes.
+
+    The live state sits in one of two places.  After a handoff it stays in
+    the lent Generator, so handoffs with no bounded draw between them pass
+    it on without converting it; the first bounded draw, or a read of
+    `state`, takes it back.  The Generator may also have run ahead of the
+    stream: a rejection batch permutes rows past the accepted one, and
+    `defer_replay` records where the stream really is.  Those rows are
+    redrawn only when the stream is next read, so a stream dropped after
+    its sample never redraws them.
     """
 
     __slots__ = ("_state", "_inc", "_has_uint32", "_uinteger", "_rng",
-                 "_gen")
+                 "_gen", "_lent", "_replay")
 
     def __init__(self, rng: RngStream) -> None:
         """Seeded from rng's four seed words as numpy's `pcg64_set_seed`
@@ -284,6 +294,9 @@ class Pcg64Stream:
         self._has_uint32 = self._uinteger = 0
         self._rng = rng
         self._gen = None
+        # the lent Generator holds the live state, after the replay if any
+        self._lent = False
+        self._replay = None
 
     @classmethod
     def of(cls, rng) -> "Pcg64Stream":
@@ -299,6 +312,8 @@ class Pcg64Stream:
     @property
     def state(self) -> dict:
         """The state as numpy's `PCG64.state` dict."""
+        if self._lent:
+            self._take_back()
         return {"bit_generator": "PCG64",
                 "state": {"state": self._state, "inc": self._inc},
                 "has_uint32": self._has_uint32, "uinteger": self._uinteger}
@@ -309,20 +324,57 @@ class Pcg64Stream:
         self._inc = value["state"]["inc"]
         self._has_uint32 = value["has_uint32"]
         self._uinteger = value["uinteger"]
+        self._lent = False
+        self._replay = None
+
+    def _caught_up(self) -> np.random.Generator:
+        """The lent Generator at the stream's position: a pending replay
+        is redrawn first."""
+        gen = self._gen
+        if self._replay is not None:
+            state, rows, width = self._replay
+            self._replay = None
+            gen.bit_generator.state = state
+            # the draws depend on the shape only; int64 takes numpy's
+            # fastest shuffle
+            tile = np.empty((rows, width), dtype=np.int64)
+            gen.permuted(tile, axis=1, out=tile)
+        return gen
+
+    def _take_back(self) -> None:
+        """Move the live state from the lent Generator to the stream."""
+        self.state = self._caught_up().bit_generator.state
+
+    def defer_replay(self, state: dict, rows: int, width: int) -> None:
+        """Place the stream `rows` permutations of `width` items after
+        `state`, a state the lent Generator has already passed through.
+        Call only while a handoff is open; the rows are redrawn from
+        `state` when the stream is next read."""
+        self._replay = state, rows, width
 
     def next_uint64(self) -> int:
+        if self._lent:
+            self._take_back()
+        return self._next_uint64()
+
+    def next_uint32(self) -> int:
+        """The low half of a fresh 64-bit output, keeping the high half for
+        the next call."""
+        if self._lent:
+            self._take_back()
+        return self._next_uint32()
+
+    def _next_uint64(self) -> int:
         s = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
         v = (s >> 64) ^ (s & _MASK64)
         r = s >> 122
         return (v >> r | v << (64 - r)) & _MASK64
 
-    def next_uint32(self) -> int:
-        """The low half of a fresh 64-bit output, keeping the high half for
-        the next call."""
+    def _next_uint32(self) -> int:
         if self._has_uint32:
             self._has_uint32 = 0
             return self._uinteger
-        v = self.next_uint64()
+        v = self._next_uint64()
         self._has_uint32, self._uinteger = 1, v >> 32
         return v & _MASK32
 
@@ -331,6 +383,8 @@ class Pcg64Stream:
         """A uniform integer in [low, high), or [0, low) without high, as
         numpy's `Generator.integers` draws it; with size, a list of size of
         them.  The range must be at most 2^63."""
+        if self._lent:
+            self._take_back()
         if high is None:
             low, high = 0, low
         if size is not None:
@@ -339,39 +393,40 @@ class Pcg64Stream:
         if excl == 1:
             return low
         if 1 < excl < 1 << 32:
-            m = self.next_uint32() * excl
+            m = self._next_uint32() * excl
             if m & _MASK32 < excl:
                 threshold = ((1 << 32) - excl) % excl
                 while m & _MASK32 < threshold:
-                    m = self.next_uint32() * excl
+                    m = self._next_uint32() * excl
             return low + (m >> 32)
         if excl == 1 << 32:
-            return low + self.next_uint32()
+            return low + self._next_uint32()
         if not 1 << 32 < excl <= 1 << 63:
             raise DomainError(f"integers range [{low}, {high}) is empty or "
                               f"wider than 2^63")
-        m = self.next_uint64() * excl
+        m = self._next_uint64() * excl
         if m & _MASK64 < excl:
             threshold = ((1 << 64) - excl) % excl
             while m & _MASK64 < threshold:
-                m = self.next_uint64() * excl
+                m = self._next_uint64() * excl
         return low + (m >> 64)
 
     @contextmanager
     def handoff(self):
         """A numpy Generator at this stream's position, for the draws only
-        numpy makes; when the block ends the stream continues from where the
-        Generator stopped.  The Generator is the seeding RngStream's own,
-        made on the first handoff, so no other sampler may draw from the
-        stream while it is lent."""
-        if self._gen is None:
-            self._gen = self._rng.generator()
-        bit_generator = self._gen.bit_generator
-        bit_generator.state = self.state
-        try:
-            yield self._gen
-        finally:
-            self.state = bit_generator.state
+        numpy makes; the stream continues from where the Generator stops.
+        The Generator is the seeding RngStream's own, made on the first
+        handoff, so no other sampler may draw from the stream while it is
+        lent, and nothing may draw from the Generator after the block."""
+        if self._lent:
+            gen = self._caught_up()
+        else:
+            if self._gen is None:
+                self._gen = self._rng.generator()
+            gen = self._gen
+            gen.bit_generator.state = self.state
+            self._lent = True
+        yield gen
 
 
 def sample_gnm(n: int, k: int, m: int, rng) -> OrderedHypergraph:
@@ -438,21 +493,23 @@ _BATCH_CELLS = 1 << 14
 
 
 def _configuration_rejection(G: OrderedHypergraph, params: Params,
-                             gen: np.random.Generator, limit: int,
+                             stream: Pcg64Stream, limit: int,
                              first: bool) -> tuple[np.ndarray | None, int, int]:
     """Configuration-model attempts on the residual multiset of G.
 
     Attempt i is the i-th of successive `gen.permutation(vector)` calls on
-    the vertex copies, chopped into k-blocks; it is simple when no block
-    repeats a vertex, a block or an edge of G.  Attempts are drawn in
-    batches, each batch one `gen.permuted` call whose rows are exactly those
-    successive permutations; the first batch is one row and each next one
-    doubles, up to _BATCH_CELLS cells.  Loops are found on the unsorted
-    rows; only loop-free rows are sorted and tested for repeated blocks.
-    With `first`, the run stops at the first simple attempt and the
-    generator is rewound to just after it (the batch is redrawn up to that
-    row from the state saved before it); otherwise exactly `limit` attempts
-    are drawn.
+    the vertex copies, by the Generator that `stream` hands off, chopped
+    into k-blocks; it is simple when no block repeats a vertex, a block or
+    an edge of G.  Attempts are drawn in batches, each batch one
+    `gen.permuted` call whose rows are exactly those successive
+    permutations; the first batch is one row and each next one doubles, up
+    to _BATCH_CELLS cells, in one tile allocated per call.  Loops are found
+    on the unsorted rows, one column pair of the blocks at a time; only
+    loop-free rows are sorted and tested for repeated blocks.  With
+    `first`, the run stops at the first simple attempt, and the stream is
+    placed just after it by `Pcg64Stream.defer_replay` from the state saved
+    before its batch: the rows up to it are redrawn only if the stream is
+    read again.  Otherwise exactly `limit` attempts are drawn.
 
     Returns (blocks, successes, attempts): the sorted k-blocks of the first
     simple attempt when `first` found one (else None), the number of simple
@@ -463,8 +520,9 @@ def _configuration_rejection(G: OrderedHypergraph, params: Params,
     width = len(vector)
     slots = width // k
     cap = max(1, _BATCH_CELLS // max(width, 1))
-    # a block is a loop when two of its k columns agree
-    left, right = np.array(list(combinations(range(k), 2))).T
+    # a block is a loop when two of its k columns agree: loop-free cells
+    # are and-ed in place over the column pairs, compared as views
+    (a, c), *pairs = combinations(range(k), 2)
     # base-(n+1) code of a sorted block, injective on sorted blocks; a
     # loop-free row is simple when its codes and G's edge codes are all
     # distinct, i.e. their union has slots + |G| members
@@ -473,35 +531,40 @@ def _configuration_rejection(G: OrderedHypergraph, params: Params,
                            for e in G.edges)
     distinct = slots + len(G)
     powers = np.array(radix, dtype=np.int64)
-
-    def draw(rows: int) -> np.ndarray:
-        tile = np.empty((rows, width), dtype=np.int64)
-        tile[...] = vector
-        return gen.permuted(tile, axis=1, out=tile).reshape(rows, slots, k)
+    tile = np.empty((min(cap, limit), width), dtype=np.int64)
+    block_free = np.empty((len(tile), slots), dtype=bool)
+    pair_free = np.empty_like(block_free)
 
     successes = attempts = 0
     size = 1
-    while attempts < limit:
-        b = min(size, limit - attempts)
-        saved = gen.bit_generator.state if first and b > 1 else None
-        blocks = draw(b)
-        loop_free = (blocks[:, :, left] != blocks[:, :, right]).all(axis=(1, 2))
-        kept = blocks[loop_free]
-        if len(kept):
-            # loop-free rows are few wherever rejection is costly, so they
-            # are tested one by one
-            kept.sort(axis=2)
-            hits = [j for j, codes in enumerate((kept @ powers).tolist())
-                    if len(base_codes.union(codes)) == distinct]
-            if first and hits:
-                i = int(loop_free.nonzero()[0][hits[0]])
-                if i < b - 1:
-                    gen.bit_generator.state = saved
-                    draw(i + 1)
-                return kept[hits[0]], 1, attempts + i + 1
-            successes += len(hits)
-        attempts += b
-        size = min(2 * size, cap)
+    with stream.handoff() as gen:
+        while attempts < limit:
+            b = min(size, limit - attempts)
+            saved = gen.bit_generator.state if first and b > 1 else None
+            rows = tile[:b]
+            rows[...] = vector
+            blocks = gen.permuted(rows, axis=1, out=rows).reshape(b, slots, k)
+            free = np.not_equal(blocks[:, :, a], blocks[:, :, c],
+                                out=block_free[:b])
+            for x, y in pairs:
+                free &= np.not_equal(blocks[:, :, x], blocks[:, :, y],
+                                     out=pair_free[:b])
+            loop_free = free.all(axis=1).nonzero()[0]
+            if len(loop_free):
+                # loop-free rows are few wherever rejection is costly, so
+                # they are tested one by one
+                kept = blocks[loop_free]
+                kept.sort(axis=2)
+                hits = [j for j, codes in enumerate((kept @ powers).tolist())
+                        if len(base_codes.union(codes)) == distinct]
+                if first and hits:
+                    i = int(loop_free[hits[0]])
+                    if i < b - 1:
+                        stream.defer_replay(saved, i + 1, width)
+                    return kept[hits[0]], 1, attempts + i + 1
+                successes += len(hits)
+            attempts += b
+            size = min(2 * size, cap)
     return None, successes, attempts
 
 
@@ -513,11 +576,12 @@ def sample_regular(G: OrderedHypergraph, params: Params, rng,
     the residual vertex copies, drawn by the Generator that
     `Pcg64Stream.of(rng)` hands off; attempts are drawn and checked in
     batches, and the stream is left exactly after the accepted attempt, as
-    if the permutations had been drawn one at a time.  For an empty base
-    with d beyond half the complete degree the complement family is sampled
-    instead and complemented back (a bijection between the two uniform
-    families), with a fresh uniform edge order drawn after it from the same
-    stream; rejection there would practically never accept.  Raises
+    if the permutations had been drawn one at a time (the rows of its batch
+    up to it are redrawn only when the stream is read again).  For an empty
+    base with d beyond half the complete degree the complement family is
+    sampled instead and complemented back (a bijection between the two
+    uniform families), with a fresh uniform edge order drawn after it from
+    the same stream; rejection there would practically never accept.  Raises
     RejectionBudgetError after max_attempts failures, which may mean G is
     inadmissible.
     """
@@ -534,11 +598,10 @@ def sample_regular(G: OrderedHypergraph, params: Params, rng,
     if len(G) == 0 and params.d > params.max_degree // 2:
         return _sample_regular_complement(params, stream)
 
-    with stream.handoff() as gen:
-        blocks, _, _ = _configuration_rejection(G, params, gen, max_attempts,
-                                                first=True)
+    blocks, _, _ = _configuration_rejection(G, params, stream, max_attempts,
+                                            first=True)
     if blocks is not None:
-        tail = tuple(map(tuple, blocks.tolist()))
+        tail = tuple(zip(*blocks.T.tolist()))
         return OrderedHypergraph._from_canonical(params.n, params.k,
                                                  G.edges + tail)
     raise RejectionBudgetError(
@@ -616,9 +679,8 @@ def simplicity_probability(G: OrderedHypergraph, params: Params, trials: int,
             value = exact_simplicity_from_count(G, params)
         except oracle.OracleBudgetError:
             pass
-    with stream.handoff() as gen:
-        _, successes, _ = _configuration_rejection(G, params, gen, trials,
-                                                   first=False)
+    _, successes, _ = _configuration_rejection(G, params, stream, trials,
+                                               first=False)
     p_hat = successes / trials
     low, high = wilson_interval(successes, trials)
     return SimplicityEstimate(trials=trials, successes=successes, p_hat=p_hat,

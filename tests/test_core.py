@@ -569,6 +569,66 @@ class TestOneRandomnessArgument:
             "Pcg64Stream.handoff", "as_generator"]
 
 
+def position_writes(source: str) -> list[str]:
+    """The definitions holding an assignment to `<x>.bit_generator.state`
+    (or to `.state` of a name `bit_generator`), or a `setattr` of such a
+    `state`: a write of a numpy Generator's position."""
+    def names_bits(node):
+        return getattr(node, "attr", getattr(node, "id", None)) \
+            == "bit_generator"
+
+    def writes(node):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) \
+                == "setattr" and len(node.args) == 3:
+            return names_bits(node.args[0]) \
+                and getattr(node.args[1], "value", None) == "state"
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            return False
+        return any(isinstance(t, ast.Attribute) and t.attr == "state"
+                   and names_bits(t.value)
+                   for target in targets for t in ast.walk(target))
+
+    return definitions_holding(source, writes)
+
+
+class TestOneOwnerOfAStreamsPosition:
+    """`samplers.Pcg64Stream` owns a stream's position: only its methods
+    move the numpy Generator it lends, so a sampler that rewinds or
+    replays a stream goes through the stream."""
+
+    def test_only_the_stream_writes_a_generators_state(self):
+        found = [f"{path.name}: {where}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for where in position_writes(path.read_text())]
+        assert found, "the handoff positions the Generator it lends"
+        assert [where for where in found
+                if not where.startswith("samplers.py: Pcg64Stream.")] == []
+
+    def test_finder_sees_planted_writes(self):
+        # the kernel's old rewind, a setattr and the old handoff's local
+        # name; then three look-alikes: a read of the state, the stream's
+        # own state and a state attribute of something else
+        source = (
+            "def _configuration_rejection(G, params, gen):\n"
+            "    saved = gen.bit_generator.state\n"
+            "    gen.bit_generator.state = saved\n"
+            "def rewind(gen, state):\n"
+            "    setattr(gen.bit_generator, 'state', state)\n"
+            "class Pcg64Stream:\n"
+            "    def handoff(self):\n"
+            "        bit_generator = self._gen.bit_generator\n"
+            "        bit_generator.state = self.state\n"
+            "    def of(self, value):\n"
+            "        self.state = value\n"
+            "        law.state = value\n")
+        assert position_writes(source) == [
+            "_configuration_rejection", "rewind", "Pcg64Stream.handoff"]
+
+
 # the oracle's counts, and the estimators that ask one for an exact value
 ORACLE_COUNTS = {"count_extensions", "completion_count", "extension_family",
                  "exact_simplicity_from_count", "simplicity_probability"}

@@ -511,6 +511,9 @@ STREAM_CASES = [
     (Params(30, 3, 4), ()),
     # every vertex of the prefix keeps a copy, so a tail can repeat its edges
     (Params(9, 3, 2), ((1, 2, 3), (4, 5, 6))),
+    # one column pair per block, and six
+    (Params(12, 2, 3), ()),
+    (Params(8, 4, 2), ()),
 ]
 
 
@@ -605,6 +608,127 @@ class TestRejectionStream:
         assert s1.state == g2.bit_generator.state
 
 
+class _BitsSpy:
+    """A bit generator's `state`, with every read and write logged."""
+
+    def __init__(self, bits, log):
+        self._bits, self._log = bits, log
+
+    @property
+    def state(self):
+        self._log.append("get")
+        return self._bits.state
+
+    @state.setter
+    def state(self, value):
+        self._log.append("set")
+        self._bits.state = value
+
+
+class _GeneratorSpy:
+    """A numpy Generator that draws as the one it wraps and logs its state
+    reads and writes, and the start state and row count of each
+    `permuted` call."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.log = []
+        self.bit_generator = _BitsSpy(gen.bit_generator, self.log)
+
+    def permuted(self, x, axis=None, out=None):
+        state = self._gen.bit_generator.state
+        start = (state["state"]["state"], state["has_uint32"],
+                 state["uinteger"])
+        self.log.append(("permuted", start, len(x)))
+        return self._gen.permuted(x, axis=axis, out=out)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+class _Spied(RngStream):
+    """An RngStream whose `generator()` is a `_GeneratorSpy`, kept as spy."""
+
+    def generator(self):
+        object.__setattr__(self, "spy", _GeneratorSpy(super().generator()))
+        return self.spy
+
+
+class TestDeferredReplay:
+    """The accepted attempt's batch is not redrawn when it is found: the
+    stream records a replay and redraws those rows only when it is read
+    again."""
+
+    PARAMS = Params(60, 3, 6)
+
+    def _sample(self, seed):
+        """One (60,3,6) sample on the stream of `_Spied(seed)`: the stream,
+        its Generator's `permuted` calls (start state, rows), the attempts
+        of one `permutation` per attempt and the Generator that loop
+        leaves."""
+        rng = _Spied(seed)
+        stream = Pcg64Stream.of(rng)
+        G = OrderedHypergraph(60, 3)
+        sample_regular(G, self.PARAMS, stream)
+        calls = [entry[1:] for entry in rng.spy.log if entry[0] == "permuted"]
+        reference = RngStream(seed).generator()
+        attempts = _one_at_a_time(G, self.PARAMS, reference, 10**6)[1]
+        return stream, calls, attempts, reference
+
+    def test_a_dropped_stream_permutes_no_row_twice(self):
+        replays = 0
+        for seed in range(12):
+            _, calls, attempts, _ = self._sample(seed)
+            starts = [start for start, _ in calls]
+            rows = [count for _, count in calls]
+            # each batch starts where the last one ended, and the accepted
+            # attempt is in the last: rows = attempts + that batch's tail
+            assert len(set(starts)) == len(starts)
+            assert sum(rows[:-1]) < attempts <= sum(rows)
+            replays += attempts < sum(rows)
+        # the accepted row is mostly not its batch's last, so most
+        # samples leave a replay pending
+        assert replays >= 8
+
+    @pytest.mark.parametrize("read", ["integers", "next_uint64", "handoff",
+                                      "state"])
+    def test_the_next_read_continues_after_the_accepted_attempt(self, read):
+        replays = 0
+        for seed in range(6):
+            stream, calls, attempts, reference = self._sample(seed)
+            replays += attempts < sum(count for _, count in calls)
+            if read == "integers":
+                assert stream.integers(1 << 40) == int(
+                    reference.integers(1 << 40))
+            elif read == "next_uint64":
+                assert stream.next_uint64() == int(
+                    reference.bit_generator.random_raw())
+            elif read == "handoff":
+                with stream.handoff() as gen:
+                    assert np.array_equal(gen.permutation(9),
+                                          reference.permutation(9))
+            assert stream.state == reference.bit_generator.state
+        assert replays >= 3
+
+    def test_handoffs_in_turn_pass_the_state_on_unconverted(self):
+        # the lent Generator keeps the live state between handoffs; only a
+        # bounded draw takes it back
+        rng = _Spied(4)
+        stream = Pcg64Stream.of(rng)
+        reference = RngStream(4).generator()
+        for _ in range(3):
+            with stream.handoff() as gen:
+                gen.random()
+            reference.random()
+        assert rng.spy.log == ["set"]
+        assert stream.integers(1000) == int(reference.integers(1000))
+        assert rng.spy.log == ["set", "get"]
+        with stream.handoff() as gen:
+            assert gen.random() == reference.random()
+        assert rng.spy.log == ["set", "get", "set"]
+        assert stream.state == reference.bit_generator.state
+
+
 class TestRejectionCounters:
     @pytest.mark.parametrize("mode", ["requre", "require"])
     def test_unknown_exact_mode_is_rejected(self, mode):
@@ -618,16 +742,19 @@ class TestRejectionCounters:
         G = OrderedHypergraph(9, 3)
         p = exact_simplicity_from_count(G, params)
         assert abs(float(p) - 0.328) < 0.001
-        gen = RngStream(2024).generator()
+        # each call starts where the last one's deferred replay leaves the
+        # stream, which is where one-at-a-time permutations leave numpy
+        stream = Pcg64Stream.of(RngStream(2024))
         reference = RngStream(2024).generator()
         samples = 2000
         total = 0
         for _ in range(samples):
             blocks, successes, attempts = _configuration_rejection(
-                G, params, gen, 10**6, first=True)
+                G, params, stream, 10**6, first=True)
             assert blocks is not None and successes == 1
             assert attempts == _one_at_a_time(G, params, reference, 10**6)[1]
             total += attempts
+        assert stream.state == reference.bit_generator.state
         p = float(p)
         z = (total / samples - 1 / p) / math.sqrt((1 - p) / p**2 / samples)
         assert abs(z) < 4
