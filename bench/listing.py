@@ -4,11 +4,11 @@ time of the completion count.
     python3 bench/listing.py --out BENCH_<n>.json
 
 Run from the repository root; it imports the package from `src/`.  For
-each instance it lists the completion family with
-`count_extensions(..., list_completions=True)` REPEATS times in this
-process (one warm-up call first) and reports the median wall time, the
-median nodes per second (`nodes_used` over that time), and the median time
-of unpacking the family's `tails` on a fresh family.  For each count it
+each instance it lists the completion family with `count_extensions`
+REPEATS times in this process (one warm-up call first) and reports the
+median wall time, the median nodes per second (`nodes_used` over that
+time), and the median time of unpacking the family's `tails` on a fresh
+family.  For each count it
 times `completion_count` REPEATS times the same way and reports the count,
 or the refusal's message.  It also records the machine.  Only
 `time.perf_counter` and numpy are used.
@@ -61,11 +61,11 @@ REPEATS = 9
 def measure(nkd, edges) -> dict:
     params = Params(*nkd)
     prefix = OrderedHypergraph(params.n, params.k, edges)
-    count_extensions(prefix, params, list_completions=True)
+    count_extensions(prefix, params)
     list_s, tails_s = [], []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        fam = count_extensions(prefix, params, list_completions=True)
+        fam = count_extensions(prefix, params)
         list_s.append(time.perf_counter() - start)
         start = time.perf_counter()
         fam.tails

@@ -13,6 +13,7 @@ from hypercouple import (
     count_extensions,
     exact_next_edge_distribution,
     exact_simplicity_probability,
+    focus_count,
 )
 
 
@@ -21,8 +22,10 @@ def main():
     empty = OrderedHypergraph(6, 3)
 
     fam = count_extensions(empty, params)
-    print(f"2-regular 3-graphs on 6 vertices: {fam.unordered_count} "
-          f"({fam.ordered_count} ordered exposures, {fam.nodes_used} nodes)")
+    print(f"2-regular 3-graphs on 6 vertices: {fam.unordered_count} listed "
+          f"({fam.ordered_count} ordered exposures, the listing charged "
+          f"{fam.nodes_used} nodes)")
+    print(f"backtracking reference: {focus_count(empty, params)} graphs")
 
     ps = exact_simplicity_probability(empty, params)
     print(f"configuration model simplicity probability: {ps} "

@@ -1,5 +1,5 @@
 """Draw regular graphs by rejection from the configuration model and measure
-the empirical distance to the exactly enumerated uniform law."""
+the empirical distance to the exactly counted uniform law."""
 
 from collections import Counter
 
@@ -8,7 +8,7 @@ from hypercouple import (
     Params,
     Pcg64Stream,
     RngStream,
-    count_extensions,
+    completion_count,
     sample_regular,
 )
 from hypercouple.stats import tv_distance_uniform
@@ -18,7 +18,7 @@ TRIALS = 20_000
 
 def main():
     params = Params(6, 3, 2)
-    family = count_extensions(OrderedHypergraph(6, 3), params).unordered_count
+    family = completion_count(OrderedHypergraph(6, 3), params)
     stream = Pcg64Stream.of(RngStream(2024))
 
     counts = Counter()
@@ -35,7 +35,7 @@ def main():
 
     # the same machinery conditions on a prefix: restriction stays uniform
     prefix = OrderedHypergraph(6, 3, [(1, 2, 3)])
-    sub = count_extensions(prefix, params).unordered_count
+    sub = completion_count(prefix, params)
     counts = Counter()
     for _ in range(TRIALS // 4):
         g = sample_regular(prefix, params, stream)

@@ -32,6 +32,7 @@ from .oracle import (
     exact_next_edge_distribution,
     exact_simplicity_probability,
     extension_family,
+    focus_count,
     switching_class_sizes,
     verify_ratio_identity,
 )

@@ -414,9 +414,8 @@ def _run_switching_verify(cfg: ExperimentConfig):
 # --------------------------------------------------------- hamilton-sweep --
 
 def _sweep_worker(payload):
-    n, k, ell, d, trials, seed, budget = payload
-    pts = hamiltonicity_sweep(n, k, ell, [d], trials, RngStream(seed),
-                              budget=budget)
+    n, k, ell, d, trials, seed = payload
+    pts = hamiltonicity_sweep(n, k, ell, [d], trials, RngStream(seed))
     return pts[0]
 
 
@@ -429,9 +428,7 @@ def _run_hamilton_sweep(cfg: ExperimentConfig):
         raise DomainError(f"--d-list repeats a degree: {list(d_values)}")
     for d in d_values:
         Params(n, k, d)
-    budget = o.get("node_budget")
-    payloads = [(n, k, ell, d, cfg.trials, cfg.seed, budget)
-                for d in d_values]
+    payloads = [(n, k, ell, d, cfg.trials, cfg.seed) for d in d_values]
     # parallel across d points; trials within a point share the worker
     points = list(_parallel(_sweep_worker, payloads, cfg.jobs))
     rows = [("d", "trials", "ham", "none", "unknown", "p_hat", "ci_lo",
@@ -665,8 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--d-list", dest="d_values", type=_ints_arg,
                     required=True, help="comma-separated degrees")
-    sp.add_argument("--node-budget", dest="node_budget", type=int,
-                    default=None)
     _add_common(sp)
 
     sp = sub.add_parser("oracle-dump", help="exact counts and next-edge law")

@@ -210,12 +210,11 @@ class _Searcher:
         return False
 
 
-def find_hamilton_cycle(H: Hypergraph, ell: int,
-                        budget: int | None = None) -> SearchResult:
+def find_hamilton_cycle(H: Hypergraph, ell: int) -> SearchResult:
     """Exhaustive certificate search; `none` is definitive, `unknown` means
-    the node budget ran out first."""
+    the one node budget, `node_budget()`, ran out first."""
     _check_cycle_shape(H.n, H.k, ell)
-    searcher = _Searcher(H, ell, node_budget(budget))
+    searcher = _Searcher(H, ell, node_budget())
     try:
         cert = searcher.run()
     except _Budget:
@@ -255,8 +254,7 @@ class SweepPoint:
 
 
 def hamiltonicity_sweep(n: int, k: int, ell: int, d_values: list[int],
-                        trials: int, rng: RngStream,
-                        budget: int | None = None) -> list[SweepPoint]:
+                        trials: int, rng: RngStream) -> list[SweepPoint]:
     """Empirical ell-Hamiltonicity of R(n,d) across degrees.
 
     Per d: sample `trials` regular graphs, trial i from the stream
@@ -272,7 +270,7 @@ def hamiltonicity_sweep(n: int, k: int, ell: int, d_values: list[int],
         found = none = unknown = 0
         for stream in RngStream.trials(rng.seed, trials, rng.path + (d,)):
             R = sample_regular(OrderedHypergraph(n, k), params, stream)
-            res = find_hamilton_cycle(R.as_hypergraph(), ell, budget)
+            res = find_hamilton_cycle(R.as_hypergraph(), ell)
             if res.status == FOUND:
                 found += 1
             elif res.status == NONE:

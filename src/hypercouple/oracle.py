@@ -8,14 +8,14 @@ are kept deliberately separate:
 * `completion_count` answers every "how many completions?" question that
   lists nothing, by a forward pass over residual degree vectors, and
   refuses past its own caps on codes, states and weights too;
-* `count_extensions(..., list_completions=True)` lists unordered
-  completions with one vectorised sweep over the edge pool in
-  lexicographic order, into the one column-major store of an
-  `ExtensionFamily`, whose column filter and column sum give every listed
-  count, every exact law and every `PrefixTree` node;
-* `count_extensions` without a listing counts them by focus-vertex
-  backtracking (always satisfy the smallest deficient vertex first), the
-  tests' independent second opinion on the other two;
+* `count_extensions` lists unordered completions with one vectorised
+  sweep over the edge pool in lexicographic order, into the one
+  column-major store of an `ExtensionFamily`, whose column filter and
+  column sum give every listed count, every exact law and every
+  `PrefixTree` node;
+* `focus_count` counts them by focus-vertex backtracking (always satisfy
+  the smallest deficient vertex first), a plain int that only the tests
+  and demos read: the independent second opinion on the other two;
 * `exact_simplicity_probability` counts ordered simple tails
   edge-by-edge and converts to a probability over vertex-copy
   permutations.
@@ -58,16 +58,13 @@ class OracleBudgetError(RuntimeError):
 
 def _budget_error(budget: int) -> OracleBudgetError:
     return OracleBudgetError(
-        f"enumeration exceeded {budget} nodes; raise the budget "
-        f"explicitly or via {ENV_NODE_BUDGET} if this size is intended")
+        f"enumeration exceeded {budget} nodes; raise {ENV_NODE_BUDGET} "
+        f"if this size is intended")
 
 
-def node_budget(override: int | None = None) -> int:
-    """Effective enumeration budget: explicit value, else env var, else default."""
-    if override is not None:
-        if override < 1:
-            raise DomainError(f"node budget must be positive, got {override}")
-        return override
+def node_budget() -> int:
+    """The one enumeration budget: the environment variable, else the
+    default."""
     raw = os.environ.get(ENV_NODE_BUDGET)
     if raw is not None:
         try:
@@ -184,14 +181,15 @@ _SUM_ROWS = 1 << 16
 
 @dataclass(eq=False)
 class ExtensionFamily:
-    """Completions of a prefix G to a d-regular k-graph.
+    """The listed completions of a prefix G to a d-regular k-graph.
 
-    `unordered_count` is the number of completion edge-sets; the ordered
-    family (all ways to expose the remaining edges one by one) is larger by
-    a factor (M-t)!.  A listed family keeps its completion tails packed
-    column-major, in the lexicographic order of the tails: bit c & 7 of
-    `packed[c >> 3, i]` is set iff tail i contains the c-th edge of the
-    lexicographic edge pool.  Every exact count below goes through two
+    The family keeps its completion tails packed column-major, in the
+    lexicographic order of the tails: bit c & 7 of `packed[c >> 3, i]` is
+    set iff tail i contains the c-th edge of the lexicographic edge pool.
+    `unordered_count`, the number of completion edge-sets, is the number of
+    columns of `packed`, and the family is admissible when it is positive;
+    the ordered family (all ways to expose the remaining edges one by one)
+    is larger by a factor (M-t)!.  Every exact count below goes through two
     reads of `packed`: `with_column`, the completions holding one pool
     edge, so U(G+S) is the number left after one filter per edge of S;
     and `column_sums`, whose sums over those completions are the
@@ -200,10 +198,16 @@ class ExtensionFamily:
 
     params: Params
     base: frozenset[Edge]
-    unordered_count: int
-    admissible: bool
-    packed: np.ndarray | None = None
+    packed: np.ndarray
     nodes_used: int = 0
+
+    @property
+    def unordered_count(self) -> int:
+        return self.packed.shape[1]
+
+    @property
+    def admissible(self) -> bool:
+        return self.unordered_count > 0
 
     @property
     def base_size(self) -> int:
@@ -218,17 +222,11 @@ class ExtensionFamily:
         """The edge pool whose columns `packed` holds."""
         return edge_pool(self.params.n, self.params.k)
 
-    @property
-    def _listed(self) -> np.ndarray:
-        if self.packed is None:
-            raise DomainError("family was counted without listing completions")
-        return self.packed
-
     def with_column(self, c: int, among: np.ndarray | None = None
                     ) -> np.ndarray:
         """Indices (int32, increasing) of the completions, among the
         indices `among` (None: all), whose tail holds pool column c."""
-        column, bit = self._listed[c >> 3], 1 << (c & 7)
+        column, bit = self.packed[c >> 3], 1 << (c & 7)
         if among is None:
             return np.flatnonzero(column & bit).astype(np.int32)
         return among[(column[among] & bit) != 0]
@@ -236,7 +234,7 @@ class ExtensionFamily:
     def column_sums(self, among: np.ndarray | None = None) -> np.ndarray:
         """How many of the completions `among` (None: all) hold each pool
         column, unpacked _SUM_ROWS completions at a time."""
-        width, total = self._listed.shape
+        width, total = self.packed.shape
         sums = np.zeros(8 * width, dtype=np.int64)
         for a in range(0, total if among is None else len(among), _SUM_ROWS):
             block = (self.packed[:, a:a + _SUM_ROWS] if among is None
@@ -251,7 +249,7 @@ class ExtensionFamily:
         M - t column indices per completion, in the listing order."""
         # unpacking a row-major copy is faster than unpacking the strided
         # transposed view
-        rows = np.ascontiguousarray(self._listed.T)
+        rows = np.ascontiguousarray(self.packed.T)
         bits = np.unpackbits(rows, axis=1, count=len(self.pool.edges),
                              bitorder="little")
         columns = np.broadcast_to(np.arange(bits.shape[1]), bits.shape)
@@ -261,11 +259,9 @@ class ExtensionFamily:
         return tails
 
     @property
-    def completions(self) -> list[tuple[Edge, ...]] | None:
+    def completions(self) -> list[tuple[Edge, ...]]:
         """Tails as lexicographically sorted edge tuples, in the listing's
-        lexicographic order; None when the family was only counted."""
-        if self.packed is None:
-            return None
+        lexicographic order."""
         pool = self.pool.edges
         return [tuple(pool[c] for c in row) for row in self.tails.tolist()]
 
@@ -281,8 +277,6 @@ class ExtensionFamily:
         shares this family's unpacked tails instead of unpacking again."""
         tails = self.tails[which]
         sub = ExtensionFamily(params=self.params, base=self.base,
-                              unordered_count=len(tails),
-                              admissible=self.admissible,
                               packed=self.packed[:, which])
         sub.__dict__["tails"] = tails  # fills the cached property
         return sub
@@ -290,7 +284,7 @@ class ExtensionFamily:
     def rows_with(self, edges) -> np.ndarray:
         """Indices of the completions containing every edge of `edges`
         outside the base; there are U(G + edges) of them."""
-        rows = np.arange(self._listed.shape[1], dtype=np.int32)
+        rows = np.arange(self.unordered_count, dtype=np.int32)
         for e in set(edges) - self.base:
             rows = self.with_column(self.pool.column(e), rows)
         return rows
@@ -493,42 +487,39 @@ def _sweep_completions(pool: EdgePool, residual: np.ndarray | None,
     return np.concatenate(listed, axis=1), nodes
 
 
-def count_extensions(G: OrderedHypergraph, params: Params,
-                     list_completions: bool = False) -> ExtensionFamily:
-    """Count (optionally list) the d-regular completions of prefix G.
+def count_extensions(G: OrderedHypergraph, params: Params) -> ExtensionFamily:
+    """List the d-regular completions of prefix G.
 
-    A prefix with a vertex above degree d is reported as inadmissible with
-    count 0 rather than raising; exceeding `node_budget()` raises
-    OracleBudgetError, as does a listing that would hold more than
-    _LIST_BYTES.  A count that lists nothing is `completion_count`'s job;
-    the walk here is the tests' second opinion on it and on the listing.
+    A prefix with a vertex above degree d lists no completion (an
+    inadmissible family) rather than raising; exceeding `node_budget()`
+    raises OracleBudgetError, as does a listing that would hold more than
+    _LIST_BYTES.  A count that lists nothing is `completion_count`'s job.
     """
     try:
         residual = residual_degrees(G, params)
     except InadmissiblePrefixError:
         residual = None
     base = frozenset(G.edge_set)
-    packed = None
-    if list_completions:
-        packed, nodes = _sweep_completions(edge_pool(params.n, params.k),
-                                           residual, base, node_budget())
-        count = packed.shape[1]
-        packed.flags.writeable = False  # cached families are shared
-    elif residual is None:  # a vertex overflows: nothing to walk
-        count = nodes = 0
-    else:
-        bt = _FocusBacktracker(params.n, params.k, residual.tolist(),
-                               set(base), node_budget())
-        bt.run()
-        count, nodes = bt.count, bt.nodes
-    return ExtensionFamily(
-        params=params,
-        base=base,
-        unordered_count=count,
-        admissible=count > 0,
-        packed=packed,
-        nodes_used=nodes,
-    )
+    packed, nodes = _sweep_completions(edge_pool(params.n, params.k),
+                                       residual, base, node_budget())
+    packed.flags.writeable = False  # cached families are shared
+    return ExtensionFamily(params=params, base=base, packed=packed,
+                           nodes_used=nodes)
+
+
+def focus_count(G: OrderedHypergraph, params: Params) -> int:
+    """U(G) by focus-vertex backtracking, charged to `node_budget()`; 0 for
+    a prefix with a vertex above degree d.  The tests' and demos' second
+    opinion on `completion_count` and on the listing: nothing in the
+    package reads it."""
+    try:
+        residual = residual_degrees(G, params)
+    except InadmissiblePrefixError:
+        return 0
+    bt = _FocusBacktracker(params.n, params.k, residual.tolist(),
+                           set(G.edge_set), node_budget())
+    bt.run()
+    return bt.count
 
 
 # states one pool edge's layer of a completion count may hold
@@ -618,7 +609,7 @@ def completion_count(G: OrderedHypergraph, params: Params) -> int:
 @lru_cache(maxsize=8)
 def _cached_family(params: Params, edges: frozenset[Edge]) -> ExtensionFamily:
     g = OrderedHypergraph._from_canonical(params.n, params.k, sorted(edges))
-    return count_extensions(g, params, list_completions=True)
+    return count_extensions(g, params)
 
 
 def extension_family(G: OrderedHypergraph, params: Params) -> ExtensionFamily:
@@ -688,8 +679,7 @@ class PrefixTree:
         n, k, M = params.n, params.k, params.M
         first = tuple(range(1, k + 1))
         fam = count_extensions(
-            OrderedHypergraph._from_canonical(n, k, [first]), params,
-            list_completions=True)
+            OrderedHypergraph._from_canonical(n, k, [first]), params)
         if not fam.admissible:
             raise DomainError("no d-regular k-graph exists; next-edge law "
                               "undefined")

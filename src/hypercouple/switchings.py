@@ -272,7 +272,8 @@ def _iter_column_choices(candidates: list[list[Edge]],
 # ------------------------------------------------------------ class counts --
 
 # a single graph, a sequence of graphs with equally many edges, or a listed
-# family (each completion together with the family's base)
+# family (each completion together with the family's base), counted against
+# that base only
 Members = AnyGraph | Sequence[AnyGraph] | oracle.ExtensionFamily
 
 # members times their cells (a row of `present`, L·m codes, m·m·W mask words)
@@ -335,22 +336,18 @@ def _pool_rows(H: Members,
     if isinstance(H, oracle.ExtensionFamily):
         if (H.params.n, H.params.k) != (n, k):
             raise DomainError("H and G disagree on (n, k)")
-        if H.base == G.edge_set:  # the tails are the pools already
-            return table, H.tails, fixed
-        base = table.rank(np.array(sorted(H.base), dtype=np.intp
-                                   ).reshape(-1, k))
-        members = np.hstack([np.broadcast_to(base, (len(H.tails), len(base))),
-                             H.tails])
-    else:
-        graphs = [H] if isinstance(H, (Hypergraph, OrderedHypergraph)) \
-            else list(H)
-        if any((g.n, g.k) != (n, k) for g in graphs):
-            raise DomainError("H and G disagree on (n, k)")
-        sizes = {len(g) for g in graphs}
-        if len(sizes) > 1:
-            raise DomainError(f"members have different edge counts {sorted(sizes)}")
-        edges = np.array([sorted(g.edge_set) for g in graphs], dtype=np.intp)
-        members = table.rank(edges.reshape(len(graphs), max(sizes, default=0), k))
+        if H.base != G.edge_set:
+            raise DomainError("a listed family is counted against its own "
+                              "base only: G must be the family's base")
+        return table, H.tails, fixed  # the tails are the pools already
+    graphs = [H] if isinstance(H, (Hypergraph, OrderedHypergraph)) else list(H)
+    if any((g.n, g.k) != (n, k) for g in graphs):
+        raise DomainError("H and G disagree on (n, k)")
+    sizes = {len(g) for g in graphs}
+    if len(sizes) > 1:
+        raise DomainError(f"members have different edge counts {sorted(sizes)}")
+    edges = np.array([sorted(g.edge_set) for g in graphs], dtype=np.intp)
+    members = table.rank(edges.reshape(len(graphs), max(sizes, default=0), k))
     inside = np.isin(members, fixed)
     if (inside.sum(axis=1) != len(fixed)).any():
         raise DomainError("G must be a subgraph of H")

@@ -31,6 +31,7 @@ from hypercouple import (
     count_extensions,
     exact_simplicity_probability,
     find_hamilton_cycle,
+    focus_count,
     hamiltonicity_sweep,
     naive_hamiltonian,
     residual_report,
@@ -96,18 +97,20 @@ def coupling_pool():
 
 def test_criterion_01_exact_oracle_fixtures():
     t0 = time.monotonic()
-    tiny = count_extensions(OrderedHypergraph(4, 2), Params(4, 2, 1))
-    none = count_extensions(OrderedHypergraph(2, 2), Params(2, 2, 2))
+    # the backtracking reference, against frozen counts and the listing
+    tiny = focus_count(OrderedHypergraph(4, 2), Params(4, 2, 1))
+    none = focus_count(OrderedHypergraph(2, 2), Params(2, 2, 2))
+    u0 = focus_count(OrderedHypergraph(6, 3), N6)
     fam = count_extensions(OrderedHypergraph(6, 3), N6)
     # configuration identity ties the two independent enumerators together
     ps = exact_simplicity_probability(OrderedHypergraph(6, 3), N6)
     n_seq = Fraction(math.factorial(12), math.factorial(2) ** 6)
     identity = (ps * n_seq ==
-                fam.unordered_count * math.factorial(4) *
-                math.factorial(3) ** 4)
+                u0 * math.factorial(4) * math.factorial(3) ** 4)
     elapsed = time.monotonic() - t0
-    ok = ((tiny.ordered_count, tiny.unordered_count) == (6, 3)
-          and none.unordered_count == 0
+    ok = ((tiny * math.factorial(2), tiny) == (6, 3)
+          and none == 0
+          and (u0, u0 * math.factorial(4)) == (75, 1800)
           and (fam.unordered_count, fam.ordered_count) == (75, 1800)
           and identity and elapsed < 10.0)
     record_criterion(1, ok, f"counts 6/3, 0, 75/1800; configuration identity "
@@ -152,9 +155,8 @@ def test_criterion_03_ratio_identity():
                  [((1, 3), (3, 4)), ((1, 4), (2, 3)), ((3, 4), (2, 4))])
     for g, params, e, f in cases:
         base = set(g.edge_set)
-        if count_extensions(OrderedHypergraph(
-                params.n, params.k, list(g.edges) + [f]),
-                params).unordered_count == 0:
+        if focus_count(OrderedHypergraph(
+                params.n, params.k, list(g.edges) + [f]), params) == 0:
             continue
         rep = verify_ratio_identity(g, e, f, params)
         checked += 1
@@ -223,7 +225,7 @@ def test_criterion_06_accepted_size_statistics(coupling_pool):
 
 def _enumerate_family(params, base_edges=()):
     base = OrderedHypergraph(params.n, params.k, base_edges)
-    fam = count_extensions(base, params, list_completions=True)
+    fam = count_extensions(base, params)
     graphs = [Hypergraph(params.n, params.k,
                          list(base.edges) + list(tail))
               for tail in fam.completions]

@@ -629,31 +629,39 @@ class TestOneOwnerOfAStreamsPosition:
             "_configuration_rejection", "rewind", "Pcg64Stream.handoff"]
 
 
-# the oracle's counts, and the estimators that ask one for an exact value
-ORACLE_COUNTS = {"count_extensions", "completion_count", "extension_family",
-                 "exact_simplicity_from_count", "simplicity_probability"}
+# the oracle's counts, the estimators that ask one for an exact value, and
+# the Hamilton searches: every walk reads the one environment budget
+BUDGETED = {"count_extensions", "completion_count", "extension_family",
+            "exact_simplicity_from_count", "simplicity_probability",
+            "find_hamilton_cycle", "hamiltonicity_sweep"}
 
 
 def count_bypasses(source: str, module: str) -> list[str]:
-    """The definitions holding a call of `count_extensions` outside
-    oracle.py, a call of an oracle count that passes `budget=`, or any call
-    that passes `exact_budget=`."""
+    """The definitions holding a call of `count_extensions` or of the
+    backtracking reference `focus_count` outside oracle.py, a call of a
+    budgeted walk that passes `budget=`, a `node_budget` call with an
+    argument, or any call that passes `exact_budget=` or
+    `list_completions=`."""
     def accepts(node):
         if not isinstance(node, ast.Call):
             return False
         name = getattr(node.func, "id", getattr(node.func, "attr", None))
         keywords = {kw.arg for kw in node.keywords}
-        return ((name == "count_extensions" and module != "oracle.py")
-                or "exact_budget" in keywords
-                or (name in ORACLE_COUNTS and "budget" in keywords))
+        return ((name in ("count_extensions", "focus_count")
+                 and module != "oracle.py")
+                or bool({"exact_budget", "list_completions"} & keywords)
+                or (name in BUDGETED and "budget" in keywords)
+                or (name == "node_budget" and bool(node.args or keywords)))
 
     return definitions_holding(source, accepts)
 
 
 class TestOneCompletionCount:
     """`oracle.completion_count` answers every count that lists nothing,
-    under the one environment budget: outside the oracle nothing walks
-    `count_extensions`, and no count takes a budget of its own."""
+    and every walk reads the one environment budget: outside the oracle
+    nothing calls `count_extensions` or the backtracking reference, no
+    listing takes a switch, and no count or search takes a budget of its
+    own."""
 
     def test_no_caller_walks_or_passes_a_budget(self):
         found = [f"{path.name}: {where}"
@@ -662,20 +670,26 @@ class TestOneCompletionCount:
         assert found == []
 
     def test_no_count_takes_a_budget(self):
-        from hypercouple import oracle, samplers
+        from hypercouple import hamilton, oracle, samplers
 
         for fn in (oracle.count_extensions, oracle.completion_count,
-                   oracle.extension_family,
+                   oracle.extension_family, oracle.focus_count,
                    samplers.exact_simplicity_from_count,
-                   samplers.simplicity_probability):
-            assert not {"budget", "exact_budget"} & set(
+                   samplers.simplicity_probability,
+                   hamilton.find_hamilton_cycle,
+                   hamilton.hamiltonicity_sweep):
+            assert not {"budget", "exact_budget", "list_completions"} & set(
                 inspect.signature(fn).parameters), fn.__name__
+        assert not inspect.signature(oracle.node_budget).parameters
 
     def test_finder_sees_planted_bypasses(self):
         # the deleted TV count's capped walk, the deleted identity route,
-        # an estimator's exact budget, a budgeted listing and a walk with
-        # no budget; then four look-alikes: the finder's own budget, a
-        # count without one, the budget read and a walk named but not called
+        # an estimator's exact budget, a budgeted listing, a walk with no
+        # budget, the old listing switch, the backtracking reference, the
+        # Hamilton finder's and sweep's own budgets and the budget
+        # override; then five look-alikes: searches and counts without a
+        # budget, the budget read, and a walk and the reference named but
+        # not called
         source = (
             "def _run_couple(cfg):\n"
             "    size = count_extensions(first, p, budget=min(b, cap))\n"
@@ -687,13 +701,26 @@ class TestOneCompletionCount:
             "    return extension_family(G, p, budget=10)\n"
             "def walked(G, p):\n"
             "    return count_extensions(G, p).unordered_count\n"
+            "def _cached_family(params, edges):\n"
+            "    return build(g, params, list_completions=True)\n"
+            "def reference(G, p):\n"
+            "    return oracle.focus_count(G, p)\n"
             "def sweep(H, ell, budget):\n"
             "    res = find_hamilton_cycle(H, ell, budget=budget)\n"
+            "def _sweep_worker(payload):\n"
+            "    return hamiltonicity_sweep(8, 3, 2, [3], 5, rng, budget=b)\n"
+            "def find_cycle(H, ell, budget):\n"
+            "    return _Searcher(H, ell, node_budget(budget))\n"
+            "def fine(H, ell, rng):\n"
+            "    res = find_hamilton_cycle(H, ell)\n"
+            "    pts = hamiltonicity_sweep(8, 3, 2, [3], 5, rng)\n"
             "    size = completion_count(first, p)\n"
-            "    return node_budget(budget), count_extensions\n")
-        assert count_bypasses(source, "experiments.py") == [
-            "_run_couple", "exact_simplicity_from_count", "probe", "listed",
-            "walked"]
-        # inside the oracle a walk is no bypass, a budget still is
+            "    return node_budget(), count_extensions, focus_count\n")
+        planted = ["_run_couple", "exact_simplicity_from_count", "probe",
+                   "listed", "walked", "_cached_family", "reference",
+                   "sweep", "_sweep_worker", "find_cycle"]
+        assert count_bypasses(source, "experiments.py") == planted
+        # inside the oracle a listing or the reference is no bypass; a
+        # budget or a listing switch still is
         assert count_bypasses(source, "oracle.py") == [
-            "_run_couple", "exact_simplicity_from_count", "probe", "listed"]
+            name for name in planted if name not in ("walked", "reference")]

@@ -20,6 +20,7 @@ from hypercouple import (
     count_extensions,
     default_gnp_probability,
     exact_next_edge_distribution,
+    focus_count,
     is_simple,
     run_coupling,
     run_coupling_gnp,
@@ -311,8 +312,8 @@ class TestPrefixTree:
         # U0 * M = C * U1, both sides counted by the focus backtracker
         p = Params(*nkd)
         first = OrderedHypergraph(p.n, p.k, [tuple(range(1, p.k + 1))])
-        u1 = count_extensions(first, p).unordered_count
-        u0 = count_extensions(OrderedHypergraph(p.n, p.k), p).unordered_count
+        u1 = focus_count(first, p)
+        u0 = focus_count(OrderedHypergraph(p.n, p.k), p)
         C = p.complete_count
         assert u0 * p.M == C * u1
         tree = PrefixTree(p)
@@ -348,8 +349,7 @@ class TestPrefixTree:
         node = tree.child(tree.root, (1, 2, 3))
         with pytest.raises(DomainError):
             tree.child(node, (1, 2, 3))
-        full = count_extensions(OrderedHypergraph(6, 3), N6,
-                                list_completions=True).completions[0]
+        full = count_extensions(OrderedHypergraph(6, 3), N6).completions[0]
         node = _walk(tree, full[:-1])
         with pytest.raises(DomainError):
             tree.child(node, full[-1])
@@ -579,8 +579,8 @@ class TestTraces:
             tr = run_coupling(c, RngStream(6, (i,)))
             key = tuple(sorted(tr.regular_final.edge_set))
             counts[key] = counts.get(key, 0) + 1
-        fam = count_extensions(OrderedHypergraph(4, 2), c.params)
-        assert len(counts) == fam.unordered_count == 3
+        assert len(counts) == focus_count(OrderedHypergraph(4, 2),
+                                          c.params) == 3
         assert tv_distance_uniform(counts, 3) < 0.05
 
     def test_mc_mode_runs_and_marks_uncertain(self):

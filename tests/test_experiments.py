@@ -279,6 +279,28 @@ class TestCliBoundary:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not drawn
 
+    def test_the_sweep_takes_no_budget_flag(self, monkeypatch, capsys):
+        # the finder reads the one environment budget, as every count does
+        drawn = []
+        monkeypatch.setattr(hamilton, "sample_regular",
+                            lambda *args: drawn.append(args))
+        assert main(["hamilton-sweep", "--n", "8", "--k", "2", "--ell", "1",
+                     "--d-list", "2", "--node-budget", "5"]) == 2
+        assert "--node-budget" in capsys.readouterr().err
+        assert not drawn
+
+    def test_sweep_workers_read_the_environment_budget(self, tmp_path,
+                                                       monkeypatch):
+        # one node a search: every trial in every worker runs out of budget
+        monkeypatch.setenv("HYPERCOUPLE_NODE_BUDGET", "1")
+        out = tmp_path / "h"
+        assert main(["hamilton-sweep", "--n", "8", "--k", "3", "--ell", "2",
+                     "--d-list", "15,21", "--trials", "3", "--jobs", "2",
+                     "--seed", "1", "--out", str(out)]) == 0
+        s = read_json(out)
+        assert s["unknown_total"] == 6 and s["p_hat"] == {"15": 0.0,
+                                                          "21": 0.0}
+
     @pytest.mark.parametrize("n,k,ell", [(6, 3, 4), (3, 3, 2)])
     def test_bad_cycle_shape_is_rejected_before_any_sample(
             self, n, k, ell, monkeypatch, capsys):

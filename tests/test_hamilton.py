@@ -117,9 +117,10 @@ class TestSearch:
             if (3 - ell) and 6 % (3 - ell) == 0:
                 assert find_hamilton_cycle(h, ell).status == FOUND
 
-    def test_budget_exhaustion_is_unknown(self):
+    def test_budget_exhaustion_is_unknown(self, monkeypatch):
+        monkeypatch.setenv("HYPERCOUPLE_NODE_BUDGET", "1")
         h = Hypergraph(8, 3).complete(8, 3)
-        res = find_hamilton_cycle(h, 2, budget=1)
+        res = find_hamilton_cycle(h, 2)
         assert res.status == UNKNOWN
         assert not res.decided
 
@@ -186,6 +187,7 @@ class TestSweep:
         with pytest.raises(DomainError, match="RngStream"):
             hamiltonicity_sweep(8, 2, 1, [2], 3, RngStream(1).generator())
 
-    def test_budget_starved_sweep_reports_unknown(self):
-        pts = hamiltonicity_sweep(8, 3, 2, [15], 5, RngStream(15), budget=1)
+    def test_budget_starved_sweep_reports_unknown(self, monkeypatch):
+        monkeypatch.setenv("HYPERCOUPLE_NODE_BUDGET", "1")
+        pts = hamiltonicity_sweep(8, 3, 2, [15], 5, RngStream(15))
         assert pts[0].unknown == 5

@@ -3,7 +3,8 @@
 Numeric fixtures were derived once by running the enumerators at desk scale
 and are frozen here; several coincide with classical values (105 perfect
 matchings of K8, 70 labeled 2-regular graphs on 6 vertices), which ties the
-backtracking counter to independent combinatorics.
+listing and the backtracking reference, `focus_count`, to independent
+combinatorics.
 """
 
 import math
@@ -27,6 +28,7 @@ from hypercouple import (
     exact_next_edge_distribution,
     exact_simplicity_probability,
     extension_family,
+    focus_count,
     residual_degrees,
     switching_class_sizes,
     verify_ratio_identity,
@@ -47,6 +49,7 @@ FROZEN_COUNTS = [
     ((4, 2, 3), (1, 720)),     # complete 2-graph is the unique 3-regular one
     ((6, 2, 2), (70, 50400)),  # labeled 2-regular graphs on 6 vertices
     ((8, 2, 1), (105, 2520)),  # perfect matchings of K8 = 7!!
+    ((8, 4, 2), (1855, 44520)),
 ]
 
 
@@ -56,6 +59,7 @@ class TestCounts:
         n, k, d = nkd
         fam = count_extensions(empty(n, k), Params(n, k, d))
         assert (fam.unordered_count, fam.ordered_count) == expect
+        assert focus_count(empty(n, k), Params(n, k, d)) == expect[0]
 
     def test_ordered_is_unordered_times_factorial(self):
         p = Params(6, 3, 2)
@@ -64,7 +68,7 @@ class TestCounts:
 
     def test_listing_matches_count_and_is_sorted_unique(self):
         p = Params(6, 3, 2)
-        fam = count_extensions(empty(6, 3), p, list_completions=True)
+        fam = count_extensions(empty(6, 3), p)
         assert len(fam.completions) == fam.unordered_count
         assert len(set(fam.completions)) == fam.unordered_count
         for tail in fam.completions:
@@ -73,17 +77,18 @@ class TestCounts:
     def test_prefix_conditioning(self):
         p = Params(6, 3, 2)
         g = OrderedHypergraph(6, 3, [(1, 2, 3)])
-        fam = count_extensions(g, p, list_completions=True)
+        fam = count_extensions(g, p)
         assert fam.unordered_count == sum(
             1 for _ in fam.completions)
-        total = count_extensions(empty(6, 3), p).unordered_count
+        total = focus_count(empty(6, 3), p)
         # every graph through (1,2,3): deg share = M*? sanity: strictly fewer
         assert 0 < fam.unordered_count < total
 
-    def test_budget_exhaustion_raises(self, monkeypatch):
+    @pytest.mark.parametrize("count", [count_extensions, focus_count])
+    def test_budget_exhaustion_raises(self, count, monkeypatch):
         monkeypatch.setenv("HYPERCOUPLE_NODE_BUDGET", "5")
         with pytest.raises(OracleBudgetError, match="5 nodes"):
-            count_extensions(empty(6, 3), Params(6, 3, 2))
+            count(empty(6, 3), Params(6, 3, 2))
 
 
 class TestConfigurationIdentity:
@@ -92,13 +97,12 @@ class TestConfigurationIdentity:
         # P(simple) * N equals (#ordered simple tails) * (k!)^M, where N is
         # the number of distinct vertex-copy sequences (nd)!/(d!)^n; the left
         # side comes from the sequential counter, the right from the
-        # backtracking enumerator, so agreement ties the two together.
+        # backtracking reference, so agreement ties the two together.
         n, k, d = nkd
         p = Params(n, k, d)
         ps = exact_simplicity_probability(empty(n, k), p)
-        fam = count_extensions(empty(n, k), p)
         n_seq = Fraction(math.factorial(n * d), math.factorial(d) ** n)
-        ordered_tails = fam.unordered_count * math.factorial(p.M)
+        ordered_tails = focus_count(empty(n, k), p) * math.factorial(p.M)
         assert ps * n_seq == ordered_tails * math.factorial(k) ** p.M
 
     @pytest.mark.parametrize("nkd, prefix", [
@@ -111,7 +115,7 @@ class TestConfigurationIdentity:
     def test_count_route_equals_direct_enumeration(self, nkd, prefix):
         p = Params(*nkd)
         g = OrderedHypergraph(p.n, p.k, prefix)
-        u = count_extensions(g, p).unordered_count
+        u = focus_count(g, p)
         assert simplicity_from_completions(g, p, u) \
             == exact_simplicity_probability(g, p)
 
@@ -157,10 +161,9 @@ class TestNextEdgeLaw:
         p = Params(6, 3, 2)
         g = OrderedHypergraph(6, 3, [(1, 2, 3)])
         law = exact_next_edge_distribution(g, p)
-        u_g = count_extensions(g, p).unordered_count
+        u_g = focus_count(g, p)
         for e, pr in law.items():
-            u_e = count_extensions(
-                OrderedHypergraph(6, 3, [(1, 2, 3), e]), p).unordered_count
+            u_e = focus_count(OrderedHypergraph(6, 3, [(1, 2, 3), e]), p)
             assert pr == Fraction(u_e, u_g * (p.M - 1))
 
 
@@ -215,7 +218,7 @@ def with_edges(g, edges):
 
 class TestFamilyAgainstCounter:
     """The listed family's row filters and column sums against fresh walks of
-    the counting backtracker, which lists nothing."""
+    the backtracking reference, `focus_count`, which lists nothing."""
 
     PREFIXES = [
         ((6, 3, 2), []),
@@ -225,6 +228,9 @@ class TestFamilyAgainstCounter:
         ((7, 3, 3), [(1, 2, 3)]),
         ((7, 3, 3), [(1, 2, 3), (1, 4, 5), (2, 6, 7)]),
         ((8, 2, 3), [(1, 2), (3, 4)]),
+        ((8, 4, 2), []),
+        ((8, 4, 2), [(1, 2, 3, 4)]),
+        ((8, 4, 2), [(1, 2, 3, 4), (1, 5, 6, 7)]),
     ]
 
     @pytest.mark.parametrize("nkd,edges", PREFIXES)
@@ -233,11 +239,9 @@ class TestFamilyAgainstCounter:
         g = OrderedHypergraph(p.n, p.k, edges)
         law = extension_family(empty(p.n, p.k), p).state(
             frozenset(g.edge_set))
-        expected = [count_extensions(with_edges(g, [e]), p).unordered_count
-                    for e in law.support]
+        expected = [focus_count(with_edges(g, [e]), p) for e in law.support]
         assert list(law.weights) == expected
-        assert law.total == (count_extensions(g, p).unordered_count
-                             * (p.M - len(g)))
+        assert law.total == focus_count(g, p) * (p.M - len(g))
         # the prefix's own family gives the same law
         own = extension_family(g, p)
         assert own.state(own.base) == law
@@ -250,14 +254,14 @@ class TestFamilyAgainstCounter:
         # the listing to one set of rows in one order
         p = Params(*nkd)
         g = OrderedHypergraph(p.n, p.k, edges)
-        fam = count_extensions(g, p, list_completions=True)
+        fam = count_extensions(g, p)
         tails = fam.completions
         assert all(a < b for a, b in zip(tails, tails[1:]))
         for tail in tails:
             assert not set(tail) & g.edge_set
             full = OrderedHypergraph(p.n, p.k, edges + list(tail))
             assert not residual_degrees(full, p).any()
-        assert len(tails) == count_extensions(g, p).unordered_count
+        assert len(tails) == focus_count(g, p)
 
     def test_inadmissible_prefix_has_weight_zero(self):
         p = Params(6, 3, 2)
@@ -268,7 +272,7 @@ class TestFamilyAgainstCounter:
         assert through_1 and not any(through_1)
         bad = with_edges(g, [(1, 2, 6)])
         fam = extension_family(empty(6, 3), p)
-        assert count_extensions(bad, p).unordered_count == 0
+        assert focus_count(bad, p) == 0
         assert len(fam.rows_with(bad.edge_set)) == 0
         with pytest.raises(DomainError):
             fam.state(frozenset(bad.edge_set))
@@ -278,8 +282,7 @@ class TestFamilyAgainstCounter:
         fam = extension_family(empty(6, 3), p)
         for pair in combinations(combinations(range(1, 7), 3), 2):
             g = OrderedHypergraph(6, 3, pair)
-            assert len(fam.rows_with(pair)) == count_extensions(
-                g, p).unordered_count
+            assert len(fam.rows_with(pair)) == focus_count(g, p)
 
     def test_family_cache_is_bounded(self):
         info = oracle._cached_family.cache_info()
@@ -347,13 +350,17 @@ class TestColumnReads:
             with pytest.raises(DomainError, match=re.escape(str(edge))):
                 read()
 
-    def test_counted_family_has_no_reads(self):
-        fam = count_extensions(OrderedHypergraph(6, 3), Params(6, 3, 2))
-        assert fam.packed is None and fam.completions is None
-        for read in (fam.column_sums, lambda: fam.with_column(0),
-                     lambda: fam.tails):
-            with pytest.raises(DomainError):
-                read()
+    def test_restricting_to_no_rows_is_inadmissible(self):
+        # the count and admissibility are read off the rows a family holds,
+        # so a restriction cannot carry its parent's stale copies
+        fam = extension_family(OrderedHypergraph(6, 3), Params(6, 3, 2))
+        for which in (np.zeros(fam.unordered_count, dtype=bool),
+                      np.zeros(0, dtype=np.int32)):
+            none = fam.restrict(which)
+            assert none.unordered_count == 0 and none.admissible is False
+            assert none.completions == [] and not none.column_sums().any()
+        one = fam.restrict([3])
+        assert one.unordered_count == 1 and one.admissible is True
 
 
 class TestListingSweep:
@@ -373,11 +380,11 @@ class TestListingSweep:
         p = Params(*nkd)
         g = OrderedHypergraph(p.n, p.k, edges)
         monkeypatch.setenv("HYPERCOUPLE_NODE_BUDGET", str(nodes))
-        fam = count_extensions(g, p, list_completions=True)
+        fam = count_extensions(g, p)
         assert (fam.unordered_count, fam.nodes_used) == (rows, nodes)
         monkeypatch.setenv("HYPERCOUPLE_NODE_BUDGET", str(nodes - 1))
         with pytest.raises(OracleBudgetError, match=f"{nodes - 1} nodes"):
-            count_extensions(g, p, list_completions=True)
+            count_extensions(g, p)
 
     @pytest.mark.parametrize("nkd,edges", [((9, 3, 2), [(3, 4, 5)]),
                                            ((8, 2, 3), [])])
@@ -387,7 +394,7 @@ class TestListingSweep:
         # the same nodes
         p = Params(*nkd)
         g = OrderedHypergraph(p.n, p.k, edges)
-        whole = count_extensions(g, p, list_completions=True)
+        whole = count_extensions(g, p)
         sorts = []
         real = oracle._in_order
 
@@ -397,7 +404,7 @@ class TestListingSweep:
 
         monkeypatch.setattr(oracle, "_SWEEP_ROWS", 64)
         monkeypatch.setattr(oracle, "_in_order", spy)
-        split = count_extensions(g, p, list_completions=True)
+        split = count_extensions(g, p)
         assert split.packed.shape == whole.packed.shape
         assert split.packed.tobytes() == whole.packed.tobytes()
         assert split.nodes_used == whole.nodes_used
@@ -406,43 +413,40 @@ class TestListingSweep:
     def test_overfull_prefix_lists_no_rows(self):
         p = Params(6, 3, 2)
         g = OrderedHypergraph(6, 3, [(1, 2, 3), (1, 4, 5), (1, 2, 6)])
-        fam = count_extensions(g, p, list_completions=True)
+        fam = count_extensions(g, p)
         assert fam.packed.shape == (math.ceil(p.complete_count / 8), 0)
         assert not fam.admissible and fam.unordered_count == 0
+        assert focus_count(g, p) == 0
 
     def test_complete_prefix_lists_one_empty_tail(self):
         p = Params(6, 3, 2)
-        full = count_extensions(empty(6, 3), p,
-                                list_completions=True).completions[0]
-        fam = count_extensions(OrderedHypergraph(6, 3, full), p,
-                               list_completions=True)
+        full = count_extensions(empty(6, 3), p).completions[0]
+        fam = count_extensions(OrderedHypergraph(6, 3, full), p)
         assert fam.packed.shape == (3, 1) and not fam.packed.any()
         assert fam.completions == [()] and fam.unordered_count == 1
 
     def test_unreachable_degree_lists_nothing(self):
         # d = 200 exceeds what a one-byte signed residual can hold
         g, p = OrderedHypergraph(4, 2), Params(4, 2, 200)
-        assert count_extensions(g, p, list_completions=True
-                                ).unordered_count == 0
         assert count_extensions(g, p).unordered_count == 0
+        assert focus_count(g, p) == 0
 
     def test_family_is_built_through_count_extensions(self, monkeypatch):
         calls = []
         real = oracle.count_extensions
 
-        def spy(*args, **kwargs):
-            fam = real(*args, **kwargs)
-            calls.append((kwargs.get("list_completions"), fam.nodes_used))
+        def spy(G, params):
+            fam = real(G, params)
+            calls.append(fam.nodes_used)
             return fam
 
         monkeypatch.setattr(oracle, "count_extensions", spy)
         oracle._cached_family.cache_clear()
         g, p = OrderedHypergraph(7, 3, [(1, 2, 3)]), Params(7, 3, 3)
-        extension_family(g, p)
-        extension_family(g, p)
-        assert len(calls) == 1 and calls[0][0] is True
-        nodes = calls[0][1]
-        assert type(nodes) is int and nodes > 0
+        fam = extension_family(g, p)
+        assert extension_family(g, p) is fam
+        assert len(calls) == 1 and fam.nodes_used == calls[0]
+        assert type(calls[0]) is int and calls[0] > 0
 
     def test_listing_memory_is_capped(self, monkeypatch):
         cap = 4 * 2**20
@@ -460,8 +464,8 @@ class TestListingSweep:
 
 class TestCompletionCount:
     """`completion_count`, the forward pass over residual degree vectors,
-    against the counting walk at every base of this file, and its four
-    refusals."""
+    against the backtracking reference at every base of this file, and its
+    four refusals."""
 
     BASES = sorted({
         ((n, k, d), ()) for (n, k, d), _ in FROZEN_COUNTS} | {
@@ -480,7 +484,7 @@ class TestCompletionCount:
     def test_equals_the_counting_walk(self, nkd, edges):
         p = Params(*nkd)
         g = OrderedHypergraph(p.n, p.k, edges)
-        assert completion_count(g, p) == count_extensions(g, p).unordered_count
+        assert completion_count(g, p) == focus_count(g, p)
 
     @pytest.mark.parametrize("nkd,edges", TestFamilyAgainstCounter.PREFIXES)
     def test_gives_every_next_edge_weight(self, nkd, edges):
