@@ -38,6 +38,7 @@ from .oracle import (
 )
 from .samplers import (
     MultiExtension,
+    Pcg64Lanes,
     Pcg64Stream,
     RejectionBudgetError,
     RngStream,
@@ -57,6 +58,7 @@ from .switchings import (
 from .coupling import (
     AcceptedSizeDiagnostics,
     CouplingConfig,
+    CouplingLanes,
     CouplingStep,
     CouplingTrace,
     GnpCouplingTrace,
@@ -65,6 +67,7 @@ from .coupling import (
     default_gnp_probability,
     run_coupling,
     run_coupling_gnp,
+    run_coupling_lanes,
 )
 from .process import (
     MutualSample,

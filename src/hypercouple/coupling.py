@@ -23,14 +23,16 @@ That stream is one `Pcg64Stream`, numpy's PCG64 on Python ints, handed to
 every sampler the trace calls: every bounded draw is its own, and only the
 samplers' permutations in mc mode (and the G(n, p) variant's binomial
 count) borrow a numpy Generator at its position, so an exact run never
-imports `numpy.random`.
+imports `numpy.random`.  `run_coupling_lanes` walks the exact traces of
+many trials at once, one `Pcg64Lanes` lane each, and draws and exposes
+what `run_coupling` does on each trial's stream.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -42,9 +44,10 @@ from .core import (
     OrderedHypergraph,
     Params,
     complement_edges,
+    edge_pool,
 )
 from .oracle import StateLaw, prefix_tree
-from .samplers import Pcg64Stream, sample_gnm, sample_regular
+from .samplers import Pcg64Lanes, Pcg64Stream, sample_gnm, sample_regular
 
 
 def _exact_ratio(value: float | Fraction, M: int) -> Fraction:
@@ -313,6 +316,251 @@ def run_coupling(config: CouplingConfig, rng) -> CouplingTrace:
         near_uniform_all=near_all, certain=exact,
         accepted_enough=enough, contained=contained,
     )
+
+
+@dataclass
+class CouplingLanes:
+    """Joint exposures walked together by `run_coupling_lanes`, one lane per
+    trial, as arrays of pool columns: lane i is the `CouplingTrace` that
+    `trace(i)` rebuilds."""
+
+    config: CouplingConfig
+    proposals: np.ndarray  # (lanes, coupled steps): the uniform side's
+    coins: np.ndarray      # (lanes, coupled steps) bool
+    near: np.ndarray       # (lanes, coupled steps) bool: the verdicts
+    branches: np.ndarray   # (lanes, M) int8: index into BRANCHES
+    exposed: np.ndarray    # (lanes, M): the regular side's exposure order
+    contained: np.ndarray  # (lanes,) bool
+
+    @property
+    def accepted(self) -> np.ndarray:
+        return self.coins.sum(axis=1)
+
+    @property
+    def near_uniform_all(self) -> np.ndarray:
+        return self.near.all(axis=1)
+
+    @classmethod
+    def concat(cls, parts: list["CouplingLanes"]) -> "CouplingLanes":
+        """The lanes of parts, in order."""
+        return cls(parts[0].config, *(
+            np.concatenate([getattr(p, f.name) for p in parts])
+            for f in fields(cls)[1:]))
+
+    def trace(self, i: int) -> CouplingTrace:
+        """Lane i as the `CouplingTrace` that `run_coupling` returns."""
+        config, cut = self.config, self.config.coupled_steps
+        n, k, m = config.params.n, config.params.k, config.m
+        edges = edge_pool(n, k).edges
+        proposals = tuple(edges[c] for c in self.proposals[i].tolist())
+        coins, near = self.coins[i].tolist(), self.near[i].tolist()
+        exposed = [edges[c] for c in self.exposed[i].tolist()]
+        steps = tuple(
+            CouplingStep(index=t, uniform_edge=proposals[t],
+                         coin=int(coins[t]), near_uniform=near[t],
+                         branch=BRANCHES[b], exposed_edge=e) if t < cut else
+            CouplingStep(index=t, uniform_edge=None, coin=None,
+                         near_uniform=None, branch=BRANCHES[b],
+                         exposed_edge=e)
+            for t, (b, e) in enumerate(zip(self.branches[i].tolist(),
+                                           exposed)))
+        accepted = tuple(p for p, c in zip(proposals, coins) if c)
+        enough = len(accepted) >= m
+        return CouplingTrace(
+            config=config, steps=steps, accepted=accepted,
+            embedded=accepted[:m] if enough else proposals[:m],
+            used_fallback=not enough,
+            regular_final=OrderedHypergraph._from_canonical(n, k, exposed),
+            uniform_final=OrderedHypergraph._from_canonical(n, k, proposals),
+            near_uniform_all=all(near), certain=True, accepted_enough=enough,
+            contained=bool(self.contained[i]))
+
+
+def _runs(key: np.ndarray) -> tuple[np.ndarray, list[int], list[int],
+                                    np.ndarray]:
+    """The lanes ordered by key, and the runs of equal keys in that order:
+    their keys, their starts and their sizes."""
+    order = key.argsort()
+    ordered = key[order]
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    bounds = np.append(first.nonzero()[0], len(key))
+    starts = bounds[:-1]
+    return (order, ordered[starts].tolist(), starts.tolist(),
+            bounds[1:] - starts)
+
+
+# below this many lanes the array calls of a step cost more than the lanes'
+# own steps, so each lane is walked alone
+_LANES_MIN = 32
+
+
+def run_coupling_lanes(config: CouplingConfig,
+                       lanes: Pcg64Lanes) -> CouplingLanes:
+    """`run_coupling` in exact mode for every lane of `lanes` at once: lane
+    i exposes and draws what `run_coupling(config, lanes.stream(i))`, taken
+    before the walk, would.
+
+    The head draws every lane's proposals, a partial Fisher-Yates shuffle
+    over pool columns as `sample_gnm` draws it, then its coins.  At each
+    step the lanes are grouped by their `PrefixTree` node and, on a coupled
+    step, by the class (coin, proposal in R) as well; `coupling_step`
+    resolves each group once, from its first lane, and again each lane of
+    a group it resolves as mapped.  The step's draws are one lane call,
+    each located in its integer cumulative sums by searchsorted
+    (side="right"), as `bisect_right` does, and the children are taken
+    once per distinct (node, exposed edge).  Every lane keeps the checks of
+    `run_coupling`: no edge exposed twice, an accepted proposal under a
+    near-uniform verdict on the regular side at once, and the containment
+    assertion.  Fewer than _LANES_MIN lanes are each walked by
+    `run_coupling` on the lane's stream.
+    """
+    if config.p_mode != "exact":
+        raise DomainError("the lanes walk exact laws only")
+    params = config.params
+    n, k, M = params.n, params.k, params.M
+    edges, column = edge_pool(n, k).edges, edge_pool(n, k).column
+    C, L, cut, eps = len(edges), lanes.size, config.coupled_steps, \
+        config.epsilon
+    if L < _LANES_MIN:
+        traces = [run_coupling(config, lanes.stream(i)) for i in range(L)]
+        steps = [trace.steps for trace in traces]
+        return CouplingLanes(
+            config=config,
+            proposals=np.array([[column(s.uniform_edge) for s in row[:cut]]
+                                for row in steps], dtype=np.intp),
+            coins=np.array([[s.coin for s in row[:cut]] for row in steps],
+                           dtype=bool),
+            near=np.array([[s.near_uniform for s in row[:cut]]
+                           for row in steps], dtype=bool),
+            branches=np.array([[BRANCHES.index(s.branch) for s in row]
+                               for row in steps], dtype=np.int8),
+            exposed=np.array([[column(s.exposed_edge) for s in row]
+                              for row in steps], dtype=np.intp),
+            contained=np.array([trace.contained for trace in traces]))
+
+    rows = np.arange(L)
+    head = lanes.integers_in_turn([C - t for t in range(cut)] + [M] * cut
+                                  ).astype(np.intp)
+    order = np.tile(np.arange(C, dtype=np.min_scalar_type(C)), (L, 1))
+    for t in range(cut):
+        j = head[:, t] + t
+        swap = order[rows, j]
+        order[rows, j] = order[:, t]
+        order[:, t] = swap
+    proposals = order[:, :cut].astype(np.intp)
+    coins = head[:, cut:] < cut
+    columns = proposals.tolist()
+
+    def proposed(r: int) -> tuple[Edge, ...]:
+        return tuple(map(edges.__getitem__, columns[r]))
+
+    tree = prefix_tree(params)
+    nodes = [tree.root]
+    at = np.zeros(L, dtype=np.intp)      # each lane's node in `nodes`
+    held = np.zeros((L, C), dtype=bool)  # the regular side's edges, R
+    near = np.ones((L, cut), dtype=bool)
+    branches = np.empty((L, M), dtype=np.int8)
+    exposed = np.empty((L, M), dtype=np.intp)
+    for t in range(M):
+        coupled = t < cut
+        if coupled:
+            proposal, coin = proposals[:, t], coins[:, t]
+            order, keys, starts, sizes = _runs(
+                at * 4 + coin * 2 + held[rows, proposal])
+        else:
+            order, keys, starts, sizes = _runs(at)
+        lane = order.tolist()
+        kinds, verdicts, highs, laws = [], [], [], {}
+        for key, s in zip(keys, starts):
+            r = lane[s]
+            node = nodes[key >> 2 if coupled else key]
+            law = node.law
+            if coupled:
+                verdict, branch, _, draw = coupling_step(
+                    law, eps, edges[columns[r][t]], (key >> 1) & 1,
+                    node.edges, proposed(r), t)
+                verdicts.append(verdict)
+            else:
+                # a tail step has no draw of its own: it takes the law
+                branch, draw = "tail", (law.cumulative, law.total)
+            kinds.append(BRANCHES.index(branch))
+            highs.append(0 if draw is None else draw[1])
+            if draw is not None:
+                if draw[1] > 1 << 63:
+                    raise DomainError(f"integers range [0, {draw[1]}) is "
+                                      f"wider than 2^63")
+                # the excess law and the state's law of each node
+                laws[2 * (key >> 2 if coupled else key)
+                     + (branch == "excess")] = law.support, draw[0]
+        kind = np.repeat(np.array(kinds, dtype=np.int8), sizes)
+        branches[order, t] = kind
+        step = exposed[:, t]
+        if coupled:
+            near[order, t] = np.repeat(verdicts, sizes)
+            fresh = order[kind == 0]
+            step[fresh] = proposal[fresh]
+        for r in order[kind == 1].tolist():
+            node = nodes[at[r]]
+            _, _, e, _ = coupling_step(node.law, eps, edges[columns[r][t]],
+                                       1, node.edges, proposed(r), t)
+            step[r] = column(e)
+        drawn = order[kind >= 2]
+        if len(drawn):
+            values = lanes.integers(np.repeat(np.array(highs, np.uint64),
+                                              sizes)[kind >= 2], drawn)
+            # located once per distinct law
+            by, keys, starts, sizes = _runs(2 * at[drawn]
+                                            + (kind[kind >= 2] == 2))
+            drawn, values = drawn[by], values[by]
+            alone, alone_columns = [], []
+            for key, s, size in zip(keys, starts, sizes.tolist()):
+                support, cumulative = laws[key]
+                if size == 1:
+                    alone.append(int(drawn[s]))
+                    alone_columns.append(column(support[bisect_right(
+                        cumulative, int(values[s]))]))
+                    continue
+                part = drawn[s:s + size]
+                # the law's support is the absent edges, in pool order
+                absent = (~held[part[0]]).nonzero()[0]
+                assert len(absent) == len(support)
+                step[part] = absent[np.array(
+                    cumulative, dtype=np.uint64).searchsorted(
+                    values[s:s + size], side="right")]
+            step[alone] = alone_columns
+        again = held[rows, step]
+        if again.any():
+            r = int(again.nonzero()[0][0])
+            raise AssertionError(f"step {t} tried to re-expose "
+                                 f"{edges[step[r]]}; conditional law broke")
+        held[rows, step] = True
+        if coupled:
+            # the step-level guarantee: an accepted proposal under a
+            # near-uniform verdict is on the regular side immediately after
+            sure = (near[:, t] & coin).nonzero()[0]
+            assert held[sure, proposal[sure]].all()
+        if t + 1 < M:
+            order, keys, _, sizes = _runs(at * C + step)
+            children: dict = {}
+            ids = [children.setdefault(
+                tree.child(nodes[key // C], edges[key % C]), len(children))
+                for key in keys]
+            at[order] = np.repeat(ids, sizes)
+            nodes = list(children)
+
+    m = config.m
+    enough = coins.sum(axis=1) >= m
+    # the embedded proposals: the first m accepted ones, or the first m
+    embedded = np.where(enough[:, None], coins & (coins.cumsum(axis=1) <= m),
+                        np.arange(cut) < m)
+    contained = (held[rows[:, None], proposals] | ~embedded).all(axis=1)
+    # the guarantee the construction exists for; never bypassed
+    assert contained[near.all(axis=1) & enough].all(), \
+        "near-uniform accepted proposals escaped the regular graph"
+    return CouplingLanes(config=config, proposals=proposals, coins=coins,
+                         near=near, branches=branches, exposed=exposed,
+                         contained=contained)
 
 
 def _estimate_law(regular_graph: OrderedHypergraph, params: Params, trials: int,

@@ -37,10 +37,13 @@ from .core import (
     format_edge_list,
 )
 from .coupling import (
+    BRANCHES,
     CouplingConfig,
+    CouplingLanes,
     choose_epsilon,
     run_coupling,
     run_coupling_gnp,
+    run_coupling_lanes,
 )
 from .hamilton import _check_cycle_shape, hamiltonicity_sweep
 from .oracle import (
@@ -54,6 +57,7 @@ from .oracle import (
 )
 from .process import residual_report
 from .samplers import (
+    Pcg64Lanes,
     RejectionBudgetError,
     RngStream,
     sample_gnm,
@@ -114,8 +118,8 @@ def _json_bytes(obj) -> bytes:
 
 def _csv_bytes(columns: list[str], rows: list[tuple]) -> bytes:
     out = [",".join(columns)]
-    for row in rows:
-        out.append(",".join("" if x is None else str(x) for x in row))
+    out += [",".join(["" if x is None else str(x) for x in row])
+            for row in rows]
     return ("\n".join(out) + "\n").encode("ascii")
 
 
@@ -236,23 +240,61 @@ def _couple_worker(payload):
             len(base.accepted), base.used_fallback, final, extra, steps)
 
 
+def _lanes_worker(payload) -> CouplingLanes:
+    cc, seed, start, count = payload
+    return run_coupling_lanes(cc, Pcg64Lanes(seed, count, start=start))
+
+
+def _walk_lanes(cfg: ExperimentConfig, cc: CouplingConfig) -> CouplingLanes:
+    """Every trial of an exact `couple` run as a lane of
+    `run_coupling_lanes`, in `cfg.jobs` contiguous chunks.  Trial 0 is also
+    walked alone by `run_coupling`, and must give lane 0's trace: the lanes
+    are checked on every run, and a traced run sees a real trace."""
+    bounds = [cfg.trials * j // cfg.jobs for j in range(cfg.jobs + 1)]
+    payloads = [(cc, cfg.seed, lo, hi - lo)
+                for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    walk = CouplingLanes.concat(list(_parallel(_lanes_worker, payloads,
+                                               cfg.jobs)))
+    if walk.trace(0) != run_coupling(cc, RngStream(cfg.seed, (0,))):
+        raise AssertionError("lane 0 left the trace run_coupling walks for "
+                             "trial 0")
+    return walk
+
+
 def _run_couple(cfg: ExperimentConfig, gnp: bool):
     o = dict(cfg.options)
     cc = _couple_config(o)  # validated once, handed to every worker
     emit = bool(o.get("emit_traces"))
     if cc.p_mode == "exact":
         tree = prefix_tree(cc.params)  # built once, before the fork
-    payloads = [(cc, o.get("p"), rng, gnp, emit)
-                for rng in RngStream.trials(cfg.seed, cfg.trials)]
-    results = list(_parallel(_couple_worker, payloads, cfg.jobs))
-
-    contained = sum(r[0] for r in results)
-    near_all = sum(r[1] for r in results)
-    certain = all(r[2] for r in results)
-    sizes = [float(r[3]) for r in results]
-    fallback = sum(r[4] for r in results)
-    mean, var = _mean_var(sizes)
-    below = sum(1 for s in sizes if s < cc.m)
+    if cc.p_mode == "exact" and not gnp:
+        walk = _walk_lanes(cfg, cc)
+        contained, near_all = walk.contained.tolist(), \
+            walk.near_uniform_all.tolist()
+        sizes = walk.accepted.tolist()
+        certain = True
+        # the final graphs as rows of sorted pool columns, counted in the
+        # order each is first seen
+        finals = np.sort(walk.exposed, axis=1)
+        graphs = finals.view(np.dtype((np.void,
+                                       finals.itemsize * cc.params.M)))
+        _, first, counts = np.unique(graphs.ravel(), return_index=True,
+                                     return_counts=True)
+        finals_seen = counts[np.argsort(first)].tolist()
+    else:
+        payloads = [(cc, o.get("p"), rng, gnp, emit)
+                    for rng in RngStream.trials(cfg.seed, cfg.trials)]
+        results = list(_parallel(_couple_worker, payloads, cfg.jobs))
+        contained = [r[0] for r in results]
+        near_all = [r[1] for r in results]
+        certain = all(r[2] for r in results)
+        sizes = [r[3] for r in results]
+        seen: dict = {}
+        for r in results:
+            seen[r[5]] = seen.get(r[5], 0) + 1
+        finals_seen = list(seen.values())
+    fallback = [s < cc.m for s in sizes]
+    mean, var = _mean_var([float(s) for s in sizes])
 
     tv_checks = None
     if cc.p_mode == "exact":
@@ -269,13 +311,11 @@ def _run_couple(cfg: ExperimentConfig, gnp: bool):
             # the finished trials stand; only the uniformity check is dropped
             size, tv_checks = 0, {"skipped": str(exc)}
     if 0 < size <= _TV_FAMILY_LIMIT:
-        counts: dict = {}
-        for r in results:
-            counts[r[5]] = counts.get(r[5], 0) + 1
         tv_checks = {
             "family_size": size,
-            "support_seen": len(counts),
-            "tv_final_regular": round(tv_distance_uniform(counts, size), 6),
+            "support_seen": len(finals_seen),
+            "tv_final_regular": round(tv_distance_uniform(
+                dict(enumerate(finals_seen)), size), 6),
         }
 
     mean_expected, var_expected, chebyshev = cc.accepted_yardsticks
@@ -285,10 +325,10 @@ def _run_couple(cfg: ExperimentConfig, gnp: bool):
         "n": cc.params.n, "k": cc.params.k, "d": cc.params.d,
         "gamma": o["gamma"], "epsilon": float(cc.epsilon), "m": cc.m,
         "p_mode": cc.p_mode, "trials": cfg.trials,
-        "contained_rate": _wilson_dict(contained, cfg.trials),
-        "A_all_rate": _wilson_dict(near_all, cfg.trials),
-        "S_lt_m_rate": _wilson_dict(below, cfg.trials),
-        "fallback_rate": _wilson_dict(fallback, cfg.trials),
+        "contained_rate": _wilson_dict(sum(contained), cfg.trials),
+        "A_all_rate": _wilson_dict(sum(near_all), cfg.trials),
+        "S_lt_m_rate": _wilson_dict(sum(fallback), cfg.trials),
+        "fallback_rate": _wilson_dict(sum(fallback), cfg.trials),
         "verdicts_certain": certain,
         "accepted_mean": round(mean, 6), "accepted_var": round(var, 6),
         "accepted_mean_expected": mean_expected,
@@ -307,18 +347,27 @@ def _run_couple(cfg: ExperimentConfig, gnp: bool):
         summary["gnp_contained_rate"] = _wilson_dict(
             sum(r[6][2] for r in results), cfg.trials)
 
+    if not emit:
+        columns = ["trial", "accepted", "contained", "A_all", "fallback"]
+        rows = list(zip(range(cfg.trials), sizes, map(int, contained),
+                        map(int, near_all), map(int, fallback)))
+        return summary, [tuple(columns)] + rows, []
     columns = ["trial", "t", "xi", "A_t", "branch"]
     rows: list[tuple] = []
-    if emit:
+    if cc.p_mode == "exact" and not gnp:
+        cut, M = cc.coupled_steps, cc.params.M
+        coins, near = walk.coins.tolist(), walk.near.tolist()
+        for i, kinds in enumerate(walk.branches.tolist()):
+            rows.extend((i, t, int(coins[i][t]), int(near[i][t]),
+                         BRANCHES[kinds[t]]) for t in range(cut))
+            rows.extend((i, t, None, None, BRANCHES[kinds[t]])
+                        for t in range(cut, M))
+    else:
         for i, r in enumerate(results):
             for (t, coin, near, branch) in r[7]:
                 rows.append((i, t,
                              None if coin is None else int(coin),
                              None if near is None else int(near), branch))
-    else:
-        columns = ["trial", "accepted", "contained", "A_all", "fallback"]
-        rows = [(i, r[3], int(r[0]), int(r[1]), int(r[4]))
-                for i, r in enumerate(results)]
     return summary, [tuple(columns)] + rows, []
 
 
@@ -389,16 +438,19 @@ def _run_switching_verify(cfg: ExperimentConfig):
         rows = [("class", "size", "forward_sum", "backward_sum")]
         balanced = True
         # class ell is counted forward, then backward as class ell + 1's
-        # lower neighbour, so each class is restricted once
+        # lower neighbour, so each class is restricted and its membership
+        # rows built once; class ell - 1 is counted and let go before class
+        # ell is restricted, so one class is held at a time
         lower = fam.restrict(values == sizes.bottom - 1)
         for ell in range(sizes.bottom, sizes.top + 1):
-            upper = fam.restrict(values == ell)
-            if ell in sizes.unordered_sizes:
-                fsum = forward_count(upper, base, kind, pair=target)
+            counted = ell in sizes.unordered_sizes
+            if counted:
                 bsum = backward_count(lower, base, kind, pair=target)
+            lower = fam.restrict(values == ell)
+            if counted:
+                fsum = forward_count(lower, base, kind, pair=target)
                 balanced &= fsum == bsum
                 rows.append((ell, sizes.unordered_sizes[ell], fsum, bsum))
-            lower = upper
         interval = {"bottom": sizes.bottom, "top": sizes.top,
                     "is_interval": sizes.is_interval}
     summary = {

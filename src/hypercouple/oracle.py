@@ -258,6 +258,18 @@ class ExtensionFamily:
         tails.flags.writeable = False
         return tails
 
+    @cached_property
+    def present(self) -> np.ndarray:
+        """Membership rows, read-only: row i is True at the pool columns of
+        the base and of completion i's tail, as the switching kernels read
+        a member."""
+        rows = np.ascontiguousarray(self.packed.T)
+        present = np.unpackbits(rows, axis=1, count=len(self.pool.edges),
+                                bitorder="little").view(bool)
+        present[:, [self.pool.column(e) for e in self.base]] = True
+        present.flags.writeable = False
+        return present
+
     @property
     def completions(self) -> list[tuple[Edge, ...]]:
         """Tails as lexicographically sorted edge tuples, in the listing's

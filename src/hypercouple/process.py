@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -141,6 +142,18 @@ def residual_moments(params: Params) -> tuple[np.ndarray, np.ndarray,
     return tau, exact_mean, exact_var
 
 
+@lru_cache(maxsize=8)
+def _envelope(params: Params, a: float) -> tuple[np.ndarray, ...]:
+    """The exact mean and variance of `residual_moments` and the envelope
+    width sqrt(a*tau*d*log n) as a column, computed once per (params, a)
+    and read-only, since `process-stats` asks for them on every trial."""
+    tau, exact_mean, exact_var = residual_moments(params)
+    width = np.sqrt(a * tau * params.d * math.log(params.n))[:, None]
+    for array in (exact_mean, exact_var, width):
+        array.flags.writeable = False
+    return exact_mean, exact_var, width
+
+
 def residual_report(params: Params, trials: int, rng,
                     a: float | None = None) -> ResidualReport:
     """Run `trials` independent exposures and compare residual trajectories
@@ -158,11 +171,10 @@ def residual_report(params: Params, trials: int, rng,
         a = 3.0 * (params.k + 2)
     if not a > 0:
         raise DomainError(f"envelope constant a must be positive, got {a}")
-    M, n, d = params.M, params.n, params.d
-    tau, exact_mean, exact_var = residual_moments(params)
+    M, n = params.M, params.n
+    exact_mean, exact_var, width = _envelope(params, a)
     # columns, broadcast over the vertices of each step
     mean = exact_mean[:, None]
-    width = np.sqrt(a * tau * d * math.log(n))[:, None]
     total = np.zeros((M + 1, n))
     exceed = np.zeros(M + 1)
     for _ in range(trials):

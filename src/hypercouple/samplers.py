@@ -25,6 +25,8 @@ anything else is refused.  Bounded integers are drawn by the
 `Generator.integers` draw for draw; draws only numpy makes (permutations,
 `random`, `binomial`) come from the numpy Generator the stream hands off
 at its position.  No stream depends on which of the two drew it.
+`Pcg64Lanes` draws the streams of many trials at once, each lane what its
+own `Pcg64Stream` would.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -88,13 +91,17 @@ class RngStream:
         the streams are filled in directly rather than each through
         `__init__`."""
         seed, path = _check_seed(seed, path)
-        streams = []
-        for i, words in enumerate(trial_seed_words(seed, count, path).tolist()):
-            stream = object.__new__(cls)
-            stream.__dict__.update(seed=seed, path=path + (i,),
-                                   _words=tuple(words))
-            streams.append(stream)
-        return streams
+        return [cls._seeded(seed, path + (i,), tuple(words)) for i, words
+                in enumerate(trial_seed_words(seed, count, path).tolist())]
+
+    @classmethod
+    def _seeded(cls, seed: int, path: tuple[int, ...],
+                words: tuple[int, ...]) -> "RngStream":
+        """The stream (seed, path) with its seed words already computed;
+        seed and path must be checked."""
+        stream = object.__new__(cls)
+        stream.__dict__.update(seed=seed, path=path, _words=words)
+        return stream
 
     def child(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.path + tuple(indices))
@@ -427,6 +434,271 @@ class Pcg64Stream:
             gen.bit_generator.state = self.state
             self._lent = True
         yield gen
+
+
+# 128-bit PCG64 arithmetic on uint64 arrays: a value is a (hi, lo) pair of
+# arrays, and products wrap as numpy's uint64 arithmetic does
+_U32 = np.uint64(0xFFFFFFFF)
+_W32 = np.uint64(32)
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
+
+
+def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the products a * b, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _U32, a >> _W32, b & _U32, b >> _W32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _W32) + (p01 & _U32) + (p10 & _U32)
+    return a1 * b1 + (p01 >> _W32) + (p10 >> _W32) + (mid >> _W32)
+
+
+def _mul128(ahi, alo, bhi, blo) -> tuple[np.ndarray, np.ndarray]:
+    """(a * b) mod 2^128."""
+    return _mulhi64(alo, blo) + alo * bhi + ahi * blo, alo * blo
+
+
+def _add128(ahi, alo, bhi, blo) -> tuple[np.ndarray, np.ndarray]:
+    """(a + b) mod 2^128."""
+    lo = alo + blo
+    return ahi + bhi + (lo < blo), lo
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's output of the states (hi, lo): hi ^ lo rotated right by the
+    top six bits of hi."""
+    v = hi ^ lo
+    r = hi >> np.uint64(58)
+    return v >> r | v << ((np.uint64(64) - r) & np.uint64(63))
+
+
+# outputs one jump of the lanes' states lays out, and the fewest outputs
+# laid out at once: enough for a (6,3,2) coupling walk's 10 draws
+_JUMP = 4
+_LAID_OUT = 8
+
+
+@lru_cache(maxsize=_JUMP)
+def _jump(steps: int) -> tuple[np.ndarray, ...]:
+    """(A_j, S_j) for j = 1..steps as uint64 (hi, lo) rows: j outputs
+    after state s with increment inc, the state is A_j * s + S_j * inc."""
+    a, s, table = 1, 0, []
+    for _ in range(steps):
+        a, s = a * _PCG_MULT & _MASK128, (s * _PCG_MULT + 1) & _MASK128
+        table.append((a >> 64, a & _MASK64, s >> 64, s & _MASK64))
+    return tuple(np.array(col, dtype=np.uint64) for col in zip(*table))
+
+
+class Pcg64Lanes:
+    """The `Pcg64Stream`s of the trials (seed, (i,)) for i = start..start +
+    count - 1, drawn together, one lane per trial: the bulk form of
+    `Pcg64Stream`, as `trial_seed_words` is of `seed_words`.
+
+    Every lane holds numpy's PCG64 state (the 128-bit state as two uint64
+    arrays, products built from 32-bit halves) and the half-word buffer of
+    `next_uint32`, seeded from its row of `trial_seed_words`, and each
+    bounded draw of a lane is the one its `Pcg64Stream` makes: none for a
+    range of 1, one raw uint32 for a range of 2^32, Lemire's rejection on
+    32 bits for other ranges up to 2^32 and on 64 bits above; only the
+    lanes that reject draw again.  `stream(i)` hands lane i on as a
+    `Pcg64Stream`.
+
+    The states are seeded at the first draw, so lanes that are only
+    handed on cost their seed words alone.  Every lane's next _LAID_OUT
+    outputs are then laid out at once, as half-words from a jump of each
+    state (the state j outputs on is A_j s + S_j inc), and 32-bit draws
+    read them by a per-lane cursor; so a draw on few lanes costs a few
+    array calls, not a PCG step each.  A 64-bit draw, an export or a cursor
+    at the end of the layout first writes the cursors back into the lanes'
+    states.
+    """
+
+    def __init__(self, seed: int, count: int, start: int = 0) -> None:
+        seed, (start,) = _check_seed(seed, (start,))
+        if count < 1:
+            raise DomainError("lanes need count >= 1")
+        self.seed, self.start, self.size = seed, start, count
+        self._words = trial_seed_words(seed, start + count)[start:]
+        self._all = np.arange(count)
+        # the lanes' states, seeded at the first draw
+        self._hi = self._lo = self._inc = self._has = self._buf = None
+        # the laid-out half-words, the states they come from and the cursors
+        self._half = self._states = self._cur = None
+
+    def _seed(self) -> None:
+        """Seed every lane as `Pcg64Stream.__init__` does: the increment
+        from the last two seed words, the state ((inc + initstate) * MULT +
+        inc) from the first two."""
+        w0, w1, w2, w3 = self._words.T
+        one = np.uint64(1)
+        self._inc = inc = w2 << one | w3 >> np.uint64(63), w3 << one | one
+        state = _mul128(*_add128(*inc, w0, w1), _MULT_HI, _MULT_LO)
+        self._hi, self._lo = _add128(*state, *inc)
+        self._has = np.zeros(self.size, dtype=bool)
+        self._buf = np.zeros(self.size, dtype=np.uint64)
+
+    def _lay_out(self, steps: int) -> None:
+        """Lay out every lane's next `steps` outputs: row i of `_half` is
+        lane i's buffered half-word, then each output's low and high half,
+        and its cursor starts at the buffered half-word if there is one.
+        The states are jumped _JUMP outputs at a time, which keeps the
+        temporaries of many lanes small."""
+        if self._hi is None:
+            self._seed()
+        hi, lo, states = self._hi, self._lo, []
+        for done in range(0, steps, _JUMP):
+            a_hi, a_lo, s_hi, s_lo = (
+                x[:, None] for x in _jump(min(_JUMP, steps - done)))
+            hi, lo = _add128(*_mul128(hi, lo, a_hi, a_lo),
+                             *_mul128(*self._inc, s_hi, s_lo))
+            states.append((hi, lo))
+            hi, lo = hi[-1], lo[-1]
+        hi, lo = (np.concatenate(part) for part in zip(*states))
+        out = _xsl_rr(hi, lo)
+        half = np.empty((self.size, 2 * steps + 1), dtype=np.uint64)
+        half[:, 0] = self._buf
+        half[:, 1::2] = (out & _U32).T
+        half[:, 2::2] = (out >> _W32).T
+        self._half, self._states = half, (hi, lo)
+        self._cur = (~self._has).astype(np.intp)
+
+    def _settle(self) -> None:
+        """Write the cursors back into the states and buffers.  A cursor c
+        past the buffered half-word has read c // 2 outputs; the high half
+        of the last stays in the buffer, still to be read when c is even."""
+        if self._half is None:
+            return
+        c = self._cur
+        rows = np.flatnonzero(c >= 2)
+        j = c[rows] // 2
+        self._hi[rows] = self._states[0][j - 1, rows]
+        self._lo[rows] = self._states[1][j - 1, rows]
+        self._buf[rows] = self._half[rows, 2 * j]
+        self._has = np.where(c >= 2, c % 2 == 0, self._has & (c == 0))
+        self._half = self._states = self._cur = None
+
+    def _next_uint32(self, rows: np.ndarray, count: int = 1) -> np.ndarray:
+        """The next `count` uint32 outputs of each lane of rows, as
+        `next_uint32` returns them in turn: (len(rows),) for one, else
+        (len(rows), count)."""
+        if self._half is not None:
+            c = self._cur[rows]
+            if c.max() + count > self._half.shape[1]:
+                self._settle()
+        if self._half is None:
+            self._lay_out(max(_LAID_OUT, count // 2 + 1))
+            c = self._cur[rows]
+        self._cur[rows] = c + count
+        if count == 1:
+            return self._half[rows, c]
+        return self._half[rows[:, None], c[:, None] + np.arange(count)]
+
+    def _next_uint64(self, rows: np.ndarray) -> np.ndarray:
+        """One PCG step of each lane of rows; the half-word buffers stay."""
+        self._settle()
+        if self._hi is None:
+            self._seed()
+        hi, lo = _add128(*_mul128(self._hi[rows], self._lo[rows], _MULT_HI,
+                                  _MULT_LO), self._inc[0][rows],
+                         self._inc[1][rows])
+        self._hi[rows], self._lo[rows] = hi, lo
+        return _xsl_rr(hi, lo)
+
+    def _lemire32(self, rows: np.ndarray, high: np.ndarray) -> np.ndarray:
+        m = self._next_uint32(rows) * high
+        suspect = np.flatnonzero((m & _U32) < high)
+        if len(suspect):
+            h = high[suspect]
+            bad = suspect[(m[suspect] & _U32) < (np.uint64(1 << 32) - h) % h]
+            while len(bad):
+                h = high[bad]
+                m[bad] = self._next_uint32(rows[bad]) * h
+                bad = bad[(m[bad] & _U32) < (np.uint64(1 << 32) - h) % h]
+        return m >> _W32
+
+    def _lemire64(self, rows: np.ndarray, high: np.ndarray) -> np.ndarray:
+        x = self._next_uint64(rows)
+        lo, hi = x * high, _mulhi64(x, high)
+        suspect = np.flatnonzero(lo < high)
+        if len(suspect):
+            h = high[suspect]
+            bad = suspect[lo[suspect] < (~h + np.uint64(1)) % h]
+            while len(bad):
+                h = high[bad]
+                x = self._next_uint64(rows[bad])
+                lo[bad], hi[bad] = x * h, _mulhi64(x, h)
+                bad = bad[lo[bad] < (~h + np.uint64(1)) % h]
+        return hi
+
+    def integers(self, high, rows=None) -> np.ndarray:
+        """A uniform integer in [0, high) for every lane of `rows` (an index
+        array; None: every lane), as uint64: lane i draws what its
+        `Pcg64Stream.integers(high)` would.  high is one int or one per
+        row, each in 1..2^63."""
+        rows = self._all if rows is None else np.asarray(rows, dtype=np.intp)
+        if not len(rows):
+            return np.zeros(0, dtype=np.uint64)
+        if isinstance(high, np.ndarray):
+            high = high.astype(np.uint64, copy=False)
+            least, most = int(high.min()), int(high.max())
+        else:
+            least = most = high
+            high = np.full(len(rows), high, dtype=np.uint64)
+        if not 1 <= least <= most <= 1 << 63:
+            raise DomainError(f"integers ranges {least}..{most} leave 1..2^63")
+        if 1 < least and most <= 1 << 32:
+            return self._lemire32(rows, high)
+        out = np.zeros(len(rows), dtype=np.uint64)
+        for part, draw in (((high > 1) & (high <= 1 << 32), self._lemire32),
+                           (high > 1 << 32, self._lemire64)):
+            part = np.flatnonzero(part)
+            if len(part):
+                out[part] = draw(rows[part], high[part])
+        return out
+
+    def integers_in_turn(self, highs) -> np.ndarray:
+        """Row i holds lane i's draws `integers(h)` for each h of `highs` in
+        turn, as a (count, len(highs)) uint64 array.
+
+        While every range is at most 2^32, the draws of all lanes are read
+        off their half-words at once, and only a lane with a rejection
+        among them draws again, range by range.
+        """
+        highs = [operator.index(h) for h in highs]
+        out = np.zeros((self.size, len(highs)), dtype=np.uint64)
+        cols = [j for j, h in enumerate(highs) if h != 1]
+        if not cols:
+            return out
+        if not all(1 < highs[j] <= 1 << 32 for j in cols):
+            for j in cols:
+                out[:, j] = self.integers(highs[j])
+            return out
+        h = np.array([highs[j] for j in cols], dtype=np.uint64)
+        m = self._next_uint32(self._all, len(cols)).reshape(-1, len(cols)) * h
+        low = m & _U32
+        out[:, cols] = m >> _W32
+        if (low < h).any():
+            slow = np.flatnonzero(
+                (low < (np.uint64(1 << 32) - h) % h).any(axis=1))
+            if len(slow):
+                self._cur[slow] -= len(cols)
+                for j in cols:
+                    out[slow, j] = self.integers(highs[j], slow)
+        return out
+
+    def stream(self, i: int) -> Pcg64Stream:
+        """Lane i as a `Pcg64Stream` at its current position: the stream
+        (seed, (start + i,)), continued from here."""
+        rng = RngStream._seeded(self.seed, (self.start + i,),
+                                tuple(self._words[i].tolist()))
+        stream = Pcg64Stream(rng)
+        if self._hi is not None:
+            self._settle()
+            stream.state = {
+                "state": {"state": int(self._hi[i]) << 64 | int(self._lo[i]),
+                          "inc": int(self._inc[0][i]) << 64
+                          | int(self._inc[1][i])},
+                "has_uint32": int(self._has[i]),
+                "uinteger": int(self._buf[i])}
+        return stream
 
 
 def sample_gnm(n: int, k: int, m: int, rng) -> OrderedHypergraph:

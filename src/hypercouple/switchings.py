@@ -515,11 +515,16 @@ def _counts(H: Members, G: AnyGraph, kind: str, edge: Edge | None,
         return counts
     size, (m, w) = len(table.vertices), (pool.shape[1], table.masks.shape[1])
     step = max(1, _CELLS // (size + m * (len(leads.ranks) + m * w)))
+    # a listed family's rows are built once, for both of its kernels
+    listed = H.present if isinstance(H, oracle.ExtensionFamily) else None
     for lo in range(0, len(pool), step):
         part = pool[lo:lo + step]
-        present = np.zeros((len(part), size), dtype=bool)
-        present[:, fixed] = True
-        present[np.arange(len(part))[:, None], part] = True
+        if listed is not None:
+            present = listed[lo:lo + step]
+        else:
+            present = np.zeros((len(part), size), dtype=bool)
+            present[:, fixed] = True
+            present[np.arange(len(part))[:, None], part] = True
         kernel(table, leads, part, present, counts[lo:lo + step])
     return counts
 

@@ -7,12 +7,14 @@ from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypercouple import (
     CouplingConfig,
     DomainError,
     OrderedHypergraph,
     Params,
+    Pcg64Lanes,
     Pcg64Stream,
     RngStream,
     accepted_size_diagnostics,
@@ -24,10 +26,16 @@ from hypercouple import (
     is_simple,
     run_coupling,
     run_coupling_gnp,
+    run_coupling_lanes,
     sample_gnm,
 )
 from hypercouple import coupling, oracle
-from hypercouple.coupling import BRANCHES, _draw_cumulative, coupling_step
+from hypercouple.coupling import (
+    BRANCHES,
+    CouplingLanes,
+    _draw_cumulative,
+    coupling_step,
+)
 from hypercouple.oracle import (
     PrefixTree,
     StateLaw,
@@ -589,6 +597,96 @@ class TestTraces:
         assert not tr.certain
         assert len(tr.regular_final) == c.params.M
         assert all(tr.regular_final.degree(v) == 2 for v in range(1, 7))
+
+
+LANE_SIZES = [(N6, 0.75), (Params(7, 3, 3), 4 / 7), (Params(8, 2, 3), 0.75),
+              (Params(9, 3, 2), 0.5)]
+
+
+class TestLanes:
+    """`run_coupling_lanes` walks trial i's lane as `run_coupling` walks
+    the stream (seed, (i,)): the same proposals, coins, verdicts, branches
+    and exposure order, batched or each lane alone."""
+
+    @pytest.mark.parametrize("lanes_min", [1, coupling._LANES_MIN],
+                             ids=["batched", "default"])
+    @pytest.mark.parametrize("params,gamma", LANE_SIZES,
+                             ids=lambda x: str(x))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 1 << 32))
+    def test_every_lane_is_its_trials_trace(self, params, gamma, lanes_min,
+                                            seed):
+        c = cfg(params, gamma)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coupling, "_LANES_MIN", lanes_min)
+            walk = run_coupling_lanes(c, Pcg64Lanes(seed, 24))
+        for i in range(24):
+            assert walk.trace(i) == run_coupling(c, RngStream(seed, (i,)))
+
+    @pytest.mark.parametrize("params,gamma,seed", [
+        (Params(4, 2, 2), 0.75, 5), (N6, 0.75, 0), (Params(8, 2, 3), 0.75, 1)])
+    def test_mapped_and_every_other_branch_walk_together(self, params, gamma,
+                                                         seed):
+        c = cfg(params, gamma)
+        walk = run_coupling_lanes(c, Pcg64Lanes(seed, 400))
+        kinds = set(walk.branches.ravel().tolist())
+        assert BRANCHES.index("mapped") in kinds
+        if params == Params(4, 2, 2):
+            assert kinds == set(range(len(BRANCHES)))
+        for i in range(400):
+            assert walk.trace(i) == run_coupling(c, RngStream(seed, (i,)))
+
+    def test_the_lanes_hold_the_sandwich(self):
+        # the complete family is uniform at every state, so every lane that
+        # accepted enough proposals contains them
+        p = Params(4, 2, 3)
+        c = CouplingConfig(p, gamma=3 * choose_epsilon(p, 0.9),
+                           epsilon=choose_epsilon(p, 0.9))
+        walk = run_coupling_lanes(c, Pcg64Lanes(3, 150))
+        enough = walk.accepted >= c.m
+        assert walk.near_uniform_all.all() and enough.any()
+        assert walk.contained[enough].all()
+
+    def test_chunks_concatenate_to_the_whole_walk(self):
+        c = cfg()
+        whole = run_coupling_lanes(c, Pcg64Lanes(4, 90))
+        parts = CouplingLanes.concat([
+            run_coupling_lanes(c, Pcg64Lanes(4, 40)),
+            run_coupling_lanes(c, Pcg64Lanes(4, 50, start=40))])
+        for name in ("proposals", "coins", "near", "branches", "exposed",
+                     "contained"):
+            assert np.array_equal(getattr(whole, name), getattr(parts, name))
+
+    @pytest.mark.parametrize("lanes_min", [1, 64])
+    def test_a_re_exposure_is_caught_on_every_lane(self, monkeypatch,
+                                                   lanes_min):
+        # a resolution that maps every proposal onto the first one exposes
+        # it again at the second step
+        def first_again(law, eps, proposal, coin, regular_set, proposals, t):
+            return True, "mapped", proposals[0], None
+
+        monkeypatch.setattr(coupling, "coupling_step", first_again)
+        monkeypatch.setattr(coupling, "_LANES_MIN", lanes_min)
+        with pytest.raises(AssertionError, match="step 1 tried to re-expose"):
+            run_coupling_lanes(cfg(), Pcg64Lanes(0, 40))
+
+    @pytest.mark.parametrize("lanes_min", [1, 64])
+    def test_a_false_verdict_is_caught_on_every_lane(self, monkeypatch,
+                                                     lanes_min):
+        # near-uniform verdicts whose edges come from the state's own law
+        # leave accepted proposals off the regular side
+        def always_near(law, eps, proposal, coin, regular_set, proposals, t):
+            return True, "excess", None, (law.cumulative, law.total)
+
+        monkeypatch.setattr(coupling, "coupling_step", always_near)
+        monkeypatch.setattr(coupling, "_LANES_MIN", lanes_min)
+        with pytest.raises(AssertionError):
+            run_coupling_lanes(cfg(), Pcg64Lanes(0, 40))
+
+    def test_mc_mode_is_refused(self):
+        with pytest.raises(DomainError, match="exact laws only"):
+            run_coupling_lanes(cfg(p_mode="mc", mc_trials=5),
+                               Pcg64Lanes(0, 2))
 
 
 class TestRandomnessStream:

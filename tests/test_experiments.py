@@ -93,6 +93,44 @@ class TestReproducibility:
             runs.append(data_digests(out))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("emit", [False, True])
+    def test_lane_chunks_are_byte_identical_across_jobs(self, tmp_path,
+                                                         emit):
+        # 70 trials: one chunk of 70, two of 35, three below the batching
+        # threshold, each walked lane by lane
+        assert 70 // 3 < coupling._LANES_MIN <= 35
+        runs = []
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"j{jobs}"
+            assert main(["couple", "--n", "6", "--k", "3", "--d", "2",
+                         "--gamma", "0.75", "--trials", "70", "--seed", "4",
+                         "--jobs", jobs, "--out", str(out)]
+                        + ["--emit-traces"] * emit) == 0
+            runs.append(data_digests(out))
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("params,gamma", [
+        ((6, 3, 2), "0.75"), ((7, 3, 3), "0.5714285714285714"),
+        ((8, 2, 3), "0.75"), ((9, 3, 2), "0.5")])
+    def test_lane_rows_are_the_traces_rows(self, tmp_path, params, gamma):
+        # the rows `--emit-traces` writes, rebuilt from run_coupling alone
+        n, k, d = params
+        out = tmp_path / "lanes"
+        assert main(["couple", "--n", str(n), "--k", str(k), "--d", str(d),
+                     "--gamma", gamma, "--trials", "40", "--seed", "6",
+                     "--emit-traces", "--out", str(out)]) == 0
+        config = coupling.CouplingConfig(
+            coupling.Params(n, k, d), float(gamma),
+            coupling.choose_epsilon(coupling.Params(n, k, d), float(gamma)))
+        rows = ["trial,t,xi,A_t,branch"]
+        for i, rng in enumerate(samplers.RngStream.trials(6, 40)):
+            for s in coupling.run_coupling(config, rng).steps:
+                cells = (i, s.index, s.coin, s.near_uniform, s.branch)
+                rows.append(",".join("" if x is None else str(int(x))
+                                     if isinstance(x, bool) else str(x)
+                                     for x in cells))
+        assert (out / "rows.csv").read_text().splitlines() == rows
+
     def test_mc_couple_independent_of_parallelism(self, tmp_path):
         runs = []
         for jobs in ("1", "2"):

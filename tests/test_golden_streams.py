@@ -47,6 +47,12 @@ GOLDEN = {
          "--gamma", "0.5714285714285714", "--trials", "8"],
         "1675b4ade78d7046265549a67d6018e845c647d4ade5da0fc6272a2666b763cd",
         "9a3a7048eb7211e8361e0521c1dc0ad0c11123a6b800742ad0df6c40b791bdcf"),
+    # k = 2; recorded before `couple` walked its trials as lanes
+    "couple-823-traces": (
+        ["couple", "--n", "8", "--k", "2", "--d", "3", "--gamma", "0.75",
+         "--trials", "20", "--emit-traces"],
+        "95681bd3960f6ec9e3c4af2a01bce5bacc3b07a13168e808defc5868f5dd9417",
+        "8c1e3b97ab60d5b31c597a735eb32666c7b98d3ad43de3ffe25b61d8f0f2bdd5"),
     "couple-932": (
         ["couple", "--n", "9", "--k", "3", "--d", "2", "--gamma", "0.5",
          "--trials", "10"],

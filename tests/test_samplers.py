@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypercouple import oracle
 from hypercouple import (
@@ -19,6 +20,7 @@ from hypercouple import (
     OrderedHypergraph,
     Params,
     RejectionBudgetError,
+    Pcg64Lanes,
     Pcg64Stream,
     RngStream,
     count_extensions,
@@ -313,6 +315,116 @@ class TestPcg64Stream:
         for other in (31337, RngStream(3).words, None):
             with pytest.raises(DomainError, match="expected RngStream"):
                 Pcg64Stream.of(other)
+
+
+# every case of numpy's bounded draw: no draw, Lemire on 32 bits (2^31 + 1
+# rejects about half its raw draws), one raw uint32, Lemire on 64 bits
+# (3 * 2^61 rejects a quarter)
+LANE_RANGES = [1, 2, 20, (1 << 31) + 1, 1 << 32, (1 << 32) + 1, 1 << 62,
+               3 << 61]
+
+
+def _lane_streams(seed, count, start=0):
+    return [Pcg64Stream(RngStream(seed, (start + i,))) for i in range(count)]
+
+
+class TestPcg64Lanes:
+    """Lane i of `Pcg64Lanes` draws what the `Pcg64Stream` of trial
+    start + i draws, and is at the same state after every draw."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 1 << 40), count=st.integers(1, 5),
+           start=st.integers(0, 3),
+           calls=st.lists(st.tuples(
+               st.lists(st.sampled_from(LANE_RANGES), min_size=5,
+                        max_size=5),
+               st.lists(st.booleans(), min_size=5, max_size=5),
+               st.booleans()), min_size=1, max_size=30))
+    def test_every_draw_and_state_is_the_streams(self, seed, count, start,
+                                                 calls):
+        # 30 calls read past the half-words laid out at once
+        lanes = Pcg64Lanes(seed, count, start=start)
+        streams = _lane_streams(seed, count, start)
+        for highs, chosen, check in calls:
+            rows = [i for i in range(count) if chosen[i]]
+            if len(set(highs)) == 1:
+                got = lanes.integers(highs[0], np.array(rows, dtype=np.intp))
+            else:
+                got = lanes.integers(np.array([highs[i] for i in rows],
+                                              dtype=np.uint64), rows)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [streams[i].integers(highs[i])
+                                    for i in rows]
+            if check:
+                # the exported state, half-word buffer included
+                assert [lanes.stream(i).state for i in range(count)] == \
+                    [stream.state for stream in streams]
+        assert [lanes.stream(i).state for i in range(count)] == \
+            [stream.state for stream in streams]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 1 << 40), count=st.integers(1, 5),
+           before=st.integers(0, 21),
+           highs=st.lists(st.sampled_from(LANE_RANGES), max_size=24))
+    def test_draws_in_turn_are_the_streams(self, seed, count, before, highs):
+        lanes = Pcg64Lanes(seed, count)
+        streams = _lane_streams(seed, count)
+        # an odd number of uint32 draws first leaves a half-word buffered,
+        # and many run past the half-words laid out at once
+        lanes.integers_in_turn([1 << 32] * before)
+        for stream in streams:
+            stream.integers(1 << 32, size=before)
+        got = lanes.integers_in_turn(highs)
+        assert got.shape == (count, len(highs))
+        assert got.tolist() == [[stream.integers(h) for h in highs]
+                                for stream in streams]
+        assert [lanes.stream(i).state for i in range(count)] == \
+            [stream.state for stream in streams]
+
+    def test_lanes_match_numpy_generators(self):
+        lanes = Pcg64Lanes(17, 4, start=2)
+        gens = [RngStream(17, (2 + i,)).generator() for i in range(4)]
+        for high in LANE_RANGES * 3:
+            got = lanes.integers(high)
+            assert got.tolist() == [int(gen.integers(high)) for gen in gens]
+        assert [lanes.stream(i).state for i in range(4)] == \
+            [gen.bit_generator.state for gen in gens]
+
+    def test_rejecting_lanes_alone_draw_again(self):
+        # at 2^31 + 1 about half the lanes reject; the others must not move
+        lanes = Pcg64Lanes(5, 64)
+        streams = _lane_streams(5, 64)
+        for _ in range(6):
+            assert lanes.integers((1 << 31) + 1).tolist() == \
+                [stream.integers((1 << 31) + 1) for stream in streams]
+        assert [lanes.stream(i).state for i in range(64)] == \
+            [stream.state for stream in streams]
+
+    def test_a_lane_hands_on_its_stream(self):
+        lanes = Pcg64Lanes(8, 3, start=10)
+        stream = lanes.stream(2)
+        assert stream._rng == RngStream(8, (12,))
+        assert stream.state == Pcg64Stream(RngStream(8, (12,))).state
+        lanes.integers(7)
+        stream = lanes.stream(1)
+        reference = Pcg64Stream(RngStream(8, (11,)))
+        reference.integers(7)
+        assert stream.state == reference.state
+        # the handed-on stream continues on its own, Generator included
+        with stream.handoff() as gen, reference.handoff() as ref:
+            assert gen.permutation(6).tolist() == ref.permutation(6).tolist()
+
+    def test_bad_ranges_and_sizes_are_refused(self):
+        lanes = Pcg64Lanes(1, 2)
+        for high in (0, (1 << 63) + 1):
+            with pytest.raises(DomainError, match="integers range"):
+                lanes.integers(high)
+        with pytest.raises(DomainError, match="integers range"):
+            lanes.integers(np.array([3, 0], dtype=np.uint64))
+        with pytest.raises(DomainError, match="lanes need"):
+            Pcg64Lanes(1, 0)
+        with pytest.raises(DomainError, match="non-negative"):
+            Pcg64Lanes(1, 2, start=-1)
 
 
 def test_exact_couple_never_imports_numpy_random(tmp_path):
